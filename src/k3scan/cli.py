@@ -25,9 +25,10 @@ from .lattice import (
     discriminant_group,
     isotropic_elements,
     overlattice_from_isotropic,
+    square,
 )
 from .classify import identify_type
-from .series import big_nef_classes_of_square, theta_series, xi_series
+from .series import big_nef_classes_by_square, theta_series, xi_series
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,6 +68,15 @@ def _load_input(args) -> tuple[GramLattice, tuple[int, ...] | None, int | None, 
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidLatticeError(f"bad lattice document: {exc}") from exc
         lat = GramLattice(rank=rank, gram=gram, basis_labels=labels)
+        if ample is not None:
+            if len(ample) != rank:
+                raise InvalidLatticeError(
+                    f"ample class has length {len(ample)}, lattice has rank {rank}"
+                )
+            if square(lat, ample) <= 0:
+                raise InvalidLatticeError(
+                    f"ample class {list(ample)} must have positive square"
+                )
         return lat, ample, None, args.file
     raise UsageError("an input is required: --preset NAME or --file PATH")
 
@@ -76,16 +86,18 @@ def _sieve(args):
     if ample is None:
         raise UsageError(f"input {name!r} carries no ample seed; this command needs one")
     kmax = args.kmax if args.kmax is not None else (preset_kmax or 10)
+    if kmax < 1:
+        raise UsageError("--kmax must be a positive integer")
     cs = vinberg_sieve(lat, ample, kmax)
     return cs, name
 
 
 def _minimal_polarization(cs, ch, limit: int = 12):
-    for d in range(2, limit + 1, 2):
-        classes = big_nef_classes_of_square(cs, ch, d)
-        if classes:
-            return {"square": d, "classes": [list(c) for c in classes]}
-    return None
+    classes = big_nef_classes_by_square(cs, ch, 2, limit)
+    if not classes:
+        return None
+    d = min(classes)
+    return {"square": d, "classes": [list(c) for c in classes[d]]}
 
 
 def _pair_relations(cs, ch):

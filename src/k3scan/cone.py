@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .enumeration import classes_with_square_and_degree
-from .errors import IncompleteSieveError, NonCompactChamberError, WallError
+from .errors import IncompleteSieveError, K3ScanError, NonCompactChamberError, WallError
 from .lattice import GramLattice, bilinear, square
 from .linalg import Matrix, Vector, canonical_key
 
@@ -142,7 +142,10 @@ def chamber_vertices(cs: CurveSystem) -> ChamberDescription:
         if linalg.rank(rows) != rho - 1:
             continue
         kernel = linalg.integer_kernel_basis(rows)
-        assert len(kernel) == 1
+        if len(kernel) != 1:
+            raise K3ScanError(
+                f"curves {subset} of rank {rho - 1} have a kernel of rank {len(kernel)}, not 1"
+            )
         v = linalg.primitive_part(kernel[0])
         deg = bilinear(lat, h, v)
         if deg < 0:

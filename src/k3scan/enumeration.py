@@ -1,14 +1,23 @@
-"""Exact enumeration of lattice vectors with prescribed square and degree.
+"""Exact enumeration of lattice vectors in an ellipsoidal shell.
 
-Two layers:
+Every caller shares one Fincke-Pohst kernel (Fincke & Pohst, Math. Comp. 44
+(1985); Cohen, A Course in Computational Algebraic Number Theory, 2.7).  It
+runs on plain ints: a positive definite rational form Q is rewritten as
+scale*Q(x) = sum_i t_i*(m_i*x_i + sum_{j>i} n_ij*x_j)^2, and the kernel lists
+every integer x with lo <= scale*den^2*Q(x - c/den) <= hi, for an integer
+centre c over a denominator den.
 
-* `vectors_of_norm` enumerates all vectors of a given (non-positive) square in
-  a negative definite lattice, by branch and bound on an exact rational
-  Cholesky decomposition of the positive definite opposite form.
+* `vectors_of_norm` enumerates the vectors of one square in a negative
+  definite lattice: centre 0 and lo = hi.
 
-* `classes_with_square_and_degree` finds every class D with D^2 = d and
-  H.D = k for an ample H, by projecting to the orthogonal complement of H,
-  enumerating there, and lifting back, discarding non-integral lifts.
+* `classes_of_degree` finds every class D with H.D = k and D^2 in a closed
+  range, for H of positive square.  Those classes form the coset D0 + h^perp,
+  where D0 = (k/g)*u for a point u with H.u = g, the gcd of the entries of
+  G.H; when g does not divide k there are none.  Over a basis B of h^perp,
+  D = D0 + B*x has D^2 = k^2/H^2 - Q(x - c), where Q is the opposite form on
+  h^perp and B*c is minus the projection of D0 to h^perp.  The kernel walks
+  that coset directly, so every solution is an integral class and none is
+  thrown away.  `classes_with_square_and_degree` is the range [d, d].
 """
 
 from __future__ import annotations
@@ -16,18 +25,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt, lcm
+from operator import mul
 
 from . import linalg
-from .lattice import GramLattice, bilinear, square
+from .errors import K3ScanError
+from .lattice import GramLattice
 from .linalg import Vector, canonical_key
 
 
 @dataclass
 class EnumerationStats:
-    """Debug counters; pass one in to observe the lifting step."""
+    """Work counters of the kernel, filled in only when one is passed in.
+
+    `nodes` counts branch-and-bound nodes visited.  `lifts_tried` counts the
+    classes built from kernel solutions; the kernel is centred on the coset
+    {H.D = k}, so every one is integral and `lifts_discarded` stays 0.
+    """
 
     lifts_tried: int = 0
     lifts_discarded: int = 0
+    nodes: int = 0
 
 
 def _cholesky(q):
@@ -60,78 +78,59 @@ def _scaled_form(q):
     """
     d, u = _cholesky(q)
     n = len(d)
-    mults = []
-    nums = []
-    for i in range(n):
-        m = 1
-        for j in range(i + 1, n):
-            m = m * u[i][j].denominator // _gcd(m, u[i][j].denominator)
-        mults.append(m)
-        nums.append([int(u[i][j] * m) for j in range(n)])
-    scale = 1
-    for i in range(n):
-        piece = d[i].denominator * mults[i] * mults[i]
-        scale = scale * piece // _gcd(scale, piece)
+    mults = [lcm(1, *(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    nums = [[int(u[i][j] * mults[i]) for j in range(n)] for i in range(n)]
+    scale = lcm(1, *(d[i].denominator * mults[i] * mults[i] for i in range(n)))
     t = [int(d[i] * scale) // (mults[i] * mults[i]) for i in range(n)]
     return n, t, mults, nums, scale
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _shell(form, centre, den: int, lo: int, hi: int, stats: EnumerationStats | None):
+    """All (x, v) with x integral and lo <= v <= hi, where v = scale*den^2*Q(x - centre/den).
 
-
-def _isqrt(v: int) -> int:
-    from math import isqrt
-
-    return isqrt(v)
-
-
-def _enumerate_equal(form, m: int):
-    """All integer x with Q(x) == m, for the scaled form data and integer m >= 0."""
-    n, t, mults, nums, scale = form
+    Branch and bound from the last coordinate down.  With the coordinates
+    above level i fixed, the budget left for level i bounds |y| for
+    y = step*x_i - base, an interval of x_i.  At level 0 what falls short of
+    lo is dropped.
+    """
+    n, t, mults, nums, _ = form
+    if hi < 0 or lo > hi:
+        return []
     if n == 0:
-        return [()] if m == 0 else []
+        return [((), 0)] if lo <= 0 else []
     out = []
+    width = hi - lo
+    steps = [m * den for m in mults]
     x = [0] * n
+    z = [0] * n  # den*x - centre: the scaled offset from the centre
+    nodes = 0
 
-    def recurse(level: int, remaining: int):
-        ti = t[level]
-        mi = mults[level]
-        row = nums[level]
-        c = sum(row[j] * x[j] for j in range(level + 1, n))
-        s = _isqrt(remaining // ti)
-        lo = -((s + c) // mi)
-        hi = (s - c) // mi
-        if level == 0:
-            for xi in range(lo, hi + 1):
-                y = mi * xi + c
-                if ti * y * y == remaining:
-                    x[0] = xi
-                    out.append(tuple(x))
-            x[0] = 0
+    def level(i: int, rem: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        ti, row, step = t[i], nums[i], steps[i]
+        base = mults[i] * centre[i] - sum(row[j] * z[j] for j in range(i + 1, n))
+        r = isqrt(rem // ti)
+        first = -((r - base) // step)
+        last = (r + base) // step
+        if i:
+            for xi in range(first, last + 1):
+                y = step * xi - base
+                x[i] = xi
+                z[i] = den * xi - centre[i]
+                level(i - 1, rem - ti * y * y)
             return
-        for xi in range(lo, hi + 1):
-            y = mi * xi + c
-            term = ti * y * y
-            if term <= remaining:
-                x[level] = xi
-                recurse(level - 1, remaining - term)
-        x[level] = 0
+        for xi in range(first, last + 1):
+            y = step * xi - base
+            left = rem - ti * y * y
+            if left <= width:
+                x[0] = xi
+                out.append((tuple(x), hi - left))
 
-    recurse(n - 1, m * scale)
+    level(n - 1, hi)
+    if stats is not None:
+        stats.nodes += nodes
     return out
-
-
-def _check_negative_definite(gram) -> None:
-    n = len(gram)
-    if not linalg.is_symmetric(gram):
-        raise ValueError("Gram matrix must be symmetric")
-    try:
-        _cholesky([[-gram[i][j] for j in range(n)] for i in range(n)])
-    except ValueError:
-        raise ValueError("form is not negative definite") from None
 
 
 def vectors_of_norm(neg_def_gram, n: int) -> list[Vector]:
@@ -141,29 +140,91 @@ def vectors_of_norm(neg_def_gram, n: int) -> list[Vector]:
     n = 0 admits only the zero vector, which is excluded from the output.
     """
     gram = linalg.freeze_matrix(neg_def_gram)
-    _check_negative_definite(gram)
+    if not linalg.is_symmetric(gram):
+        raise ValueError("Gram matrix must be symmetric")
+    size = len(gram)
+    try:
+        form = _scaled_form([[-gram[i][j] for j in range(size)] for i in range(size)])
+    except ValueError:
+        raise ValueError("form is not negative definite") from None
     if n > 0:
         raise ValueError("a negative definite form takes no positive values")
     if n == 0:
         return []
-    size = len(gram)
-    form = _scaled_form([[-gram[i][j] for j in range(size)] for i in range(size)])
-    sols = _enumerate_equal(form, -n)
-    return sorted(sols, key=canonical_key)
+    value = -n * form[4]
+    sols = _shell(form, [0] * size, 1, value, value, None)
+    return sorted((v for v, _ in sols), key=canonical_key)
 
 
 @lru_cache(maxsize=None)
 def _orthogonal_complement(lat: GramLattice, h: Vector):
-    """Saturated basis of h^perp and the scaled form data of the opposite form."""
+    """The coset data of H: G.H, g, a unit-degree point, h^perp and its form.
+
+    Returns (w, g, unit, basis, form, centre, den): w = G.H, g = gcd(w) with
+    w.unit = g, basis a saturated basis of h^perp, form the scaled form of the
+    opposite form Q on h^perp, and centre/den the kernel centre of the coset
+    H.D = g, so that the centre of H.D = k is (k/g)*centre/den.
+    """
     w = linalg.mat_vec(lat.gram, h)
-    kernel = linalg.integer_kernel_basis((w,))
-    basis = tuple(kernel)  # columns: each a lattice vector orthogonal to h
-    size = len(basis)
-    k = [[sum(basis[a][i] * lat.gram[i][j] * basis[b][j]
-              for i in range(lat.rank) for j in range(lat.rank))
-          for b in range(size)] for a in range(size)]
-    form = _scaled_form([[-k[i][j] for j in range(size)] for i in range(size)])
-    return basis, form
+    d, u, v = linalg.smith_normal_form((w,))
+    g = d[0][0]
+    cols = linalg.transpose(v)
+    unit = tuple(u[0][0] * x for x in cols[0])  # u*w*v = d, with u = (+-1)
+    basis = cols[1:]  # each a lattice vector orthogonal to h
+    q = [[-linalg.dot(a, linalg.mat_vec(lat.gram, b)) for b in basis] for a in basis]
+    form = _scaled_form(q)
+    p = [linalg.dot(a, linalg.mat_vec(lat.gram, unit)) for a in basis]
+    c = linalg.solve_rational(q, p) if basis else ()
+    den = lcm(1, *(x.denominator for x in c))
+    centre = tuple(int(x * den) for x in c)
+    return w, g, unit, basis, form, centre, den
+
+
+def classes_of_degree(
+    lat: GramLattice,
+    h,
+    k: int,
+    lo: int,
+    hi: int,
+    stats: EnumerationStats | None = None,
+) -> list[tuple[int, Vector]]:
+    """All classes D with H.D = k and lo <= D^2 <= hi, as (D^2, D), for H of positive square.
+
+    The classes come in canonical order.  Each one's square and degree are
+    re-checked in plain integer arithmetic before it is returned.
+    """
+    h = lat.check_vector(h)
+    h2 = linalg.dot(h, linalg.mat_vec(lat.gram, h))
+    if h2 <= 0:
+        raise ValueError("degree class must have positive square")
+    if k < 0:
+        raise ValueError("degree must be non-negative")
+    w, g, unit, basis, form, centre, den = _orthogonal_complement(lat, h)
+    if k % g:
+        return []
+    # D^2 = k^2/H^2 - Q(x - c), and the kernel measures scale*den^2*Q.
+    big = form[4] * den * den
+    vhi = big * (k * k - lo * h2) // h2
+    vlo = max(0, -(big * (hi * h2 - k * k) // h2))
+    m = k // g
+    kc = [m * c for c in centre]
+    d0 = [m * x for x in unit]
+    rows = [tuple(b[i] for b in basis) for i in range(lat.rank)]  # D = d0 + rows*x
+    gram = lat.gram
+    out = []
+    for x, v in _shell(form, kc, den, vlo, vhi, stats):
+        cls = tuple(a + sum(map(mul, row, x)) for a, row in zip(d0, rows))
+        sq, deg = linalg.dot(cls, linalg.mat_vec(gram, cls)), linalg.dot(w, cls)
+        if deg != k or big * (k * k - sq * h2) != v * h2:
+            raise K3ScanError(
+                f"kernel class {cls} has H.D = {deg} and D^2 = {sq}, "
+                f"not degree {k} and the square of its kernel value {v}"
+            )
+        out.append((sq, cls))
+    if stats is not None:
+        stats.lifts_tried += len(out)
+    out.sort(key=lambda item: canonical_key(item[1]))
+    return out
 
 
 def classes_with_square_and_degree(
@@ -173,43 +234,10 @@ def classes_with_square_and_degree(
     k: int,
     stats: EnumerationStats | None = None,
 ) -> list[Vector]:
-    """All classes D with D^2 = d and H.D = k, for H of positive square.
-
-    Projects by D -> (H^2) D - (D.H) H into the negative definite complement
-    of H, enumerates solutions of the projected norm there, and lifts back by
-    s -> (s + k H)/H^2, discarding lifts outside the integral lattice.
-    """
-    h = lat.check_vector(h)
-    h2 = square(lat, h)
-    if h2 <= 0:
-        raise ValueError("degree class must have positive square")
+    """All classes D with D^2 = d and H.D = k, for H of positive square, in canonical order."""
     if d % 2 != 0:
         raise ValueError("square must be even in an even lattice")
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    target = h2 * h2 * d - k * k * h2
-    if target > 0:
-        return []
-    basis, form = _orthogonal_complement(lat, h)
-    if target == 0:
-        coord_solutions = [tuple(0 for _ in basis)]
-    else:
-        coord_solutions = _enumerate_equal(form, -target)
-    out = []
-    for x in coord_solutions:
-        s = [sum(basis[a][i] * x[a] for a in range(len(basis))) for i in range(lat.rank)]
-        if stats is not None:
-            stats.lifts_tried += 1
-        lift = [si + k * hi for si, hi in zip(s, h)]
-        if any(c % h2 != 0 for c in lift):
-            if stats is not None:
-                stats.lifts_discarded += 1
-            continue
-        cls = tuple(c // h2 for c in lift)
-        # Defining equations re-checked post hoc.
-        assert square(lat, cls) == d and bilinear(lat, h, cls) == k
-        out.append(cls)
-    return sorted(out, key=canonical_key)
+    return [cls for _, cls in classes_of_degree(lat, h, k, d, d, stats)]
 
 
 def minus_two_classes_up_to_degree(lat: GramLattice, h, kmax: int) -> list[Vector]:

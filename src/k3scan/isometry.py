@@ -18,6 +18,7 @@ from math import isqrt
 
 from . import linalg
 from .enumeration import classes_with_square_and_degree
+from .errors import K3ScanError
 from .lattice import GramLattice, bilinear, signature, square
 from .linalg import Matrix, Vector, canonical_key, sign_normalize
 
@@ -125,7 +126,8 @@ def isometry_small(l1: GramLattice, l2: GramLattice) -> Matrix | None:
             w = linalg.mat_mul(linalg.transpose(t2), found)
             u = linalg.mat_mul(w, linalg.transpose(_integer_inverse(t1)))
             check = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(l2.gram, u))
-            assert check == l1.gram
+            if check != l1.gram:
+                raise K3ScanError("isometry mapped back through the reductions gives U^T G2 U != G1")
             return u
     return None
 
@@ -157,5 +159,6 @@ def _search(g1, l2: GramLattice, h2: Vector, cap: int) -> Matrix | None:
     u = tuple(tuple(images[j][i] for j in range(rho)) for i in range(rho))
     # The map is automatically unimodular: equal determinants force det(U)^2 = 1.
     check = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(l2.gram, u))
-    assert check == g1
+    if check != g1:
+        raise K3ScanError("basis map found by the search gives U^T G2 U != G1")
     return u

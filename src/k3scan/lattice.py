@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InvalidLatticeError
 from . import linalg
@@ -174,8 +175,7 @@ class DiscriminantGroup:
     def element_order(self, coeffs) -> int:
         n = 1
         for c, d in zip(coeffs, self.invariant_factors):
-            g = d // _gcd(c, d) if c else 1
-            n = n * g // _gcd(n, g)
+            n = lcm(n, d // gcd(c, d))
         return n
 
     def coords_of(self, dual_vector) -> tuple[int, ...]:
@@ -192,13 +192,6 @@ class DiscriminantGroup:
         y = linalg.mat_vec(self.umat, tuple(int(val) for val in gx))
         full = [y[i] % self.diag_full[i] for i in range(len(y))]
         return tuple(c for c, d in zip(full, self.diag_full) if d > 1)
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def discriminant_group(lat: GramLattice) -> DiscriminantGroup:
@@ -258,9 +251,7 @@ def overlattice_from_isotropic(dg: DiscriminantGroup, element) -> GramLattice:
     lat = dg.lattice
     rho = lat.rank
     g = dg.lift(element)
-    den = 1
-    for x in g:
-        den = den * x.denominator // _gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in g))
     rows = [[den if i == j else 0 for j in range(rho)] for i in range(rho)]
     rows.append([int(x * den) for x in g])
     basis = linalg.hnf_row_basis(rows)

@@ -8,7 +8,8 @@ numbers.  Functions return tuples so results can be hashed and cached.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
+from operator import mul
 from typing import Sequence
 
 Vector = tuple[int, ...]
@@ -28,7 +29,7 @@ def transpose(m):
 
 
 def mat_vec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def mat_mul(a, b):
@@ -39,7 +40,7 @@ def mat_mul(a, b):
 
 
 def dot(u, v) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def is_symmetric(m) -> bool:
@@ -50,16 +51,7 @@ def is_symmetric(m) -> bool:
 
 
 def gcd_vector(v) -> int:
-    g = 0
-    for x in v:
-        g = _gcd(g, abs(x))
-    return g
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    return gcd(*v)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

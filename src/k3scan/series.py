@@ -1,8 +1,11 @@
 """Generating series of big-and-nef classes, counted by square.
 
-The compact chamber gives the degree bound (H.D)^2 <= ell * H^2 * D^2, so for
-each even square d the big-and-nef classes are exactly the nef results of the
-square-and-degree enumeration over degrees 1..floor(sqrt(ell*H^2*d)).
+The compact chamber gives the degree bound (H.D)^2 <= ell * H^2 * D^2, and
+the Hodge index gives H^2 * D^2 <= (H.D)^2.  So the big-and-nef classes with
+square in [lo, hi] are the nef classes found by one enumeration pass per
+degree k <= floor(sqrt(ell*H^2*hi)), each over the squares
+[max(lo, k^2/(ell*H^2)), min(hi, k^2/H^2)], bucketed by square.  The nef test
+pairs each class with the rows G.c of the curves.
 
 theta counts primitive classes only, xi counts all of them; the two are tied
 by xi(d) = sum over m^2 | d of theta(d/m^2).
@@ -12,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
-from .cone import ChamberDescription, CurveSystem, is_nef
-from .lattice import GramLattice, bilinear, is_primitive, square
-from .linalg import Vector, canonical_key
+from . import linalg
+from .cone import ChamberDescription, CurveSystem
+from .enumeration import classes_of_degree
+from .lattice import GramLattice, is_primitive, square
+from .linalg import Vector
 
 
 @dataclass
@@ -45,7 +49,7 @@ class SeriesTable:
             return None
         g = 0
         for _, c in nonzero[1:]:
-            g = _gcd(g, c)
+            g = gcd(g, c)
         if g <= 1:
             return None
         tail = []
@@ -53,12 +57,6 @@ class SeriesTable:
             q = c // g
             tail.append(f"{var}^{d}" if q == 1 else f"{q}{var}^{d}")
         return f"{var}^{nonzero[0][0]} + {g}(" + " + ".join(tail) + ")"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def degree_bound(lat: GramLattice, h, ell: Fraction, d: int) -> int:
@@ -75,18 +73,28 @@ def degree_bound(lat: GramLattice, h, ell: Fraction, d: int) -> int:
     return isqrt(bound.numerator * bound.denominator) // bound.denominator
 
 
-@lru_cache(maxsize=None)
-def _big_nef_of_square(cs: CurveSystem, ell: Fraction, d: int) -> tuple[Vector, ...]:
-    from .enumeration import classes_with_square_and_degree
+def big_nef_classes_by_square(
+    cs: CurveSystem, ch: ChamberDescription, lo: int, hi: int
+) -> dict[int, list[Vector]]:
+    """Big-and-nef classes with square in [lo, hi], keyed by square.
 
+    Only squares that have classes appear; each list is in (degree,
+    canonical) order.  Complete by the chamber radius bound.
+    """
+    if lo <= 0:
+        raise ValueError("squares of big classes must be positive")
     lat = cs.lattice
     h = cs.ample_seed
-    out = []
-    for k in range(1, degree_bound(lat, h, ell, d) + 1):
-        for cls in classes_with_square_and_degree(lat, h, d, k):
-            if is_nef(cs, cls):
-                out.append(cls)
-    return tuple(sorted(out, key=lambda c: (bilinear(lat, h, c), canonical_key(c))))
+    h2 = square(lat, h)
+    ell = ch.ell
+    rows = [linalg.mat_vec(lat.gram, c) for c in cs.curves]
+    out: dict[int, list[Vector]] = {}
+    for k in range(1, degree_bound(lat, h, ell, hi) + 1):
+        least = max(lo, -(-k * k * ell.denominator // (ell.numerator * h2)))
+        for d, cls in classes_of_degree(lat, h, k, least, hi):
+            if all(linalg.dot(cls, row) >= 0 for row in rows):
+                out.setdefault(d, []).append(cls)
+    return out
 
 
 def big_nef_classes_of_square(
@@ -95,25 +103,25 @@ def big_nef_classes_of_square(
     """All big-and-nef classes of square d, complete by the chamber radius bound."""
     if d % 2 != 0 or d <= 0:
         raise ValueError("square must be a positive even integer")
-    return list(_big_nef_of_square(cs, ch.ell, d))
+    return big_nef_classes_by_square(cs, ch, d, d).get(d, [])
 
 
 def theta_series(cs: CurveSystem, ch: ChamberDescription, max_square: int) -> SeriesTable:
     """Counts of primitive big-and-nef classes for each even square up to max_square."""
     _check_max_square(max_square)
-    coeffs = {}
-    for d in range(2, max_square + 1, 2):
-        classes = big_nef_classes_of_square(cs, ch, d)
-        coeffs[d] = sum(1 for c in classes if is_primitive(c))
+    classes = big_nef_classes_by_square(cs, ch, 2, max_square)
+    coeffs = {
+        d: sum(1 for c in classes.get(d, ()) if is_primitive(c))
+        for d in range(2, max_square + 1, 2)
+    }
     return SeriesTable(kind="theta", max_square=max_square, coefficients=coeffs)
 
 
 def xi_series(cs: CurveSystem, ch: ChamberDescription, max_square: int) -> SeriesTable:
     """Counts of all big-and-nef classes for each even square up to max_square."""
     _check_max_square(max_square)
-    coeffs = {}
-    for d in range(2, max_square + 1, 2):
-        coeffs[d] = len(big_nef_classes_of_square(cs, ch, d))
+    classes = big_nef_classes_by_square(cs, ch, 2, max_square)
+    coeffs = {d: len(classes.get(d, ())) for d in range(2, max_square + 1, 2)}
     return SeriesTable(kind="xi", max_square=max_square, coefficients=coeffs)
 
 

@@ -143,6 +143,9 @@ def test_exit_code_usage_errors():
     assert invoke("curves", "--preset", "NOPE")[0] == 1
     assert invoke("classify")[0] == 1
     assert invoke("curves", "--preset", "L25")[0] == 1  # no seed on reference lattices
+    for kmax in ("0", "-1"):
+        code, text = invoke("curves", "--preset", "S1", "--kmax", kmax)
+        assert code == 1 and "--kmax" in text
 
 
 def test_exit_code_invalid_lattice(tmp_path):
@@ -154,6 +157,13 @@ def test_exit_code_invalid_lattice(tmp_path):
     odd = tmp_path / "odd.json"
     odd.write_text(json.dumps({"rank": 2, "gram": [[1, 0], [0, -2]], "ample": [1, 0]}))
     assert invoke("curves", "--file", str(odd))[0] == 2
+
+    doc = {"rank": 3, "gram": [[-2, 4, 0], [4, -2, 2], [0, 2, -2]]}
+    for ample, why in (([1, 0], "length"), ([0, 0, 1], "positive square")):
+        path = tmp_path / "ample.json"
+        path.write_text(json.dumps({**doc, "ample": ample}))
+        code, text = invoke("curves", "--file", str(path))
+        assert code == 2 and why in text, text
 
 
 def test_exit_code_incomplete_sieve():
@@ -194,6 +204,14 @@ def test_console_entry_point_subprocess():
     )
     assert out.returncode == 0
     assert "T^4 + 4(T^6 + T^10 + T^12)" in out.stdout
+
+
+def test_invariant_checks_survive_optimize_flag():
+    argv = ["-m", "k3scan.cli", "series", "--preset", "S4", "--max-square", "40"]
+    plain = subprocess.run([sys.executable, *argv], capture_output=True)
+    optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True)
+    assert plain.returncode == 0 and optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
 
 
 def test_text_format_all_commands():

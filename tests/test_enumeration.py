@@ -1,14 +1,17 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracle import box_scan_classes, box_scan_vectors_of_norm
 
+from k3scan import linalg
 from k3scan.enumeration import (
     EnumerationStats,
     classes_with_square_and_degree,
     minus_two_classes_up_to_degree,
     vectors_of_norm,
 )
-from k3scan.lattice import bilinear, square
+from k3scan.lattice import GramLattice, bilinear, square
 
 
 def test_vectors_of_norm_rank_one():
@@ -89,6 +92,8 @@ def test_discard_counter(presets):
     classes_with_square_and_degree(p.lattice, p.ample, -2, 4, stats=stats)
     assert stats.lifts_tried > 0
     assert 0 <= stats.lifts_discarded < stats.lifts_tried
+    assert stats.lifts_discarded == 0
+    assert stats.nodes > 0
 
 
 def test_minus_two_up_to_degree(presets):
@@ -111,3 +116,52 @@ def test_enumeration_matches_oracle_small(presets):
             for k in range(0 if d == -2 else 1, 9):
                 got = classes_with_square_and_degree(p.lattice, p.ample, d, k)
                 assert sorted(got) == box_scan_classes(p.lattice, p.ample, d, k)
+
+
+@st.composite
+def hyperbolic_lattice_and_class(draw):
+    """<2a> + an even negative definite block of rank 1-2, in a scrambled basis.
+
+    Returns the lattice and a class H of square 1..40 in the new basis; the
+    gcd of G.H is often > 1, which puts a denominator on the kernel's centre.
+    """
+    a = draw(st.integers(1, 6))
+    b = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        block = [[-2 * b]]
+    else:
+        e = draw(st.integers(1, 4))
+        c = draw(st.integers(-(2 * min(b, e) - 1), 2 * min(b, e) - 1))
+        block = [[-2 * b, c], [c, -2 * e]]
+    n = 1 + len(block)
+    gram = [[0] * n for _ in range(n)]
+    gram[0][0] = 2 * a
+    for i, row in enumerate(block):
+        gram[i + 1][1:] = row
+    h0 = [draw(st.integers(1, 3))] + [draw(st.integers(-2, 2)) for _ in block]
+    h0sq = linalg.dot(h0, linalg.mat_vec(gram, h0))
+    assume(0 < h0sq <= 40)
+    # Basis change by elementary moves col_i += f*col_j; U^-1 is built alongside.
+    u, uinv = linalg.identity(n), linalg.identity(n)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 2))
+        j += j >= i
+        f = draw(st.integers(-2, 2))
+        for row in u:
+            row[i] += f * row[j]
+        uinv[j] = [x - f * y for x, y in zip(uinv[j], uinv[i])]
+    new_gram = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u))
+    h = linalg.mat_vec(uinv, h0)
+    return GramLattice(rank=n, gram=new_gram), h
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyperbolic_lattice_and_class())
+def test_enumeration_matches_oracle_random_lattices(case):
+    lat, h = case
+    assert 0 < square(lat, h) <= 40
+    for d in (-2, 2, 4):
+        for k in range(0, 6):
+            got = classes_with_square_and_degree(lat, h, d, k)
+            assert sorted(got) == box_scan_classes(lat, h, d, k), (d, k)
