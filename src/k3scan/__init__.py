@@ -16,7 +16,6 @@ from .classify import (
     MatrixTemplate,
     TemplateSolution,
     builtin_searches,
-    exact_rank,
     identify_type,
     search_template,
     span_gram,
@@ -34,7 +33,6 @@ from .cone import (
 from .enumeration import (
     EnumerationStats,
     classes_with_square_and_degree,
-    minus_two_classes_up_to_degree,
     vectors_of_norm,
 )
 from .errors import (
@@ -54,7 +52,6 @@ from .lattice import (
     isotropic_elements,
     overlattice_from_isotropic,
     signature,
-    smith_normal_form,
     square,
 )
 from .isometry import isometry_small
@@ -96,7 +93,6 @@ __all__ = [
     "classes_with_square_and_degree",
     "degree_bound",
     "discriminant_group",
-    "exact_rank",
     "hyperbolic_ell",
     "identify_type",
     "is_ample",
@@ -104,12 +100,10 @@ __all__ = [
     "is_primitive",
     "isometry_small",
     "isotropic_elements",
-    "minus_two_classes_up_to_degree",
     "overlattice_from_isotropic",
     "search_template",
     "sieve_presets",
     "signature",
-    "smith_normal_form",
     "span_gram",
     "square",
     "theta_series",

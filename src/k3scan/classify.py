@@ -201,11 +201,6 @@ class ClassificationResult:
         return tuple(s.values for s in self.solutions)
 
 
-def exact_rank(m) -> int:
-    """Rank over the rationals by fraction-free elimination."""
-    return linalg.rank(m)
-
-
 def span_gram(m) -> Matrix:
     """Gram matrix of the lattice generated by all rows of a symmetric matrix.
 
@@ -383,15 +378,18 @@ def search_template(
 def template_from_dict(data) -> tuple[MatrixTemplate, int]:
     """Build a template from the JSON document accepted by the CLI."""
     try:
-        size = int(data["size"])
+        size = linalg.strict_int(data["size"])
         entries = tuple(
             tuple(AffineExpr.parse(cell) for cell in row) for row in data["entries"]
         )
-        domains_map = {k: (int(v[0]), int(v[1])) for k, v in data["domains"].items()}
+        domains_map = {
+            k: (linalg.strict_int(v[0]), linalg.strict_int(v[1]))
+            for k, v in data["domains"].items()
+        }
         parameters = tuple(data.get("parameters", sorted(domains_map)))
         domains = tuple(domains_map[p] for p in parameters)
         constraints = tuple(Constraint.parse(c) for c in data.get("normalize", []))
-        target_rank = int(data["target_rank"])
+        target_rank = linalg.strict_int(data["target_rank"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad template document: {exc}") from exc
     return (

@@ -2,8 +2,8 @@
 
 Subcommands: curves, chamber, series, disc, classify.  Input is a preset name
 or a lattice JSON file {"rank": n, "gram": [[..]], "labels": [..],
-"ample": [..]}.  Output is deterministic: repeated runs and different --jobs
-settings produce byte-identical bytes.
+"ample": [..]}.  Output is deterministic: repeated runs, and for classify
+different --jobs settings, produce byte-identical bytes.
 
 Exit codes: 0 success, 1 usage, 2 invalid lattice, 3 incomplete sieve,
 4 non-compact chamber.
@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import presets
+from . import linalg, presets
 from .classify import builtin_searches, search_template, template_from_dict
 from .cone import chamber_vertices, is_ample, vinberg_sieve
 from .errors import InvalidLatticeError, K3ScanError, UsageError
@@ -59,12 +59,12 @@ def _load_input(args) -> tuple[GramLattice, tuple[int, ...] | None, int | None, 
         except json.JSONDecodeError as exc:
             raise InvalidLatticeError(f"cannot parse {args.file}: {exc}") from exc
         try:
-            rank = int(doc["rank"])
-            gram = tuple(tuple(int(x) for x in row) for row in doc["gram"])
+            rank = linalg.strict_int(doc["rank"])
+            gram = tuple(tuple(linalg.strict_int(x) for x in row) for row in doc["gram"])
             labels = tuple(str(x) for x in doc.get("labels", ()))
             ample = doc.get("ample")
             if ample is not None:
-                ample = tuple(int(x) for x in ample)
+                ample = tuple(linalg.strict_int(x) for x in ample)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidLatticeError(f"bad lattice document: {exc}") from exc
         lat = GramLattice(rank=rank, gram=gram, basis_labels=labels)
@@ -204,18 +204,15 @@ def cmd_disc(args) -> dict:
                 "q_value": _frac(dg.q_value(unit)),
                 "order": dg.invariant_factors[i],
             }
-            for i, unit in enumerate(
-                tuple(
-                    tuple(1 if a == b else 0 for b in range(len(dg.invariant_factors)))
-                    for a in range(len(dg.invariant_factors))
-                )
-            )
+            for i, unit in enumerate(linalg.identity(len(dg.invariant_factors)))
         ],
         "isotropic_elements": isotropic,
     }
 
 
 def cmd_classify(args) -> dict:
+    if args.jobs < 1:
+        raise UsageError("--jobs must be a positive integer")
     if bool(args.template) == bool(args.custom):
         raise UsageError("give exactly one of --template NAME or --custom PATH")
     if args.template:
@@ -325,7 +322,6 @@ def build_parser() -> _Parser:
         p.add_argument("--preset", help="name of a built-in lattice")
         p.add_argument("--file", help="path to a lattice JSON document")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--jobs", type=int, default=1, help="worker-count hint")
         if with_seed:
             p.add_argument("--kmax", type=int, default=None, help="sieve degree cutoff")
 
@@ -362,11 +358,7 @@ def run(argv=None) -> tuple[int, str]:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "jobs", 1) < 1:
-            raise UsageError("--jobs must be a positive integer")
         report = args.func(args)
-    except UsageError as exc:
-        return exc.exit_code, f"error: {exc}\n"
     except K3ScanError as exc:
         return exc.exit_code, f"error: {exc}\n"
     if args.format == "json":

@@ -238,11 +238,3 @@ def classes_with_square_and_degree(
     if d % 2 != 0:
         raise ValueError("square must be even in an even lattice")
     return [cls for _, cls in classes_of_degree(lat, h, k, d, d, stats)]
-
-
-def minus_two_classes_up_to_degree(lat: GramLattice, h, kmax: int) -> list[Vector]:
-    """All (-2)-classes r with 0 < H.r <= kmax, ordered by (degree, canonical)."""
-    out = []
-    for k in range(1, kmax + 1):
-        out.extend(classes_with_square_and_degree(lat, h, -2, k))
-    return out

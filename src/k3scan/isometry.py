@@ -7,8 +7,11 @@ shrinks the basis norms, then a backtracking search looks for a basis map:
 candidate images of each basis vector are enumerated with the
 square-and-degree machinery against a fixed positive vector of the target,
 with the degree cap deepened iteratively.  The search is complete at the
-scale of the built-in catalog (rank <= 5, small determinants); a None after
-the invariants agree means no map was found within the search bound.
+scale of the built-in catalog (small determinants); a None after the
+invariants agree means no map was found within the search bound.  Above
+rank 5 the search is refused: a pair of equal Grams still gives the
+identity and differing invariants still give None, but any other pair
+raises K3ScanError.
 """
 
 from __future__ import annotations
@@ -25,16 +28,18 @@ from .linalg import Matrix, Vector, canonical_key, sign_normalize
 _DEGREE_CAPS = (8, 16, 32, 64)
 
 
-def _greedy_reduce(gram) -> tuple[Matrix, Matrix]:
+def _greedy_reduce(gram) -> tuple[Matrix, Matrix, Matrix]:
     """Unimodular T with small-normed T*gram*T^T, by steepest descent.
 
     Repeatedly applies the single move b_i <- b_i + s*b_j that most reduces
     (sum |G_ii|, sum |G_ij|); terminates because the cost is a strictly
-    decreasing non-negative integer.
+    decreasing non-negative integer.  Returns (T*gram*T^T, T, T^-1); T^-1
+    follows each move by the inverse column move.
     """
     n = len(gram)
     g = [list(row) for row in gram]
     t = linalg.identity(n)
+    tinv = linalg.identity(n)
 
     def cost(m):
         diag = sum(abs(m[i][i]) for i in range(n))
@@ -62,12 +67,8 @@ def _greedy_reduce(gram) -> tuple[Matrix, Matrix]:
         current, i, j, s, g = best[0], best[1], best[2], best[3], best[4]
         for k in range(n):
             t[i][k] += s * t[j][k]
-    return linalg.freeze_matrix(g), linalg.freeze_matrix(t)
-
-
-def _integer_inverse(t) -> Matrix:
-    inv = linalg.inverse_rational(t)
-    return tuple(tuple(int(x) for x in row) for row in inv)
+            tinv[k][j] -= s * tinv[k][i]
+    return linalg.freeze_matrix(g), linalg.freeze_matrix(t), linalg.freeze_matrix(tinv)
 
 
 def _small_positive_vector(lat: GramLattice) -> Vector:
@@ -103,20 +104,21 @@ def _candidates(lat: GramLattice, h: Vector, norm: int, cap: int) -> list[Vector
 def isometry_small(l1: GramLattice, l2: GramLattice) -> Matrix | None:
     """A unimodular basis map U with U^T G2 U == G1, or None.
 
-    Columns of U are the images in l2 of the basis vectors of l1.
+    Columns of U are the images in l2 of the basis vectors of l1.  Raises
+    K3ScanError above rank 5 when the Grams differ but the invariants agree.
     """
-    if l1.rank != l2.rank or l1.rank > 5:
-        return None
     if l1.gram == l2.gram:
-        return tuple(tuple(int(i == j) for j in range(l1.rank)) for i in range(l1.rank))
-    if l1.det() != l2.det():
+        return linalg.freeze_matrix(linalg.identity(l1.rank))
+    if l1.rank != l2.rank or l1.det() != l2.det():
         return None
     if linalg.invariant_factors(l1.gram) != linalg.invariant_factors(l2.gram):
         return None
     if signature(l1) != signature(l2):
         return None
-    g1r, t1 = _greedy_reduce(l1.gram)
-    g2r, t2 = _greedy_reduce(l2.gram)
+    if l1.rank > 5:
+        raise K3ScanError(f"isometry search supports rank at most 5, not {l1.rank}")
+    g1r, _, t1inv = _greedy_reduce(l1.gram)
+    g2r, t2, _ = _greedy_reduce(l2.gram)
     l2r = GramLattice(rank=l2.rank, gram=g2r)
     h2 = _small_positive_vector(l2r)
     for cap in _DEGREE_CAPS:
@@ -124,7 +126,7 @@ def isometry_small(l1: GramLattice, l2: GramLattice) -> Matrix | None:
         if found is not None:
             # Map the solution back through both reductions.
             w = linalg.mat_mul(linalg.transpose(t2), found)
-            u = linalg.mat_mul(w, linalg.transpose(_integer_inverse(t1)))
+            u = linalg.mat_mul(w, linalg.transpose(t1inv))
             check = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(l2.gram, u))
             if check != l1.gram:
                 raise K3ScanError("isometry mapped back through the reductions gives U^T G2 U != G1")

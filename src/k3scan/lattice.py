@@ -9,7 +9,7 @@ All arithmetic is exact (ints and Fractions).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -113,14 +113,9 @@ def signature(lat_or_gram) -> tuple[int, int, int]:
     return pos, neg, zero
 
 
-def smith_normal_form(m):
-    """Smith normal form (d, u, v) with u*m*v = d; see linalg for details."""
-    return linalg.smith_normal_form(m)
-
-
 def is_primitive(v) -> bool:
     """True when the gcd of the coordinates is 1."""
-    g = linalg.gcd_vector(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector")
     return g == 1
@@ -138,8 +133,6 @@ class DiscriminantGroup:
     lattice: GramLattice
     invariant_factors: tuple[int, ...]
     generator_lifts: tuple[tuple[Fraction, ...], ...]
-    umat: Matrix = field(repr=False)
-    diag_full: tuple[int, ...] = field(repr=False)
 
     def order(self) -> int:
         n = 1
@@ -178,25 +171,10 @@ class DiscriminantGroup:
             n = lcm(n, d // gcd(c, d))
         return n
 
-    def coords_of(self, dual_vector) -> tuple[int, ...]:
-        """Coefficient tuple of the coset of a dual-lattice vector.
-
-        The vector is given in lattice coordinates and must pair integrally
-        with the whole lattice.
-        """
-        x = [Fraction(v) for v in dual_vector]
-        gx = [sum(self.lattice.gram[i][j] * x[j] for j in range(self.lattice.rank))
-              for i in range(self.lattice.rank)]
-        if any(val.denominator != 1 for val in gx):
-            raise ValueError("vector is not in the dual lattice")
-        y = linalg.mat_vec(self.umat, tuple(int(val) for val in gx))
-        full = [y[i] % self.diag_full[i] for i in range(len(y))]
-        return tuple(c for c, d in zip(full, self.diag_full) if d > 1)
-
 
 def discriminant_group(lat: GramLattice) -> DiscriminantGroup:
     """NS*/NS with generator lifts taken from the Smith normal form of the Gram."""
-    d, u, v = linalg.smith_normal_form(lat.gram)
+    d, _, v = linalg.smith_normal_form(lat.gram)
     rho = lat.rank
     diag = tuple(d[i][i] for i in range(rho))
     vt = linalg.transpose(v)
@@ -212,8 +190,6 @@ def discriminant_group(lat: GramLattice) -> DiscriminantGroup:
         lattice=lat,
         invariant_factors=tuple(factors),
         generator_lifts=tuple(lifts),
-        umat=u,
-        diag_full=diag,
     )
 
 

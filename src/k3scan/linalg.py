@@ -16,6 +16,13 @@ Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 
+def strict_int(x) -> int:
+    """x when it is an int, for reading JSON; bools, floats and strings raise TypeError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def freeze_matrix(rows) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
@@ -48,10 +55,6 @@ def is_symmetric(m) -> bool:
     return all(len(row) == n for row in m) and all(
         m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n)
     )
-
-
-def gcd_vector(v) -> int:
-    return gcd(*v)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -145,25 +148,6 @@ def solve_rational(a, b):
     for row_idx, c in enumerate(pivots):
         x[c] = m[row_idx][cols]
     return tuple(x)
-
-
-def inverse_rational(a):
-    """Exact inverse of a square matrix, as a tuple of Fraction rows."""
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
-         for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return tuple(tuple(row[n:]) for row in m)
 
 
 def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
@@ -311,21 +295,6 @@ def isqrt_fraction_floor(fr: Fraction) -> int:
     return isqrt(fr.numerator * fr.denominator) // fr.denominator
 
 
-def floor_plus_sqrt(r: Fraction, t: Fraction) -> int:
-    """floor(r + sqrt(t)) for rationals r and t >= 0, computed exactly."""
-    if t < 0:
-        raise ValueError("negative radicand")
-    den = r.denominator * t.denominator
-    a = r.numerator * t.denominator
-    k = t.numerator * t.denominator * r.denominator * r.denominator
-    return (a + isqrt(k)) // den
-
-
-def ceil_minus_sqrt(r: Fraction, t: Fraction) -> int:
-    """ceil(r - sqrt(t)) for rationals r and t >= 0."""
-    return -floor_plus_sqrt(-r, t)
-
-
 def sign_normalize(v: Sequence[int]) -> Vector:
     """Flip v so its first nonzero coordinate is positive."""
     for x in v:
@@ -344,7 +313,7 @@ def canonical_key(v: Sequence[int]):
 
 
 def primitive_part(v: Sequence[int]) -> Vector:
-    g = gcd_vector(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(x // g for x in v)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from . import linalg
 from .cone import ChamberDescription, CurveSystem
@@ -69,8 +69,7 @@ def degree_bound(lat: GramLattice, h, ell: Fraction, d: int) -> int:
     ell = Fraction(ell)
     if ell < 1:
         raise ValueError("chamber radius parameter must be >= 1")
-    bound = ell * h2 * d
-    return isqrt(bound.numerator * bound.denominator) // bound.denominator
+    return linalg.isqrt_fraction_floor(ell * h2 * d)
 
 
 def big_nef_classes_by_square(

@@ -1,12 +1,23 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 
 from conftest import load_package_json
 
+import k3scan
 from k3scan.cli import run
+
+# Child interpreters import the same k3scan as this process.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(Path(k3scan.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+    ),
+}
 
 
 def invoke(*argv):
@@ -143,6 +154,7 @@ def test_exit_code_usage_errors():
     assert invoke("curves", "--preset", "NOPE")[0] == 1
     assert invoke("classify")[0] == 1
     assert invoke("curves", "--preset", "L25")[0] == 1  # no seed on reference lattices
+    assert invoke("series", "--preset", "S1", "--jobs", "2")[0] == 1  # classify only
     for kmax in ("0", "-1"):
         code, text = invoke("curves", "--preset", "S1", "--kmax", kmax)
         assert code == 1 and "--kmax" in text
@@ -164,6 +176,30 @@ def test_exit_code_invalid_lattice(tmp_path):
         path.write_text(json.dumps({**doc, "ample": ample}))
         code, text = invoke("curves", "--file", str(path))
         assert code == 2 and why in text, text
+
+    # JSON numbers must be ints: no truncation, no bools or strings, no overflow.
+    s113 = '"gram": [[-2, 4, 0], [4, -2, 2], [0, 2, -2]]'
+    for body in (
+        '"rank": 2, "gram": [[2.5, 1], [1, -2]]',
+        f'"rank": 3, {s113}, "ample": [1.9, -1, -1]',
+        f'"rank": 3, {s113}, "ample": [true, -1, -1]',
+        f'"rank": 3, {s113}, "ample": ["1", "-1", "-1"]',
+        f'"rank": 1e400, {s113}',
+    ):
+        path = tmp_path / "number.json"
+        path.write_text("{" + body + "}")
+        code, text = invoke("curves", "--file", str(path))
+        assert code == 2 and "expected an integer" in text, (body, text)
+
+    template = (
+        '{"size": 2, "entries": [["-2", "a"], ["a", "-2"]], '
+        '"domains": {"a": [0, %s]}, "target_rank": 1}'
+    )
+    for hi in ("1e400", "2.7", "true"):
+        path = tmp_path / "template.json"
+        path.write_text(template % hi)
+        code, text = invoke("classify", "--custom", str(path))
+        assert code == 1 and "expected an integer" in text, (hi, text)
 
 
 def test_exit_code_incomplete_sieve():
@@ -201,6 +237,7 @@ def test_console_entry_point_subprocess():
          "--max-square", "12", "--format", "text"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert out.returncode == 0
     assert "T^4 + 4(T^6 + T^10 + T^12)" in out.stdout
@@ -208,8 +245,8 @@ def test_console_entry_point_subprocess():
 
 def test_invariant_checks_survive_optimize_flag():
     argv = ["-m", "k3scan.cli", "series", "--preset", "S4", "--max-square", "40"]
-    plain = subprocess.run([sys.executable, *argv], capture_output=True)
-    optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True)
+    plain = subprocess.run([sys.executable, *argv], capture_output=True, env=CHILD_ENV)
+    optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=CHILD_ENV)
     assert plain.returncode == 0 and optimized.returncode == 0
     assert optimized.stdout == plain.stdout
 

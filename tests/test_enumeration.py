@@ -8,7 +8,6 @@ from k3scan import linalg
 from k3scan.enumeration import (
     EnumerationStats,
     classes_with_square_and_degree,
-    minus_two_classes_up_to_degree,
     vectors_of_norm,
 )
 from k3scan.lattice import GramLattice, bilinear, square
@@ -97,14 +96,21 @@ def test_discard_counter(presets):
 
 
 def test_minus_two_up_to_degree(presets):
+    def up_to_degree(p, kmax):
+        return [
+            r
+            for k in range(1, kmax + 1)
+            for r in classes_with_square_and_degree(p.lattice, p.ample, -2, k)
+        ]
+
     s5 = presets["S5"]
-    found = minus_two_classes_up_to_degree(s5.lattice, s5.ample, 1)
+    found = up_to_degree(s5, 1)
     assert len(found) == 4
     assert all(bilinear(s5.lattice, s5.ample, r) == 1 for r in found)
-    assert minus_two_classes_up_to_degree(s5.lattice, s5.ample, 0) == []
+    assert up_to_degree(s5, 0) == []
 
     l27 = presets["L27"]
-    found = minus_two_classes_up_to_degree(l27.lattice, l27.ample, 2)
+    found = up_to_degree(l27, 2)
     degrees = sorted(bilinear(l27.lattice, l27.ample, r) for r in found)
     assert degrees == [1, 1, 2, 2, 2, 2, 2, 2]
 

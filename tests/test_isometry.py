@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
 from k3scan import linalg
-from k3scan.isometry import isometry_small
+from k3scan.errors import K3ScanError
+from k3scan.isometry import _greedy_reduce, isometry_small
 from k3scan.lattice import (
     GramLattice,
     discriminant_group,
@@ -57,16 +60,33 @@ def test_finds_map_for_rebased_lattices(presets):
             assert check == other.gram
 
 
+def _diagonal(*entries):
+    n = len(entries)
+    return GramLattice(n, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
 def test_rank_cap():
-    big = GramLattice(
-        6,
-        [
-            [2, 1, 0, 0, 0, 0],
-            [1, -2, 0, 0, 0, 0],
-            [0, 0, -2, 0, 0, 0],
-            [0, 0, 0, -2, 0, 0],
-            [0, 0, 0, 0, -2, 0],
-            [0, 0, 0, 0, 0, -2],
-        ],
-    )
-    assert isometry_small(big, big) is None  # above the supported rank
+    big = _diagonal(2, -2, -2, -2, -2, -2)
+    assert isometry_small(big, big) == linalg.freeze_matrix(linalg.identity(6))
+    # differing invariants decide "not isometric" at any rank
+    assert isometry_small(big, _diagonal(2, -2, -2, -2, -2, -4)) is None
+    assert isometry_small(big, _diagonal(2, -2, -2, -2, -2)) is None
+    # equal invariants and differing Grams: the search is refused above rank 5
+    t = _random_unimodular(random.Random(5), 6)
+    conj = GramLattice(6, linalg.mat_mul(t, linalg.mat_mul(big.gram, linalg.transpose(t))))
+    assert conj.gram != big.gram
+    with pytest.raises(K3ScanError, match="rank at most 5"):
+        isometry_small(conj, big)
+
+
+def test_greedy_reduce_tracks_inverse(presets):
+    rng = random.Random(7)
+    grams = [p.lattice.gram for p in presets.values()]
+    for gram in list(grams):
+        for _ in range(2):
+            t = _random_unimodular(rng, len(gram))
+            grams.append(linalg.mat_mul(t, linalg.mat_mul(gram, linalg.transpose(t))))
+    for gram in grams:
+        reduced, t, tinv = _greedy_reduce(gram)
+        assert linalg.mat_mul(t, tinv) == linalg.freeze_matrix(linalg.identity(len(gram)))
+        assert linalg.mat_mul(t, linalg.mat_mul(gram, linalg.transpose(t))) == reduced

@@ -101,10 +101,6 @@ def test_hnf_row_basis():
 def test_exact_sqrt_bounds():
     assert linalg.isqrt_fraction_floor(Fraction(30)) == 5
     assert linalg.isqrt_fraction_floor(Fraction(49, 4)) == 3  # sqrt = 3.5
-    assert linalg.floor_plus_sqrt(Fraction(1, 2), Fraction(2)) == 1
-    assert linalg.ceil_minus_sqrt(Fraction(1, 2), Fraction(2)) == 0
-    assert linalg.ceil_minus_sqrt(Fraction(-1, 2), Fraction(2)) == -1
-    assert linalg.floor_plus_sqrt(Fraction(0), Fraction(9)) == 3
 
 
 def test_canonical_key_sign_normalization():
