@@ -42,9 +42,11 @@ class AffineExpr:
     def parse(text) -> "AffineExpr":
         if isinstance(text, AffineExpr):
             return text
+        if isinstance(text, bool) or not isinstance(text, (int, str)):
+            raise UsageError(f"expected an integer or an expression string, got {text!r}")
         if isinstance(text, int):
             return AffineExpr(const=text)
-        s = str(text).strip()
+        s = text.strip()
         if not s:
             raise UsageError("empty expression")
         const = 0

@@ -25,7 +25,11 @@ class GramLattice:
     basis_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        gram = freeze_matrix(self.gram)
+        try:
+            linalg.strict_int(self.rank)
+            gram = freeze_matrix(self.gram)
+        except TypeError as exc:
+            raise InvalidLatticeError(str(exc)) from exc
         object.__setattr__(self, "gram", gram)
         if self.rank < 1 or len(gram) != self.rank:
             raise InvalidLatticeError("rank does not match the Gram matrix size")
@@ -53,7 +57,12 @@ class GramLattice:
         return linalg.det(self.gram)
 
     def check_vector(self, v) -> Vector:
-        v = tuple(int(x) for x in v)
+        """v as a tuple of ints; a float, bool or string entry raises TypeError."""
+        v = tuple(v)
+        for x in v:
+            if x.__class__ is not int:  # plain ints skip the per-entry call
+                v = tuple(map(linalg.strict_int, v))
+                break
         if len(v) != self.rank:
             raise ValueError(f"vector has length {len(v)}, lattice has rank {self.rank}")
         return v
@@ -127,12 +136,16 @@ class DiscriminantGroup:
 
     `invariant_factors` lists the cyclic orders > 1; `generator_lifts` are
     rational vectors in lattice coordinates representing the generators.
-    Group elements are coefficient tuples c with 0 <= c_i < d_i.
+    Group elements are coefficient tuples c with 0 <= c_i < d_i.  The pairings
+    of the generator lifts are stored as the integer matrix `form` = N (g_i.g_j)
+    with N = `denominator`, so that x.x = c^T form c / N for x = sum c_i g_i.
     """
 
     lattice: GramLattice
     invariant_factors: tuple[int, ...]
     generator_lifts: tuple[tuple[Fraction, ...], ...]
+    form: Matrix
+    denominator: int
 
     def order(self) -> int:
         n = 1
@@ -155,15 +168,17 @@ class DiscriminantGroup:
         return tuple(x - x.__floor__() for x in out)
 
     def q_value(self, coeffs) -> Fraction:
-        """Discriminant form q(x) = x.x as an element of Q/2Z, in [0, 2)."""
-        x = self.lift(coeffs)
-        val = Fraction(0)
-        gram = self.lattice.gram
-        rho = self.lattice.rank
-        for i in range(rho):
-            for j in range(rho):
-                val += x[i] * gram[i][j] * x[j]
-        return val % 2
+        """Discriminant form q(x) = x.x as an element of Q/2Z, in [0, 2).
+
+        Moving x by a lattice vector l changes x.x by 2 x.l + l.l, an even
+        integer, so q is read off the generator form without lifting x.
+        """
+        n = self.denominator
+        return Fraction(self._scaled_norm(coeffs) % (2 * n), n)
+
+    def _scaled_norm(self, coeffs) -> int:
+        """N x.x = c^T form c for x = sum c_i g_i, an exact integer."""
+        return linalg.dot(coeffs, linalg.mat_vec(self.form, coeffs))
 
     def element_order(self, coeffs) -> int:
         n = 1
@@ -186,10 +201,14 @@ def discriminant_group(lat: GramLattice) -> DiscriminantGroup:
             col = vt[i]
             lift = tuple(Fraction(x, diag[i]) for x in col)
             lifts.append(tuple(x - x.__floor__() for x in lift))
+    pairings = [[linalg.dot(g, linalg.mat_vec(lat.gram, h)) for h in lifts] for g in lifts]
+    n = lcm(1, *(b.denominator for row in pairings for b in row))
     return DiscriminantGroup(
         lattice=lat,
         invariant_factors=tuple(factors),
         generator_lifts=tuple(lifts),
+        form=freeze_matrix([[int(b * n) for b in row] for row in pairings]),
+        denominator=n,
     )
 
 
@@ -197,19 +216,19 @@ def isotropic_elements(dg: DiscriminantGroup) -> list[tuple[int, ...]]:
     """Non-trivial elements with q = 0 in Q/2Z, reported up to inversion.
 
     x and -x generate the same cyclic subgroup, hence the same overlattice, so
-    only the lexicographically smaller of the two coefficient tuples is kept.
+    only the lexicographically smaller of the two coefficient tuples is kept
+    (an element of order 2 is its own inverse and is kept once).  The test is
+    c^T form c = 0 mod 2N in plain integers.
     """
+    two_n, factors = 2 * dg.denominator, dg.invariant_factors
     out = []
-    seen = set()
     for coeffs in dg.elements():
-        if not any(coeffs):
-            continue
-        inverse = tuple((-c) % d for c, d in zip(coeffs, dg.invariant_factors))
-        if inverse in seen:
-            continue
-        if dg.q_value(coeffs) == 0:
+        if (
+            dg._scaled_norm(coeffs) % two_n == 0
+            and any(coeffs)
+            and coeffs <= tuple((-c) % d for c, d in zip(coeffs, factors))
+        ):
             out.append(coeffs)
-            seen.add(coeffs)
     return out
 
 

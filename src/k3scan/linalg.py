@@ -24,7 +24,8 @@ def strict_int(x) -> int:
 
 
 def freeze_matrix(rows) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """rows as a tuple of int tuples; entries are read by `strict_int`, never truncated."""
+    return tuple(tuple(map(strict_int, row)) for row in rows)
 
 
 def identity(n: int) -> list[list[int]]:

@@ -37,6 +37,10 @@ def test_affine_expression_parsing():
     assert str(AffineExpr.parse("4-a")) == "4-a"
     with pytest.raises(UsageError):
         AffineExpr.parse("a*b")
+    assert AffineExpr.parse(-2).evaluate({}) == -2
+    for bad in (True, False, None, 2.0):  # JSON true/false/null/2.0 are not expressions
+        with pytest.raises(UsageError, match="expected an integer"):
+            AffineExpr.parse(bad)
 
 
 def test_constraint_parsing():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -200,6 +201,13 @@ def test_exit_code_invalid_lattice(tmp_path):
         path.write_text(template % hi)
         code, text = invoke("classify", "--custom", str(path))
         assert code == 1 and "expected an integer" in text, (hi, text)
+    # An entry cell of JSON true used to be read as the constant 1.
+    path.write_text(
+        '{"size": 2, "entries": [[-2, true], [true, -2]], '
+        '"domains": {"a": [0, 1]}, "target_rank": 1}'
+    )
+    code, text = invoke("classify", "--custom", str(path))
+    assert code == 1 and "expected an integer" in text, text
 
 
 def test_exit_code_incomplete_sieve():
@@ -229,6 +237,43 @@ def test_deterministic_bytes_across_runs():
         _, a = invoke(*argv)
         _, b = invoke(*argv)
         assert a == b
+
+
+# sha256 of the stdout of `disc --preset P --format F` (`main` writes the text
+# of `run` unchanged).  Recorded from the whole-group Fraction scan that read
+# q from the rational lifts, so they pin every byte across the integer form.
+DISC_DIGESTS = {
+    ("S1", "json"): "49ccb47ca1e7932b7eb998db9b969ece15b6d987f520d85e04963e2f353f8b1b",
+    ("S1", "text"): "b54fe61cad218092c08ce22a9e9a39d67ed1858bd75e94ee82a0fb485b9cd6b9",
+    ("S2", "json"): "0cf63bd3f570dca166d271c292cffa3347f6556167b62a3fa9f0b1451ab65a3e",
+    ("S2", "text"): "707a149f92a0be654e2807f59b07fc74675fb181b725ec75e5e4869fcf2c7cf3",
+    ("S3", "json"): "d2748e55aff0875d6b915978ab554c82d845a5f796b15f3f861bbd910f61d7d2",
+    ("S3", "text"): "67928230b0f6a984453bd91113c528bde077b69facb58df2dd052f10015febd6",
+    ("S4", "json"): "bc27da6da5994a754b434b2923007663f215c189f8d8e80582e03322770a8aa2",
+    ("S4", "text"): "57ca2b962df2aa3cbb88d577e25db91e1093fc1b38dda36ce711ab872f8450f8",
+    ("S5", "json"): "715dcb1843b9e1e8811c405cd9e12d22f3f967476ba5f0aa2a36e486a5e089a8",
+    ("S5", "text"): "fd42cd41c53ac150edaea7070f30bc7f5759c0f199408cbf854a69d01f8f53e5",
+    ("S6", "json"): "bf1d3d48fc04a332d148813819f8e20d548f306d9d1e4a36a281f680898ba8af",
+    ("S6", "text"): "d873bc1e2560a308a1abb2850ebfb352002abe46cf0bad5dba8c0ba4147efec2",
+    ("L24", "json"): "84cf8bfa937b3cc31cf7e8ac9899e232379a6264083849013b66465d49ab3c0d",
+    ("L24", "text"): "0beef35612ab879246886acde291a9025ec0916c57b7032423f47802f4b42120",
+    ("L27", "json"): "560e928d8262b50f80531d8b8d6918b3a8f2bdd0b663127231effad82afbaff8",
+    ("L27", "text"): "021d947050f48e6e304070de7b19d38d6959a0f13cf801ed2b212945aec38245",
+    ("L25", "json"): "60b1ecbfa2bbd1a09eac30d6ae7ca8417c86422076fae04f621d23a7e133145f",
+    ("L25", "text"): "15cadbacf1a0d49c7e7724f07fac422eec24b95e355b8ba3233794d8157b7cc2",
+    ("S113", "json"): "97512bce748d3b563b587a7ccd580a932352a2d020989046c2476ba43a30af32",
+    ("S113", "text"): "393e24e775e4360c4c02747f8a0e84d04f3121fa19cedcb9f28663c60b8dad82",
+    ("S114", "json"): "43dbe4ed9dfcf221ca7ca417b11ffd5a79b0459781ab5139e1fa896b92a298a6",
+    ("S114", "text"): "b57b1c48a5eeaf7d4fa4f07e58761008e4d49198f5fe2ab45b70c15a5bdc9419",
+}
+
+
+def test_disc_bytes_pinned(presets):
+    assert {name for name, _ in DISC_DIGESTS} == set(presets)
+    for (name, fmt), digest in DISC_DIGESTS.items():
+        code, text = invoke("disc", "--preset", name, "--format", fmt)
+        assert code == 0, text
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, fmt)
 
 
 def test_console_entry_point_subprocess():

@@ -2,6 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracle import scan_isotropic_dual_classes
 
 from k3scan import linalg
 from k3scan.errors import InvalidLatticeError
@@ -13,6 +17,7 @@ from k3scan.lattice import (
     isotropic_elements,
     overlattice_from_isotropic,
     signature,
+    square,
 )
 
 
@@ -27,6 +32,31 @@ def test_construction_rejects_bad_input(presets):
         GramLattice(2, [[2, 0], [0, 2]])  # definite, not hyperbolic
     with pytest.raises(InvalidLatticeError):
         GramLattice(3, [[-2, 0, 0], [0, -2, 0], [0, 0, -2]])
+
+
+def test_gram_entries_must_be_ints():
+    # No truncation: 2.5 is not read as 2, nor 2.0 as 2, nor True as 1.
+    for bad in (2.5, 2.0, True, "2"):
+        with pytest.raises(InvalidLatticeError, match="expected an integer"):
+            GramLattice(2, [[bad, 1], [1, -2]])
+    for bad in (2.0, True, "2"):
+        with pytest.raises(InvalidLatticeError, match="expected an integer"):
+            GramLattice(bad, [[2, 1], [1, -2]])
+    lat = GramLattice(2, [[2, 1], [1, -2]])
+    assert lat.gram == ((2, 1), (1, -2))
+    assert GramLattice(2, [(2, 1), [1, -2]]) == lat
+
+
+def test_vector_entries_must_be_ints():
+    lat = GramLattice(3, [[6, 0, 0], [0, -2, 0], [0, 0, -2]])
+    for bad in ((1.9, -1, -1), (1.0, -1, -1), (True, -1, -1), ("1", -1, -1)):
+        with pytest.raises(TypeError, match="expected an integer"):
+            square(lat, bad)
+        with pytest.raises(TypeError, match="expected an integer"):
+            bilinear(lat, (1, 0, 0), bad)
+    assert square(lat, (1, -1, -1)) == 2
+    assert lat.check_vector([1, -1, -1]) == (1, -1, -1)
+    assert lat.check_vector(x for x in (1, -1, -1)) == (1, -1, -1)
 
 
 def test_bilinear_examples(presets):
@@ -134,14 +164,19 @@ def test_isotropic_elements_examples(presets):
 def test_s114_isotropic_elements_and_saturations(presets):
     # Brute-force check against the full group: every element with q = 0 must
     # produce an even overlattice of index equal to its order, and only those.
+    # q is recomputed here from the rational lift and the Gram, not from the
+    # integer generator form that isotropic_elements reads.
     lat = presets["S114"].lattice
     dg = discriminant_group(lat)
     iso = isotropic_elements(dg)
-    brute = [
-        c
-        for c in dg.elements()
-        if any(c) and dg.q_value(c) == 0
-    ]
+
+    def q(c):
+        x = dg.lift(c)
+        return sum(
+            x[i] * lat.gram[i][j] * x[j] for i in range(lat.rank) for j in range(lat.rank)
+        ) % 2
+
+    brute = [c for c in dg.elements() if any(c) and q(c) == 0]
     inverses = {
         tuple((-x) % d for x, d in zip(c, dg.invariant_factors)) for c in iso
     }
@@ -150,6 +185,36 @@ def test_s114_isotropic_elements_and_saturations(presets):
         over = overlattice_from_isotropic(dg, element)
         index = dg.element_order(element)
         assert abs(lat.det()) == abs(over.det()) * index * index
+
+
+@st.composite
+def small_hyperbolic_lattice(draw):
+    """An even Gram of rank 2-3 and signature (1, rho-1) with 0 < |det| <= 30."""
+    n = draw(st.integers(2, 3))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = 2 * draw(st.integers(-4, 4))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-4, 4))
+    assume(0 < abs(linalg.det(gram)) <= 30 and signature(gram) == (1, n - 1, 0))
+    return GramLattice(n, gram)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_hyperbolic_lattice())
+def test_isotropic_elements_match_oracle_random_lattices(lat):
+    # The oracle scans [0, |det|)^rho in numpy and knows nothing of the
+    # generator form; both sides give dual classes as vectors in [0, 1)^rho.
+    # Each class must appear exactly once among the lifts of {c, -c}.
+    dg = discriminant_group(lat)
+    iso = isotropic_elements(dg)
+    lifts = []
+    for c in iso:
+        inverse = tuple((-x) % d for x, d in zip(c, dg.invariant_factors))
+        assert any(c) and c <= inverse
+        lifts += {dg.lift(c), dg.lift(inverse)}
+    assert iso == sorted(iso)
+    assert sorted(lifts) == scan_isotropic_dual_classes(lat.gram)
 
 
 def test_overlattice_s2_properties(presets):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,6 +97,13 @@ def test_hnf_row_basis():
     basis = linalg.hnf_row_basis(rows)
     assert len(basis) == 2
     assert abs(linalg.det(basis)) == 2  # index 2 in Z^2
+
+
+def test_freeze_matrix_refuses_non_ints():
+    assert linalg.freeze_matrix([[1, -2], (3, 4)]) == ((1, -2), (3, 4))
+    for bad in (2.5, 2.0, True, "2", Fraction(2)):
+        with pytest.raises(TypeError, match="expected an integer"):
+            linalg.freeze_matrix([[1, bad]])
 
 
 def test_exact_sqrt_bounds():
