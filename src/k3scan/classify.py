@@ -6,19 +6,24 @@ constraints ("a<=2", "a1+b1+c1+d1==16") and optional swap symmetries.
 search_template enumerates every assignment satisfying the constraints and
 reports those whose instantiated matrix has rank at most the target.
 
+The search first compiles the template into int rows const + sum c_k x_k
+over the parameter order.  A constraint is the row lhs - rhs; it bounds the
+range of its last parameter (== fixes the value, <= clips the range by floor
+or ceiling division), so no assignment outside the constraints is visited.
+
 Exhaustiveness under pruning: a matrix of rank <= r has every (r+1)-minor
 equal to zero, so the search may discard a partial assignment as soon as some
-fully determined (r+1)-minor is nonzero.  Minors are scheduled at the depth
-where their last parameter gets a value and memoized on the values they
-depend on.
+fully determined (r+1)-minor is nonzero.  A minor is scheduled at the depth
+of the last parameter with a nonzero coefficient in its entries and memoized
+on the values of those parameters.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import linalg
 from .errors import InvalidLatticeError, UsageError
@@ -77,20 +82,6 @@ class AffineExpr:
     def evaluate(self, assignment) -> int:
         return self.const + sum(c * assignment[name] for name, c in self.coeffs)
 
-    def __str__(self) -> str:
-        parts = [] if self.const == 0 else [str(self.const)]
-        for name, c in self.coeffs:
-            if c == 1:
-                term = name
-            elif c == -1:
-                term = f"-{name}"
-            else:
-                term = f"{c}*{name}"
-            if parts and not term.startswith("-"):
-                term = "+" + term
-            parts.append(term)
-        return "".join(parts) if parts else "0"
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -106,17 +97,6 @@ class Constraint:
                 return Constraint(AffineExpr.parse(lhs), op, AffineExpr.parse(rhs))
         raise UsageError(f"constraint {text!r} must use <= or ==")
 
-    def params(self) -> frozenset[str]:
-        return self.lhs.params() | self.rhs.params()
-
-    def holds(self, assignment) -> bool:
-        a = self.lhs.evaluate(assignment)
-        b = self.rhs.evaluate(assignment)
-        return a <= b if self.op == "<=" else a == b
-
-    def __str__(self) -> str:
-        return f"{self.lhs}{self.op}{self.rhs}"
-
 
 @dataclass(frozen=True)
 class MatrixTemplate:
@@ -131,6 +111,10 @@ class MatrixTemplate:
 
     def __post_init__(self):
         n = self.size
+        if n < 1:
+            raise UsageError("size must be at least 1")
+        if len(set(self.parameters)) != len(self.parameters):
+            raise UsageError(f"duplicate parameter names in {list(self.parameters)}")
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise UsageError("entries must form a square matrix of the declared size")
         for i in range(n):
@@ -143,7 +127,7 @@ class MatrixTemplate:
             for e in row:
                 used |= e.params()
         for c in self.constraints:
-            used |= c.params()
+            used |= c.lhs.params() | c.rhs.params()
         if not used <= known:
             raise UsageError(f"unknown parameters {sorted(used - known)}")
 
@@ -240,87 +224,94 @@ def identify_type(gram_or_lattice) -> str | None:
     return None
 
 
-def _minor_schedule(template: MatrixTemplate, target_rank: int):
-    """(r+1)-minors grouped by the search depth where they become determined."""
-    n = template.size
-    order = {p: i for i, p in enumerate(template.parameters)}
-    size = target_rank + 1
-    if size > n:
-        return {}
-    schedule: dict[int, list] = {}
-    leaf = len(template.parameters) - 1
-    for rows in itertools.combinations(range(n), size):
-        for cols in itertools.combinations(range(n), size):
-            params = frozenset()
-            for i in rows:
-                for j in cols:
-                    params |= template.entries[i][j].params()
-            depth = max((order[p] for p in params), default=-1)
-            if depth >= leaf:
-                continue  # the final rank computation covers leaf-level minors
-            dep = tuple(sorted(params, key=order.get))
-            schedule.setdefault(depth, []).append((rows, cols, dep))
-    return schedule
-
-
-def _constraint_schedule(template: MatrixTemplate):
-    order = {p: i for i, p in enumerate(template.parameters)}
-    schedule: dict[int, list[Constraint]] = {}
-    for c in template.constraints:
-        depth = max((order[p] for p in c.params()), default=-1)
-        schedule.setdefault(depth, []).append(c)
-    return schedule
+def _int_row(pairs, order) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """sum sign * expr over (sign, expr) pairs as (const, ((k, c_k), ...)), k ascending."""
+    const = 0
+    coeffs = [0] * len(order)
+    for sign, expr in pairs:
+        const += sign * expr.const
+        for name, c in expr.coeffs:
+            coeffs[order[name]] += sign * c
+    return const, tuple((k, c) for k, c in enumerate(coeffs) if c)
 
 
 def _search_sequential(template: MatrixTemplate, target_rank: int, first_values=None):
-    params = template.parameters
-    nparams = len(params)
-    minors = _minor_schedule(template, target_rank)
-    constraints = _constraint_schedule(template)
-    for c in constraints.get(-1, ()):
-        if not c.holds({}):
+    nparams = len(template.parameters)
+    n = template.size
+    order = {p: k for k, p in enumerate(template.parameters)}
+    # Compile: a constraint is the row lhs - rhs, applied as a bound on its
+    # last parameter; an entry is a row, filled in once its last parameter is set.
+    bounds: list[list] = [[] for _ in range(nparams)]
+    for c in template.constraints:
+        const, terms = _int_row(((1, c.lhs), (-1, c.rhs)), order)
+        if terms:
+            bounds[terms[-1][0]].append((c.op, terms[-1][1], const, terms[:-1]))
+        elif not (const <= 0 if c.op == "<=" else const == 0):
             return []
-    for rows, cols, dep in minors.get(-1, ()):
-        sub = [[template.entries[i][j].const for j in cols] for i in rows]
-        if linalg.det(sub) != 0:
-            return []
-    assignment: dict[str, int] = {}
+    cur = [[0] * n for _ in range(n)]
+    masks = [[0] * n for _ in range(n)]
+    fills: list[list] = [[] for _ in range(nparams)]
+    for i in range(n):
+        for j in range(i, n):
+            const, terms = _int_row(((1, template.entries[i][j]),), order)
+            cur[i][j] = cur[j][i] = const
+            masks[i][j] = masks[j][i] = sum(1 << k for k, _ in terms)
+            if terms:
+                fills[terms[-1][0]].append((i, j, const, terms))
+    values = [0] * nparams
     minor_cache: dict = {}
     hits = []
 
     def minor_ok(rows, cols, dep) -> bool:
-        key = (rows, cols, tuple(assignment[p] for p in dep))
+        key = (rows, cols, tuple(values[k] for k in dep))
         val = minor_cache.get(key)
         if val is None:
-            sub = [
-                [template.entries[i][j].evaluate(assignment) for j in cols]
-                for i in rows
-            ]
-            val = linalg.det(sub)
+            val = linalg.det([[cur[i][j] for j in cols] for i in rows])
             minor_cache[key] = val
         return val == 0
 
+    # An (r+1)-minor is tested at the depth of the last parameter its entries
+    # use, memoized on the values of those parameters; minors of the last
+    # parameter are left to the final rank computation.
+    minors: dict[int, list] = {}
+    subsets = list(itertools.combinations(range(n), target_rank + 1))
+    for rows in subsets:
+        for cols in subsets:
+            mask = functools.reduce(int.__or__, (masks[i][j] for i in rows for j in cols), 0)
+            if mask.bit_length() < nparams:
+                dep = tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+                minors.setdefault(mask.bit_length() - 1, []).append((rows, cols, dep))
+    if not all(minor_ok(*m) for m in minors.get(-1, ())):
+        return []
+
     def descend(depth: int):
         if depth == nparams:
-            values = tuple(assignment[p] for p in params)
-            matrix = template.instantiate(values)
+            matrix = tuple(map(tuple, cur))
             r = linalg.rank(matrix)
             if r <= target_rank:
-                hits.append((values, r, matrix))
+                hits.append((tuple(values), r, matrix))
             return
-        name = params[depth]
         lo, hi = template.domains[depth]
+        for op, lead, const, terms in bounds[depth]:
+            rest = const + sum(c * values[k] for k, c in terms)
+            if op == "==":  # lead * x + rest == 0
+                x, rem = divmod(-rest, lead)
+                if rem:
+                    return
+                lo, hi = max(lo, x), min(hi, x)
+            elif lead > 0:  # x <= floor(-rest / lead)
+                hi = min(hi, -rest // lead)
+            else:  # x >= ceil(-rest / lead)
+                lo = max(lo, -(rest // lead))
+        candidates = range(lo, hi + 1)
         if first_values is not None and depth == 0:
-            candidates: Iterable[int] = first_values
-        else:
-            candidates = range(lo, hi + 1)
+            candidates = [v for v in first_values if lo <= v <= hi]
         for value in candidates:
-            assignment[name] = value
-            if all(c.holds(assignment) for c in constraints.get(depth, ())) and all(
-                minor_ok(rows, cols, dep) for rows, cols, dep in minors.get(depth, ())
-            ):
+            values[depth] = value
+            for i, j, const, terms in fills[depth]:
+                cur[i][j] = cur[j][i] = const + sum(c * values[k] for k, c in terms)
+            if all(minor_ok(*m) for m in minors.get(depth, ())):
                 descend(depth + 1)
-        del assignment[name]
 
     descend(0)
     return hits
@@ -384,16 +375,21 @@ def template_from_dict(data) -> tuple[MatrixTemplate, int]:
         entries = tuple(
             tuple(AffineExpr.parse(cell) for cell in row) for row in data["entries"]
         )
-        domains_map = {
-            k: (linalg.strict_int(v[0]), linalg.strict_int(v[1]))
-            for k, v in data["domains"].items()
-        }
+        if not isinstance(data["domains"], dict):
+            raise UsageError("domains must map each parameter to [lo, hi]")
+        domains_map = {}
+        for k, v in data["domains"].items():
+            if not isinstance(v, list) or len(v) != 2:
+                raise UsageError(f"domain of {k!r} must be [lo, hi], got {v!r}")
+            domains_map[k] = (linalg.strict_int(v[0]), linalg.strict_int(v[1]))
         parameters = tuple(data.get("parameters", sorted(domains_map)))
         domains = tuple(domains_map[p] for p in parameters)
         constraints = tuple(Constraint.parse(c) for c in data.get("normalize", []))
         target_rank = linalg.strict_int(data["target_rank"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad template document: {exc}") from exc
+    if target_rank < 0:
+        raise UsageError(f"target_rank must be non-negative, got {target_rank}")
     return (
         MatrixTemplate(
             size=size,

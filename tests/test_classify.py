@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import PUBLISHED_CURVE_GRAMS
 
@@ -9,6 +12,7 @@ from k3scan.classify import (
     AffineExpr,
     Constraint,
     MatrixTemplate,
+    _search_sequential,
     builtin_searches,
     identify_type,
     search_template,
@@ -34,7 +38,6 @@ def test_affine_expression_parsing():
     assert e.evaluate({"a1": 1, "b1": 7, "c1": 7}) == 1
     assert AffineExpr.parse("-2").evaluate({}) == -2
     assert AffineExpr.parse("2*u").evaluate({"u": 3}) == 6
-    assert str(AffineExpr.parse("4-a")) == "4-a"
     with pytest.raises(UsageError):
         AffineExpr.parse("a*b")
     assert AffineExpr.parse(-2).evaluate({}) == -2
@@ -45,10 +48,11 @@ def test_affine_expression_parsing():
 
 def test_constraint_parsing():
     c = Constraint.parse("a1+b1<=16")
-    assert c.holds({"a1": 9, "b1": 7})
-    assert not c.holds({"a1": 10, "b1": 7})
-    c = Constraint.parse("a==0")
-    assert c.holds({"a": 0}) and not c.holds({"a": 1})
+    assert c.lhs == AffineExpr(coeffs=(("a1", 1), ("b1", 1)))
+    assert (c.op, c.rhs) == ("<=", AffineExpr(const=16))
+    c = Constraint.parse("2*a==b-1")
+    assert c.lhs == AffineExpr(coeffs=(("a", 2),))
+    assert (c.op, c.rhs) == ("==", AffineExpr(const=-1, coeffs=(("b", 1),)))
     with pytest.raises(UsageError):
         Constraint.parse("a<b")
 
@@ -180,3 +184,93 @@ def test_jobs_do_not_change_results():
     par = search_template(bs.template, bs.target_rank, name="S6", jobs=3)
     assert seq.value_tuples() == par.value_tuples()
     assert [s.basis_gram for s in seq.solutions] == [s.basis_gram for s in par.solutions]
+
+
+NAMES = ("p0", "p1", "p2")
+
+
+def _expr(const, coeffs):
+    return AffineExpr(const=const, coeffs=tuple((p, c) for p, c in zip(NAMES, coeffs) if c))
+
+
+@st.composite
+def small_templates(draw):
+    """Random small templates; constraints lead with +-2 on their last parameter."""
+    size = draw(st.integers(2, 4))
+    nparams = draw(st.integers(1, 3))
+    coeff = st.integers(-2, 2)
+    cells = {}
+    for i in range(size):
+        for j in range(i, size):
+            cells[i, j] = cells[j, i] = _expr(
+                draw(st.integers(-3, 3)), [draw(coeff) for _ in range(nparams)]
+            )
+    domains = []
+    for _ in range(nparams):
+        lo = draw(st.integers(-3, 1))
+        empty = draw(st.integers(0, 19)) == 19
+        domains.append((lo, lo - 1 if empty else draw(st.integers(lo, 3))))
+    constraints = []
+    for _ in range(draw(st.integers(0, 3))):
+        constant = draw(st.integers(0, 5)) == 0
+        last = -1 if constant else draw(st.integers(0, nparams - 1))
+        diff = [draw(coeff) if k < last else 0 for k in range(nparams)]
+        if not constant:
+            diff[last] = draw(st.sampled_from((-2, 2)))
+        # lhs - rhs = const + diff, with a random shift written on both sides
+        shift = [draw(coeff) for _ in range(nparams)]
+        constraints.append(Constraint(
+            _expr(draw(st.integers(-1, 1) if constant else st.integers(-4, 4)),
+                  [d + s for d, s in zip(diff, shift)]),
+            draw(st.sampled_from(("<=", "<=", "=="))),
+            _expr(0, shift),
+        ))
+    template = MatrixTemplate(
+        size=size,
+        entries=tuple(tuple(cells[i, j] for j in range(size)) for i in range(size)),
+        parameters=NAMES[:nparams],
+        domains=tuple(domains),
+        constraints=tuple(constraints),
+    )
+    return template, draw(st.integers(0, size))
+
+
+def _holds(c, assignment):
+    a, b = c.lhs.evaluate(assignment), c.rhs.evaluate(assignment)
+    return a <= b if c.op == "<=" else a == b
+
+
+def _brute_force(template, target_rank):
+    hits = []
+    for values in itertools.product(*(range(lo, hi + 1) for lo, hi in template.domains)):
+        assignment = dict(zip(template.parameters, values))
+        matrix = template.instantiate(values)
+        r = linalg.rank(matrix)
+        if r <= target_rank and all(_holds(c, assignment) for c in template.constraints):
+            hits.append((values, r, matrix))
+    return hits
+
+
+# 1 <= 2*p0 needs the ceiling of 1/2, and 2*p1 == p0 the divisibility test.
+PINNED = MatrixTemplate(
+    size=2,
+    entries=tuple(tuple(AffineExpr.parse(c) for c in row) for row in (("-2", "p0"), ("p0", "p1"))),
+    parameters=("p0", "p1"),
+    domains=((-3, 3), (-3, 3)),
+    constraints=(Constraint.parse("1<=2*p0"), Constraint.parse("2*p1==p0")),
+)
+
+
+@given(small_templates())
+@example((PINNED, 1))
+@settings(max_examples=300, deadline=None)
+def test_compiled_search_matches_brute_force(case):
+    template, target_rank = case
+    # At the full size no minor prunes, so only the constraint bounds act.
+    for rank in (target_rank, template.size):
+        expected = _brute_force(template, rank)
+        assert _search_sequential(template, rank) == expected
+        lo, hi = template.domains[0]
+        evens = [v for v in range(lo, hi + 1) if v % 2 == 0]
+        part = _search_sequential(template, rank, first_values=evens)
+        assert part == [h for h in expected if h[0][0] % 2 == 0]

@@ -149,7 +149,7 @@ def test_custom_template_file(tmp_path):
     assert [s["values"] for s in got["solutions"]] == [[0], [1]]
 
 
-def test_exit_code_usage_errors():
+def test_exit_code_usage_errors(tmp_path):
     assert invoke("series", "--preset", "S1", "--max-square", "0")[0] == 1
     assert invoke("curves")[0] == 1
     assert invoke("curves", "--preset", "NOPE")[0] == 1
@@ -159,6 +159,26 @@ def test_exit_code_usage_errors():
     for kmax in ("0", "-1"):
         code, text = invoke("curves", "--preset", "S1", "--kmax", kmax)
         assert code == 1 and "--kmax" in text
+
+    # Malformed --custom templates are refused at the boundary, not by a traceback.
+    good = {
+        "size": 2, "entries": [["-2", "a"], ["a", "-2"]],
+        "domains": {"a": [0, 1]}, "target_rank": 1,
+    }
+    path = tmp_path / "template.json"
+    for change, why in (
+        ({"parameters": ["a", "a"]}, "duplicate parameter"),
+        ({"domains": {"a": [0]}}, "[lo, hi]"),
+        ({"domains": [[0, 1]]}, "[lo, hi]"),
+        ({"size": 0, "entries": []}, "size must be at least 1"),
+        ({"target_rank": -1}, "target_rank must be non-negative"),
+    ):
+        path.write_text(json.dumps({**good, **change}))
+        code, text = invoke("classify", "--custom", str(path))
+        assert code == 1 and text.startswith("error:") and why in text, (change, text)
+    # An empty domain is no error: the search has nothing to visit.
+    path.write_text(json.dumps({**good, "domains": {"a": [1, 0]}}))
+    assert report("classify", "--custom", str(path))["solutions"] == []
 
 
 def test_exit_code_invalid_lattice(tmp_path):
