@@ -1,10 +1,11 @@
-"""Parametric intersection-matrix searches and lattice identification.
+"""Parametric intersection-matrix searches.
 
 A MatrixTemplate is a symmetric matrix whose cells are affine expressions in
 named integer parameters, together with finite domains, normalization
 constraints ("a<=2", "a1+b1+c1+d1==16") and optional swap symmetries.
 search_template enumerates every assignment satisfying the constraints and
-reports those whose instantiated matrix has rank at most the target.
+reports those whose instantiated matrix has rank at most the target, each
+identified against the catalog by isometry.identify_type.
 
 The search first compiles the template into int rows const + sum c_k x_k
 over the parameter order.  A constraint is the row lhs - rhs; it bounds the
@@ -26,9 +27,8 @@ import re
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import InvalidLatticeError, UsageError
-from .isometry import isometry_small
-from .lattice import GramLattice
+from .errors import UsageError
+from .isometry import identify_type
 from .linalg import Matrix
 
 _TERM = re.compile(
@@ -200,30 +200,6 @@ def span_gram(m) -> Matrix:
     return tuple(tuple(full[i][j] for j in range(r)) for i in range(r))
 
 
-def identify_type(gram_or_lattice) -> str | None:
-    """Name from the built-in catalog realized by the given even lattice.
-
-    Compares rank, determinant and Smith invariants first, then confirms with
-    an explicit isometry; None when nothing matches.
-    """
-    from .presets import catalog
-
-    if isinstance(gram_or_lattice, GramLattice):
-        lat = gram_or_lattice
-    else:
-        try:
-            lat = GramLattice(rank=len(gram_or_lattice), gram=gram_or_lattice)
-        except InvalidLatticeError:
-            return None
-    for name, preset in catalog().items():
-        ref = preset.lattice
-        if ref.rank != lat.rank or ref.det() != lat.det():
-            continue
-        if isometry_small(lat, ref) is not None:
-            return name
-    return None
-
-
 def _int_row(pairs, order) -> tuple[int, tuple[tuple[int, int], ...]]:
     """sum sign * expr over (sign, expr) pairs as (const, ((k, c_k), ...)), k ascending."""
     const = 0
@@ -334,6 +310,8 @@ def search_template(
     process pool; results are merged in canonical parameter order, so the
     outcome is independent of the worker count.
     """
+    if target_rank < 0:
+        raise UsageError(f"target_rank must be non-negative, got {target_rank}")
     if jobs > 1 and template.parameters:
         import multiprocessing
 
@@ -369,7 +347,11 @@ def search_template(
 
 
 def template_from_dict(data) -> tuple[MatrixTemplate, int]:
-    """Build a template from the JSON document accepted by the CLI."""
+    """Build a template from the JSON document accepted by the CLI.
+
+    The sign of target_rank is left to search_template, which refuses a
+    negative one.
+    """
     try:
         size = linalg.strict_int(data["size"])
         entries = tuple(
@@ -382,14 +364,15 @@ def template_from_dict(data) -> tuple[MatrixTemplate, int]:
             if not isinstance(v, list) or len(v) != 2:
                 raise UsageError(f"domain of {k!r} must be [lo, hi], got {v!r}")
             domains_map[k] = (linalg.strict_int(v[0]), linalg.strict_int(v[1]))
-        parameters = tuple(data.get("parameters", sorted(domains_map)))
+        parameters = data.get("parameters", sorted(domains_map))
+        if not isinstance(parameters, list) or not all(isinstance(p, str) for p in parameters):
+            raise UsageError(f"parameters must be a list of names, got {parameters!r}")
+        parameters = tuple(parameters)
         domains = tuple(domains_map[p] for p in parameters)
         constraints = tuple(Constraint.parse(c) for c in data.get("normalize", []))
         target_rank = linalg.strict_int(data["target_rank"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad template document: {exc}") from exc
-    if target_rank < 0:
-        raise UsageError(f"target_rank must be non-negative, got {target_rank}")
     return (
         MatrixTemplate(
             size=size,

@@ -14,21 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import linalg, presets
-from .classify import builtin_searches, search_template, template_from_dict
-from .cone import chamber_vertices, is_ample, vinberg_sieve
 from .errors import InvalidLatticeError, K3ScanError, UsageError
-from .lattice import (
-    GramLattice,
-    discriminant_group,
-    isotropic_elements,
-    overlattice_from_isotropic,
-    square,
-)
-from .classify import identify_type
-from .series import big_nef_classes_by_square, theta_series, xi_series
+
+# Each command imports the modules it runs, so a cold process loads (and
+# compiles) only those: disc never loads the search, the cone or the series.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,21 +26,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _frac(f: Fraction) -> str:
+def _frac(f) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
-def _load_input(args) -> tuple[GramLattice, tuple[int, ...] | None, int | None, str]:
+def _load_input(args) -> tuple:
     """Returns (lattice, ample seed, kmax, display name)."""
     if args.preset and args.file:
         raise UsageError("give either --preset or --file, not both")
     if args.preset:
+        from . import presets
+
         try:
             p = presets.get(args.preset)
         except KeyError as exc:
             raise UsageError(str(exc)) from exc
         return p.lattice, p.ample, p.kmax, p.name
     if args.file:
+        from . import linalg
+        from .lattice import GramLattice, square
+
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -82,6 +77,8 @@ def _load_input(args) -> tuple[GramLattice, tuple[int, ...] | None, int | None, 
 
 
 def _sieve(args):
+    from .cone import vinberg_sieve
+
     lat, ample, preset_kmax, name = _load_input(args)
     if ample is None:
         raise UsageError(f"input {name!r} carries no ample seed; this command needs one")
@@ -93,6 +90,8 @@ def _sieve(args):
 
 
 def _minimal_polarization(cs, ch, limit: int = 12):
+    from .series import big_nef_classes_by_square
+
     classes = big_nef_classes_by_square(cs, ch, 2, limit)
     if not classes:
         return None
@@ -122,6 +121,8 @@ def _pair_relations(cs, ch):
 
 
 def cmd_curves(args) -> dict:
+    from .cone import chamber_vertices, is_ample
+
     cs, name = _sieve(args)
     ch = chamber_vertices(cs)
     minimal, relations = _pair_relations(cs, ch)
@@ -144,6 +145,8 @@ def cmd_curves(args) -> dict:
 
 
 def cmd_chamber(args) -> dict:
+    from .cone import chamber_vertices
+
     cs, name = _sieve(args)
     ch = chamber_vertices(cs)
     return {
@@ -160,6 +163,9 @@ def cmd_chamber(args) -> dict:
 
 
 def cmd_series(args) -> dict:
+    from .cone import chamber_vertices
+    from .series import theta_series, xi_series
+
     if args.max_square < 2 or args.max_square % 2 != 0:
         raise UsageError("--max-square must be an even integer >= 2")
     cs, name = _sieve(args)
@@ -178,6 +184,10 @@ def cmd_series(args) -> dict:
 
 
 def cmd_disc(args) -> dict:
+    from . import linalg
+    from .isometry import identify_type
+    from .lattice import discriminant_group, isotropic_elements, overlattice_from_isotropic
+
     lat, _, _, name = _load_input(args)
     dg = discriminant_group(lat)
     isotropic = []
@@ -211,6 +221,8 @@ def cmd_disc(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
+    from .classify import builtin_searches, search_template, template_from_dict
+
     if args.jobs < 1:
         raise UsageError("--jobs must be a positive integer")
     if bool(args.template) == bool(args.custom):

@@ -11,7 +11,8 @@ scale of the built-in catalog (small determinants); a None after the
 invariants agree means no map was found within the search bound.  Above
 rank 5 the search is refused: a pair of equal Grams still gives the
 identity and differing invariants still give None, but any other pair
-raises K3ScanError.
+raises K3ScanError.  identify_type names the catalog lattice, if any, that a
+given lattice is isometric to.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import isqrt
 
 from . import linalg
 from .enumeration import classes_with_square_and_degree
-from .errors import K3ScanError
+from .errors import InvalidLatticeError, K3ScanError
 from .lattice import GramLattice, bilinear, signature, square
 from .linalg import Matrix, Vector, canonical_key, sign_normalize
 
@@ -131,6 +132,30 @@ def isometry_small(l1: GramLattice, l2: GramLattice) -> Matrix | None:
             if check != l1.gram:
                 raise K3ScanError("isometry mapped back through the reductions gives U^T G2 U != G1")
             return u
+    return None
+
+
+def identify_type(gram_or_lattice) -> str | None:
+    """Name from the built-in catalog realized by the given even lattice.
+
+    Compares rank, determinant and Smith invariants first, then confirms with
+    an explicit isometry; None when nothing matches.
+    """
+    from .presets import catalog
+
+    if isinstance(gram_or_lattice, GramLattice):
+        lat = gram_or_lattice
+    else:
+        try:
+            lat = GramLattice(rank=len(gram_or_lattice), gram=gram_or_lattice)
+        except InvalidLatticeError:
+            return None
+    for name, preset in catalog().items():
+        ref = preset.lattice
+        if ref.rank != lat.rank or ref.det() != lat.det():
+            continue
+        if isometry_small(lat, ref) is not None:
+            return name
     return None
 
 

@@ -70,6 +70,14 @@ def test_template_rejects_asymmetric():
         )
 
 
+def test_search_refuses_negative_target_rank():
+    # -1 used to return no solutions and -2 to raise a bare ValueError.
+    template = builtin_searches()["S5"].template
+    for target_rank in (-1, -2):
+        with pytest.raises(UsageError, match="target_rank must be non-negative"):
+            search_template(template, target_rank)
+
+
 EXPECTED_IDENTIFICATIONS = {
     "S1": {(0, 0, 4): "S1"},
     "S2": {(1, 7, 7, 1, 1, 7, 7, 1, 7, 1, 1, 7): "S2"},

@@ -10,7 +10,9 @@ import jsonschema
 from conftest import load_package_json
 
 import k3scan
+from k3scan.classify import builtin_searches
 from k3scan.cli import run
+from k3scan.presets import sieve_presets
 
 # Child interpreters import the same k3scan as this process.
 CHILD_ENV = {
@@ -172,6 +174,9 @@ def test_exit_code_usage_errors(tmp_path):
         ({"domains": [[0, 1]]}, "[lo, hi]"),
         ({"size": 0, "entries": []}, "size must be at least 1"),
         ({"target_rank": -1}, "target_rank must be non-negative"),
+        # A string used to be split into one-letter parameter names.
+        ({"parameters": "ab", "domains": {"a": [0, 1], "b": [0, 1]}}, "list of names"),
+        ({"parameters": [1, 2]}, "list of names"),
     ):
         path.write_text(json.dumps({**good, **change}))
         code, text = invoke("classify", "--custom", str(path))
@@ -296,6 +301,111 @@ def test_disc_bytes_pinned(presets):
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, fmt)
 
 
+# The argv of each pinned command, before `--preset P` (classify: `--template P`)
+# and `--format F`.
+PINNED_COMMANDS = {
+    "curves": ("curves",),
+    "chamber": ("chamber",),
+    "theta": ("series", "--kind", "theta", "--max-square", "100"),
+    "xi": ("series", "--kind", "xi", "--max-square", "100"),
+    "classify": ("classify",),
+}
+# sha256 of their stdout on every sieve preset and built-in search, recorded
+# while the package still imported every module eagerly and identify_type
+# lived in classify, so they pin every byte across that move.
+OUTPUT_DIGESTS = {
+    ("curves", "S1", "json"): "0168a10e72d5623ca9a252e06b0b361e63666c01abbe2cc2566f874742ad4f63",
+    ("curves", "S1", "text"): "64c748a95e967498f327014ddc7bbbcf89b149b3c4978f6769db986a9569e7df",
+    ("curves", "S2", "json"): "78bbdff90819a6c4e6ea11882e21d792abb2a719cb11ab27737404e969f992bb",
+    ("curves", "S2", "text"): "40961c8d9da67fb4aaab035e2baf8d64dc51d28f2690df02e61d2002899d96d5",
+    ("curves", "S3", "json"): "e5775c481b500802276ed978357c76c921565a57194c1a1c3450490928274979",
+    ("curves", "S3", "text"): "a8611f6bd99de91be775090e12a11972838e6290e5b8f40ea9dceb2667032bf6",
+    ("curves", "S4", "json"): "565c6ccc93c7d472d45c7918242addf5ec5c457d3e9539492c4fefec7e81a37e",
+    ("curves", "S4", "text"): "7e24283079cb721369fafc9bb2abbb82440d98d0786a55d8326b15c354163b1d",
+    ("curves", "S5", "json"): "38ef31ef72627f031538de56f10cd3a8b29e67e4f9a09800fbfa2b7e0c4c8290",
+    ("curves", "S5", "text"): "c983ea81e7bb396dd848ab8100188ce9fdd8551e8d9f11d315dd717c94810d7f",
+    ("curves", "S6", "json"): "e5599bf8896515fbc6936e96f7520ef011ae593a3837369d2757264f2b5b3007",
+    ("curves", "S6", "text"): "aea79e0ceef04839881672586f5c41e03d97543ad8b52e38c771b5fdcc248da3",
+    ("curves", "L24", "json"): "22ed01dc549b8644d0a4f2ba16c550183b6ebf328991ec74ab5899435e0da145",
+    ("curves", "L24", "text"): "3c66821b56bae580a02e9cb55aaa4fb7ffdc46031540e03b9da933f1c05d546a",
+    ("curves", "L27", "json"): "d71a6295e9d56abfa5cea19d062b6e5384f8a3bc1544f5dc1e77de20e6456dca",
+    ("curves", "L27", "text"): "281fe3ca202f7bee39e264be9ab0db27d9e0f3a395ff244f0128112f2f7903ee",
+    ("chamber", "S1", "json"): "039c1a3476a541eca2a19f73f108236f2f06023481547163f6e93ac228748a00",
+    ("chamber", "S1", "text"): "4dc27567657290d6b1449fa1f1dad9043cac2825b11bd85b83181137bef43e27",
+    ("chamber", "S2", "json"): "b3edda85651cbc96b67136a125921938cd3999ca0edd49854ad85142e1c5e9cd",
+    ("chamber", "S2", "text"): "e486b0abf3140b61a595ea0e3d7f38b8afd70f19e8ccb853f0d71aa386ccc1c8",
+    ("chamber", "S3", "json"): "35502f4811f2eb23004833abe8e061acb5f09d7f5921e53d1dbaa4c34e659497",
+    ("chamber", "S3", "text"): "0750214b5917cca80777d5db813cce74836a7e846b1c93ff47e4e2f1d6a21a44",
+    ("chamber", "S4", "json"): "6f12098c236c1282a94e02a198afc4bc1986b77e1ad627f207b7347346c374f6",
+    ("chamber", "S4", "text"): "49e5ed771e89885d6534d49c6b60d77afb652964ee33f0d3fbd2272dfe9abcf0",
+    ("chamber", "S5", "json"): "9b1bc616eb23b0dcef203aed07af9b1aa6f710e12263baae2505933cfc949cae",
+    ("chamber", "S5", "text"): "d96c5b8885739e7e7cd75a2316b373bb72847632ca09cc511b36543094b18e07",
+    ("chamber", "S6", "json"): "481e7cad03d0ac6a5451703bd0371867618ea4b518c7033ad411f119958c6ff9",
+    ("chamber", "S6", "text"): "efb54ad3c636e4814db155902e87fa5018534f0fd3733108386eb56ec8f025a6",
+    ("chamber", "L24", "json"): "8b70ec9697c82310eb0582ce9a923a575a06fba94e5fc3c74bafb69336c81fb9",
+    ("chamber", "L24", "text"): "a4b6d17ce325652e1e81182d7017107c3e343dc40e238cfb6d04a8cb5709e0a9",
+    ("chamber", "L27", "json"): "ae754984fefd0a45dbd07195500723efa2b148e08025bac751c13cf4dd431b53",
+    ("chamber", "L27", "text"): "c1f771add1951daabc8624bf3d7a4d0f2abb112264d62d45fe6bfe842fb08f29",
+    ("theta", "S1", "json"): "5f9477383990359db0f17d9a33a5baa0669e8a4ed92cc09682e2843ecfe9a137",
+    ("theta", "S1", "text"): "a083d552e9bf1be59b1016169d553698912dbaa3eaee136149e2d8cdc2bfa09b",
+    ("theta", "S2", "json"): "850b0afd1296eccf4e362eddb5348edfc6f791d75ab63f3151f083bd802a22bf",
+    ("theta", "S2", "text"): "db6cd986e0fbc5fedae1dedb42fba3c0ccf7639b8250e6ccb7acfb4808cc2d0d",
+    ("theta", "S3", "json"): "aa87b9130ddbda3081102f56ff05d381e0263a15686d0443460ca09bdece3ac9",
+    ("theta", "S3", "text"): "1a7f411f1f698c2fe0e4b4cbe5b514993e80566f2b195dc4ab51abac4cabda4f",
+    ("theta", "S4", "json"): "7c14e69deb4cf44b3d30dd5ac7d21d87679b03bb6bd56c4a5f724a290c308cf5",
+    ("theta", "S4", "text"): "b1d15a9ac1dda5eb375714e46210007ae735f64966fe729eb03b8625e1d4ac0f",
+    ("theta", "S5", "json"): "c15b4968eb574aa2170c96a74e3991aaf33f25ddc6d1ce57148a7e13888b3b40",
+    ("theta", "S5", "text"): "02e7d81b38f6009c4206c947c993ec6fbd49ae6bcd4aaed1b84ab2f702aa4488",
+    ("theta", "S6", "json"): "9ea514b58aae976821e97c79c05b171d562160096093368b2e0fa8ddb8c54074",
+    ("theta", "S6", "text"): "b4cabefb6b3c3f1b8a0a801b28747f8e69865e0ac3ffb53f210f834221bccd5f",
+    ("theta", "L24", "json"): "709cb12ab3f970b1e9b42a36a25509bf1dffaedf0bdfc1925deeac8660825f1a",
+    ("theta", "L24", "text"): "066eb872449e716fa2cbcf3a1c24c0d793400fce2374d23499bd803f91ea8231",
+    ("theta", "L27", "json"): "4e11880005f84f90cab05c3935d686040b86be77dc9fceb74759c75e7f61d7c8",
+    ("theta", "L27", "text"): "15e646a0ee16257c356d8110dddb111217cda3def4ca30cda69cb38ff0d5f892",
+    ("xi", "S1", "json"): "a26f41d8109daa118dbd09305173582fe5a1287772f7c2e484ef3d32278c6a65",
+    ("xi", "S1", "text"): "8fffea79f4e6f7b467680c054944635eea5b5099efa7b8eeea702c2fb11ec8e1",
+    ("xi", "S2", "json"): "7f8a1d8896f70a9aab79c10c166fa24efb8fae4d82ed5e529cdeef8b38396ba2",
+    ("xi", "S2", "text"): "1c69a7b01a9203c75729e8a0e92e5194063a0d0ca8e6e9c5ccbdab2b5730eb3b",
+    ("xi", "S3", "json"): "c66dc70829923e3792eee34f3cb86de15292689b3411ed5f5de045082988d28c",
+    ("xi", "S3", "text"): "c77f0ad31f590e8a7e1dbafa086efab0aabaf4760f4f98fbe64d9ae84f174d66",
+    ("xi", "S4", "json"): "3f34d801ca9b766205d837df6d9b8c6410b8d82641d94f66a73888adef9ebbe9",
+    ("xi", "S4", "text"): "3f4107adfd26f67414451b3256e8c6bf29d831b179ac764380694b8e6a820d0e",
+    ("xi", "S5", "json"): "33e5b8f2c05c176364a659b7a7da6721081c49314757a21e90a78143b0aa5117",
+    ("xi", "S5", "text"): "29d7d5ab9f52be05603a42b64f899e70294e3d71ecb857dccdc574fd17d20756",
+    ("xi", "S6", "json"): "67a7797a80469d7735147cc9d4878f321ecb2a89551e92c1a0d3a0a64a4d9c7f",
+    ("xi", "S6", "text"): "51ce879d71fc95df9eab80b7d7201fc792eb1dde7aec8bfd091f4304b2f4f0a7",
+    ("xi", "L24", "json"): "0e7bcbf128579fd2911ef5dc3d2483067687732db24a2c2ed332da28aee711f6",
+    ("xi", "L24", "text"): "c0280358a78d961ddc0e0caed42d83ca091ce03cc71f2a1d09138ff89102d56a",
+    ("xi", "L27", "json"): "ae6a4cca0484605bd67031873bbeb9abf01f2e7a313fe5f681b8015f4abb03da",
+    ("xi", "L27", "text"): "39e1dd8e703a0a44a3c82473543981d39b3d4bb0db7b4b1e1d467b972d5171f6",
+    ("classify", "S1", "json"): "65a679145296c31f58f09b8f248674eebfe6c87a28d9ef4564b25dd51bac767a",
+    ("classify", "S1", "text"): "a16cceec699cb223272e2787f86f77759599b206c3ff1437c597c91ce04f4b62",
+    ("classify", "S2", "json"): "5274376932da44584ee43ebda7c055755ad3f2c5f93e620e3ecea727f246227f",
+    ("classify", "S2", "text"): "de2405459dc8b74f042804408d959c23e430e8ba81312d63adf3b2b8cc474ce0",
+    ("classify", "S3", "json"): "337a57071a3d2f81bc71ffa70f590675d5d7ac563a5497128c621fedc413f161",
+    ("classify", "S3", "text"): "02e0a7a0230c2866bf3f8a48ec7d47151a8c8eba889a071fde3c13958627e2f4",
+    ("classify", "S4", "json"): "b7785057bd13eea17c38b3d848340d8a89d110336fb0827a2437c91a7e651341",
+    ("classify", "S4", "text"): "74149bb133c41406e7b1166c194f56edfaaa611d5c7c7ee9c7871b4f2ff68546",
+    ("classify", "S5", "json"): "e114387c81837bb9cb46060d6dae10181bb92c6543c3ec8ecb4b677bd4472215",
+    ("classify", "S5", "text"): "fa0302e964b5275a5c0c0973377256c6786a7c12b5b4be5b1fb576777034767c",
+    ("classify", "S6", "json"): "9de31f4c5de7f7f8746b07abed000fd6ca41dd98f5abe9823ac9404d8be7f99c",
+    ("classify", "S6", "text"): "367dde24af65c094b622b998d063fc9905eb30c63ec7fb1ac4ad6c90b1b4b85b",
+    ("classify", "L24", "json"): "b67b7d4710b2122cda90e9b2bfa905f50c9ceb1c292fc1d7e1dda2186a84389b",
+    ("classify", "L24", "text"): "2d97e5368a849a25c727f3d19d914837a20bac0659c4cca18f562fa604a46617",
+    ("classify", "L27", "json"): "2723418279adba1c66cd0b223fc63afe852e5883d6b68c92c2b9bb89d9117f99",
+    ("classify", "L27", "text"): "3c1da73106c1552cc59f4d17f9b0736c706ccecdbf6265ed6a619ba527153220",
+}
+
+
+def test_other_commands_bytes_pinned():
+    assert {name for _, name, _ in OUTPUT_DIGESTS} == set(sieve_presets()) == set(builtin_searches())
+    for (command, name, fmt), digest in OUTPUT_DIGESTS.items():
+        source = "--template" if command == "classify" else "--preset"
+        code, text = invoke(*PINNED_COMMANDS[command], source, name, "--format", fmt)
+        assert code == 0, text
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (command, name, fmt)
+
+
 def test_console_entry_point_subprocess():
     out = subprocess.run(
         [sys.executable, "-m", "k3scan.cli", "series", "--preset", "S3",
@@ -314,6 +424,49 @@ def test_invariant_checks_survive_optimize_flag():
     optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=CHILD_ENV)
     assert plain.returncode == 0 and optimized.returncode == 0
     assert optimized.stdout == plain.stdout
+
+
+# Runs in a fresh interpreter: imports k3scan, then k3scan.cli, then one command,
+# and prints the k3scan modules loaded after each step.
+MODULES_SCRIPT = """
+import contextlib, io, json, sys
+pool_before = "multiprocessing" in sys.modules
+def loaded():
+    return sorted(m for m in sys.modules if m == "k3scan" or m.startswith("k3scan."))
+import k3scan
+package = loaded()
+import k3scan.cli
+cli = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = k3scan.cli.main(sys.argv[1:])
+print(json.dumps({
+    "package": package, "cli": cli, "command": loaded(), "code": code,
+    "pool": "multiprocessing" in sys.modules and not pool_before,
+}))
+"""
+CLI_MODULES = {"k3scan", "k3scan.cli", "k3scan.errors"}
+CORE_MODULES = CLI_MODULES | {"k3scan.linalg", "k3scan.lattice", "k3scan.enumeration", "k3scan.presets"}
+COMMAND_MODULES = {
+    ("disc", "--preset", "S2"): CORE_MODULES | {"k3scan.isometry"},
+    ("series", "--preset", "S1", "--max-square", "12"): CORE_MODULES | {"k3scan.cone", "k3scan.series"},
+    ("classify", "--template", "S5"): CORE_MODULES | {"k3scan.isometry", "k3scan.classify"},
+}
+
+
+def test_each_command_loads_only_its_modules():
+    for argv, expected in COMMAND_MODULES.items():
+        out = subprocess.run(
+            [sys.executable, "-c", MODULES_SCRIPT, *argv], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert out.returncode == 0, out.stderr
+        got = json.loads(out.stdout)
+        assert got["code"] == 0, argv
+        assert got["package"] == ["k3scan"], got["package"]
+        assert got["cli"] == sorted(CLI_MODULES), got["cli"]
+        assert got["command"] == sorted(expected), (argv, got["command"])
+        assert not got["pool"], argv
+        if argv[0] == "disc":  # the template search stays out of disc
+            assert "k3scan.classify" not in got["command"]
 
 
 def test_text_format_all_commands():
