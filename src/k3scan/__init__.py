@@ -25,8 +25,8 @@ _EXPORTS = {
     ),
     "enumeration": ("EnumerationStats", "classes_with_square_and_degree", "vectors_of_norm"),
     "errors": (
-        "IncompleteSieveError", "InvalidLatticeError", "K3ScanError",
-        "NonCompactChamberError", "UsageError", "WallError",
+        "CostLimitError", "IncompleteSieveError", "InvalidLatticeError",
+        "K3ScanError", "NonCompactChamberError", "UsageError", "WallError",
     ),
     "isometry": ("identify_type", "isometry_small"),
     "lattice": (

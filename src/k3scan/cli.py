@@ -6,7 +6,8 @@ or a lattice JSON file {"rank": n, "gram": [[..]], "labels": [..],
 different --jobs settings, produce byte-identical bytes.
 
 Exit codes: 0 success, 1 usage, 2 invalid lattice, 3 incomplete sieve,
-4 non-compact chamber.
+4 non-compact chamber, 5 cost limit (an input whose work would explode is
+refused before any of it is done).
 """
 
 from __future__ import annotations

@@ -15,10 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .enumeration import classes_with_square_and_degree
-from .errors import IncompleteSieveError, K3ScanError, NonCompactChamberError, WallError
+from .enumeration import DegreeCoset
+from .errors import (
+    CostLimitError, IncompleteSieveError, K3ScanError, NonCompactChamberError, WallError,
+)
 from .lattice import GramLattice, bilinear, square
 from .linalg import Matrix, Vector, canonical_key
+
+# chamber_vertices tries every (rho-1)-subset of the curves; L27 has 56.
+MAX_CURVE_SUBSETS = 200_000
 
 
 @dataclass(frozen=True)
@@ -81,21 +86,19 @@ def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
     Raises WallError when the seed is orthogonal to some (-2)-class and
     IncompleteSieveError when kmax is hit before the chamber closes.
     """
-    h = lat.check_vector(h)
-    if square(lat, h) <= 0:
-        raise ValueError("seed must have positive square")
-    walls = classes_with_square_and_degree(lat, h, -2, 0)
+    coset = DegreeCoset(lat, h)  # refuses a seed of non-positive square
+    walls = coset.classes(0, -2, -2)
     if walls:
-        raise WallError(walls[0])
+        raise WallError(walls[0][1])
     accepted: list[Vector] = []
     for k in range(1, kmax + 1):
-        for r in classes_with_square_and_degree(lat, h, -2, k):
+        for _, r in coset.classes(k, -2, -2):
             if all(bilinear(lat, r, c) >= 0 for c in accepted):
                 accepted.append(r)
     gram = tuple(
         tuple(bilinear(lat, a, b) for b in accepted) for a in accepted
     )
-    cs = CurveSystem(lattice=lat, ample_seed=h, curves=tuple(accepted), gram_of_curves=gram)
+    cs = CurveSystem(lattice=lat, ample_seed=coset.h, curves=tuple(accepted), gram_of_curves=gram)
     _verify_closure(cs, kmax)
     return cs
 
@@ -130,11 +133,18 @@ def chamber_vertices(cs: CurveSystem) -> ChamberDescription:
 
     Every (rho-1)-subset of curves whose common orthogonal complement has rank
     one contributes a candidate; nef candidates must have positive square or
-    the chamber is not compact (NonCompactChamberError).
+    the chamber is not compact (NonCompactChamberError).  More than
+    MAX_CURVE_SUBSETS subsets raise CostLimitError before any is tried.
     """
     lat = cs.lattice
     rho = lat.rank
     h = cs.ample_seed
+    subsets = math.comb(len(cs.curves), rho - 1)
+    if subsets > MAX_CURVE_SUBSETS:
+        raise CostLimitError(
+            f"{len(cs.curves)} curves in rank {rho} give {subsets} subsets to try "
+            f"for chamber vertices, more than {MAX_CURVE_SUBSETS}"
+        )
     seen = set()
     vertices = []
     for subset in itertools.combinations(range(len(cs.curves)), rho - 1):

@@ -10,21 +10,24 @@ centre c over a denominator den.
 * `vectors_of_norm` enumerates the vectors of one square in a negative
   definite lattice: centre 0 and lo = hi.
 
-* `classes_of_degree` finds every class D with H.D = k and D^2 in a closed
-  range, for H of positive square.  Those classes form the coset D0 + h^perp,
-  where D0 = (k/g)*u for a point u with H.u = g, the gcd of the entries of
-  G.H; when g does not divide k there are none.  Over a basis B of h^perp,
-  D = D0 + B*x has D^2 = k^2/H^2 - Q(x - c), where Q is the opposite form on
-  h^perp and B*c is minus the projection of D0 to h^perp.  The kernel walks
-  that coset directly, so every solution is an integral class and none is
-  thrown away.  `classes_with_square_and_degree` is the range [d, d].
+* `DegreeCoset` is built once per lattice and H of positive square.  Its
+  `classes(k, lo, hi, walls)` finds every class D with H.D = k, D^2 in a
+  closed range and D.r >= 0 for each wall row r.  Those classes form the coset
+  D0 + h^perp, where D0 = (k/g)*u for a point u with H.u = g, the gcd of the
+  entries of G.H; when g does not divide k there are none.  Over a basis B of
+  h^perp, D = D0 + B*x has D^2 = k^2/H^2 - Q(x - c), where Q is the opposite
+  form on h^perp and B*c is minus the projection of D0 to h^perp.  The kernel
+  walks that coset directly, so every solution is an integral class and none
+  is thrown away.  A wall row r becomes the half-space
+  (B^T r).x + D0.r >= 0, which clips the innermost coordinate's range, so a
+  class on the wrong side of a wall is never built.
+  `classes_with_square_and_degree` is the range [d, d] with no walls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt, lcm
 from operator import mul
 
@@ -39,8 +42,9 @@ class EnumerationStats:
     """Work counters of the kernel, filled in only when one is passed in.
 
     `nodes` counts branch-and-bound nodes visited.  `lifts_tried` counts the
-    classes built from kernel solutions; the kernel is centred on the coset
-    {H.D = k}, so every one is integral and `lifts_discarded` stays 0.
+    classes built from kernel solutions; with walls, only those that pass the
+    clip are built, so only they are counted.  The kernel is centred on the
+    coset {H.D = k}, so every one is integral and `lifts_discarded` stays 0.
     """
 
     lifts_tried: int = 0
@@ -85,30 +89,33 @@ def _scaled_form(q):
     return n, t, mults, nums, scale
 
 
-def _shell(form, centre, den: int, lo: int, hi: int, stats: EnumerationStats | None):
+def _shell(form, centre, den: int, lo: int, hi: int, stats: EnumerationStats | None, walls=()):
     """All (x, v) with x integral and lo <= v <= hi, where v = scale*den^2*Q(x - centre/den).
 
     Branch and bound from the last coordinate down.  With the coordinates
     above level i fixed, the budget left for level i bounds |y| for
     y = step*x_i - base, an interval of x_i.  At level 0 what falls short of
-    lo is dropped.
+    lo is dropped.  Each wall (a, b) keeps only the x with a.x + b >= 0: its
+    partial sum b + sum_{l>i} a_l*x_l is carried down the levels, and at
+    level 0 it clips the interval of x_0 by exact floor and ceiling division.
     """
     n, t, mults, nums, _ = form
     if hi < 0 or lo > hi:
         return []
     if n == 0:
-        return [((), 0)] if lo <= 0 else []
+        return [((), 0)] if lo <= 0 and all(b >= 0 for _, b in walls) else []
     out = []
     width = hi - lo
     steps = [m * den for m in mults]
+    cols = [[a[i] for a, _ in walls] for i in range(n)]  # the walls' x_i coefficients
     x = [0] * n
     z = [0] * n  # den*x - centre: the scaled offset from the centre
     nodes = 0
 
-    def level(i: int, rem: int) -> None:
+    def level(i: int, rem: int, sums: list[int]) -> None:
         nonlocal nodes
         nodes += 1
-        ti, row, step = t[i], nums[i], steps[i]
+        ti, row, step, col = t[i], nums[i], steps[i], cols[i]
         base = mults[i] * centre[i] - sum(row[j] * z[j] for j in range(i + 1, n))
         r = isqrt(rem // ti)
         first = -((r - base) // step)
@@ -118,8 +125,19 @@ def _shell(form, centre, den: int, lo: int, hi: int, stats: EnumerationStats | N
                 y = step * xi - base
                 x[i] = xi
                 z[i] = den * xi - centre[i]
-                level(i - 1, rem - ti * y * y)
+                level(i - 1, rem - ti * y * y, [s + c * xi for s, c in zip(sums, col)])
             return
+        for s, c in zip(sums, col):
+            if c > 0:
+                bound = -(s // c)  # ceil(-s/c)
+                if bound > first:
+                    first = bound
+            elif c < 0:
+                bound = s // -c
+                if bound < last:
+                    last = bound
+            elif s < 0:
+                return
         for xi in range(first, last + 1):
             y = step * xi - base
             left = rem - ti * y * y
@@ -127,7 +145,7 @@ def _shell(form, centre, den: int, lo: int, hi: int, stats: EnumerationStats | N
                 x[0] = xi
                 out.append((tuple(x), hi - left))
 
-    level(n - 1, hi)
+    level(n - 1, hi, [b for _, b in walls])
     if stats is not None:
         stats.nodes += nodes
     return out
@@ -156,75 +174,70 @@ def vectors_of_norm(neg_def_gram, n: int) -> list[Vector]:
     return sorted((v for v, _ in sols), key=canonical_key)
 
 
-@lru_cache(maxsize=None)
-def _orthogonal_complement(lat: GramLattice, h: Vector):
-    """The coset data of H: G.H, g, a unit-degree point, h^perp and its form.
+class DegreeCoset:
+    """The classes of each degree against one H of positive square, in the kernel's terms.
 
-    Returns (w, g, unit, basis, form, centre, den): w = G.H, g = gcd(w) with
-    w.unit = g, basis a saturated basis of h^perp, form the scaled form of the
-    opposite form Q on h^perp, and centre/den the kernel centre of the coset
-    H.D = g, so that the centre of H.D = k is (k/g)*centre/den.
+    Built once per (lattice, H), which is validated here: w = G.H, g = gcd(w)
+    with w.unit = g, a saturated basis of h^perp, the scaled opposite form on
+    it, and centre/den, the kernel centre of the coset H.D = g, so that the
+    centre of H.D = k is (k/g)*centre/den.
     """
-    w = linalg.mat_vec(lat.gram, h)
-    d, u, v = linalg.smith_normal_form((w,))
-    g = d[0][0]
-    cols = linalg.transpose(v)
-    unit = tuple(u[0][0] * x for x in cols[0])  # u*w*v = d, with u = (+-1)
-    basis = cols[1:]  # each a lattice vector orthogonal to h
-    q = [[-linalg.dot(a, linalg.mat_vec(lat.gram, b)) for b in basis] for a in basis]
-    form = _scaled_form(q)
-    p = [linalg.dot(a, linalg.mat_vec(lat.gram, unit)) for a in basis]
-    c = linalg.solve_rational(q, p) if basis else ()
-    den = lcm(1, *(x.denominator for x in c))
-    centre = tuple(int(x * den) for x in c)
-    return w, g, unit, basis, form, centre, den
 
+    def __init__(self, lat: GramLattice, h):
+        self.h = h = lat.check_vector(h)
+        self.gram = gram = lat.gram
+        w = linalg.mat_vec(gram, h)
+        self.h2 = linalg.dot(h, w)
+        if self.h2 <= 0:
+            raise ValueError("degree class must have positive square")
+        d, u, v = linalg.smith_normal_form((w,))
+        cols = linalg.transpose(v)
+        self.w, self.g = w, d[0][0]
+        self.unit = tuple(u[0][0] * x for x in cols[0])  # u*w*v = d, with u = (+-1)
+        self.basis = basis = cols[1:]  # each a lattice vector orthogonal to h
+        q = [[-linalg.dot(a, linalg.mat_vec(gram, b)) for b in basis] for a in basis]
+        self.form = _scaled_form(q)
+        p = [linalg.dot(a, linalg.mat_vec(gram, self.unit)) for a in basis]
+        c = linalg.solve_rational(q, p) if basis else ()
+        self.den = lcm(1, *(x.denominator for x in c))
+        self.centre = tuple(int(x * self.den) for x in c)
+        self.rows = [tuple(b[i] for b in basis) for i in range(lat.rank)]  # D = d0 + rows*x
 
-def classes_of_degree(
-    lat: GramLattice,
-    h,
-    k: int,
-    lo: int,
-    hi: int,
-    stats: EnumerationStats | None = None,
-) -> list[tuple[int, Vector]]:
-    """All classes D with H.D = k and lo <= D^2 <= hi, as (D^2, D), for H of positive square.
+    def classes(self, k: int, lo: int, hi: int, walls=(), stats=None) -> list[tuple[int, Vector]]:
+        """All (D^2, D) with H.D = k, lo <= D^2 <= hi and D.r >= 0 for each wall row r.
 
-    The classes come in canonical order.  Each one's square and degree are
-    re-checked in plain integer arithmetic before it is returned.
-    """
-    h = lat.check_vector(h)
-    h2 = linalg.dot(h, linalg.mat_vec(lat.gram, h))
-    if h2 <= 0:
-        raise ValueError("degree class must have positive square")
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    w, g, unit, basis, form, centre, den = _orthogonal_complement(lat, h)
-    if k % g:
-        return []
-    # D^2 = k^2/H^2 - Q(x - c), and the kernel measures scale*den^2*Q.
-    big = form[4] * den * den
-    vhi = big * (k * k - lo * h2) // h2
-    vlo = max(0, -(big * (hi * h2 - k * k) // h2))
-    m = k // g
-    kc = [m * c for c in centre]
-    d0 = [m * x for x in unit]
-    rows = [tuple(b[i] for b in basis) for i in range(lat.rank)]  # D = d0 + rows*x
-    gram = lat.gram
-    out = []
-    for x, v in _shell(form, kc, den, vlo, vhi, stats):
-        cls = tuple(a + sum(map(mul, row, x)) for a, row in zip(d0, rows))
-        sq, deg = linalg.dot(cls, linalg.mat_vec(gram, cls)), linalg.dot(w, cls)
-        if deg != k or big * (k * k - sq * h2) != v * h2:
-            raise K3ScanError(
-                f"kernel class {cls} has H.D = {deg} and D^2 = {sq}, "
-                f"not degree {k} and the square of its kernel value {v}"
-            )
-        out.append((sq, cls))
-    if stats is not None:
-        stats.lifts_tried += len(out)
-    out.sort(key=lambda item: canonical_key(item[1]))
-    return out
+        The classes come in canonical order.  Each one's square and degree are
+        re-checked in plain integer arithmetic before it is returned.
+        """
+        if k < 0:
+            raise ValueError("degree must be non-negative")
+        if k % self.g:
+            return []
+        h2, den, form = self.h2, self.den, self.form
+        # D^2 = k^2/H^2 - Q(x - c), and the kernel measures scale*den^2*Q.
+        big = form[4] * den * den
+        vhi = big * (k * k - lo * h2) // h2
+        vlo = max(0, -(big * (hi * h2 - k * k) // h2))
+        m = k // self.g
+        kc = [m * c for c in self.centre]
+        d0 = [m * x for x in self.unit]
+        # D.r = d0.r + sum_i x_i (basis_i.r): a half-space in h^perp coordinates.
+        walls = [(tuple(linalg.dot(b, r) for b in self.basis), linalg.dot(d0, r)) for r in walls]
+        gram, w, rows = self.gram, self.w, self.rows
+        out = []
+        for x, v in _shell(form, kc, den, vlo, vhi, stats, walls):
+            cls = tuple(a + sum(map(mul, row, x)) for a, row in zip(d0, rows))
+            sq, deg = linalg.dot(cls, linalg.mat_vec(gram, cls)), linalg.dot(w, cls)
+            if deg != k or big * (k * k - sq * h2) != v * h2:
+                raise K3ScanError(
+                    f"kernel class {cls} has H.D = {deg} and D^2 = {sq}, "
+                    f"not degree {k} and the square of its kernel value {v}"
+                )
+            out.append((sq, cls))
+        if stats is not None:
+            stats.lifts_tried += len(out)
+        out.sort(key=lambda item: canonical_key(item[1]))
+        return out
 
 
 def classes_with_square_and_degree(
@@ -237,4 +250,4 @@ def classes_with_square_and_degree(
     """All classes D with D^2 = d and H.D = k, for H of positive square, in canonical order."""
     if d % 2 != 0:
         raise ValueError("square must be even in an even lattice")
-    return [cls for _, cls in classes_of_degree(lat, h, k, d, d, stats)]
+    return [cls for _, cls in DegreeCoset(lat, h).classes(k, d, d, stats=stats)]

@@ -37,3 +37,9 @@ class NonCompactChamberError(K3ScanError):
     """A nef chamber ray has non-positive square, so the chamber is not compact."""
 
     exit_code = 4
+
+
+class CostLimitError(K3ScanError):
+    """The input would cost more than a fixed work limit, so it is refused before any work."""
+
+    exit_code = 5

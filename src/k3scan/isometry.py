@@ -21,7 +21,7 @@ import itertools
 from math import isqrt
 
 from . import linalg
-from .enumeration import classes_with_square_and_degree
+from .enumeration import DegreeCoset
 from .errors import InvalidLatticeError, K3ScanError
 from .lattice import GramLattice, bilinear, signature, square
 from .linalg import Matrix, Vector, canonical_key, sign_normalize
@@ -89,14 +89,13 @@ def _small_positive_vector(lat: GramLattice) -> Vector:
     raise ValueError("no positive-square vector in a small box")
 
 
-def _candidates(lat: GramLattice, h: Vector, norm: int, cap: int) -> list[Vector]:
+def _candidates(coset: DegreeCoset, norm: int, cap: int) -> list[Vector]:
     """All vectors of the given square with |H.v| <= cap, both orientations."""
-    h2 = square(lat, h)
     if norm > 0:
-        cap = max(cap, isqrt(h2 * norm) + 1)
-    out = list(classes_with_square_and_degree(lat, h, norm, 0))
+        cap = max(cap, isqrt(coset.h2 * norm) + 1)
+    out = [v for _, v in coset.classes(0, norm, norm)]
     for k in range(1, cap + 1):
-        for v in classes_with_square_and_degree(lat, h, norm, k):
+        for _, v in coset.classes(k, norm, norm):
             out.append(v)
             out.append(tuple(-x for x in v))
     return out
@@ -121,9 +120,9 @@ def isometry_small(l1: GramLattice, l2: GramLattice) -> Matrix | None:
     g1r, _, t1inv = _greedy_reduce(l1.gram)
     g2r, t2, _ = _greedy_reduce(l2.gram)
     l2r = GramLattice(rank=l2.rank, gram=g2r)
-    h2 = _small_positive_vector(l2r)
+    coset = DegreeCoset(l2r, _small_positive_vector(l2r))
     for cap in _DEGREE_CAPS:
-        found = _search(g1r, l2r, h2, cap)
+        found = _search(g1r, l2r, coset, cap)
         if found is not None:
             # Map the solution back through both reductions.
             w = linalg.mat_mul(linalg.transpose(t2), found)
@@ -159,13 +158,13 @@ def identify_type(gram_or_lattice) -> str | None:
     return None
 
 
-def _search(g1, l2: GramLattice, h2: Vector, cap: int) -> Matrix | None:
+def _search(g1, l2: GramLattice, coset: DegreeCoset, cap: int) -> Matrix | None:
     rho = len(g1)
     pools = {}
     for i in range(rho):
         norm = g1[i][i]
         if norm not in pools:
-            pools[norm] = _candidates(l2, h2, norm, cap)
+            pools[norm] = _candidates(coset, norm, cap)
     images: list[Vector] = []
 
     def extend(i: int):

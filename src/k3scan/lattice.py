@@ -13,9 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InvalidLatticeError
+from .errors import CostLimitError, InvalidLatticeError
 from . import linalg
 from .linalg import Matrix, Vector, freeze_matrix
+
+# isotropic_elements visits every element, at about 3 us each: about 6 s at the limit.
+MAX_SCANNED_ELEMENTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -218,8 +221,14 @@ def isotropic_elements(dg: DiscriminantGroup) -> list[tuple[int, ...]]:
     x and -x generate the same cyclic subgroup, hence the same overlattice, so
     only the lexicographically smaller of the two coefficient tuples is kept
     (an element of order 2 is its own inverse and is kept once).  The test is
-    c^T form c = 0 mod 2N in plain integers.
+    c^T form c = 0 mod 2N in plain integers.  A group of more than
+    MAX_SCANNED_ELEMENTS elements raises CostLimitError before the scan.
     """
+    if dg.order() > MAX_SCANNED_ELEMENTS:
+        raise CostLimitError(
+            f"the discriminant group has order {dg.order()}, more than "
+            f"{MAX_SCANNED_ELEMENTS} elements to scan for isotropic ones"
+        )
     two_n, factors = 2 * dg.denominator, dg.invariant_factors
     out = []
     for coeffs in dg.elements():

@@ -4,8 +4,9 @@ The compact chamber gives the degree bound (H.D)^2 <= ell * H^2 * D^2, and
 the Hodge index gives H^2 * D^2 <= (H.D)^2.  So the big-and-nef classes with
 square in [lo, hi] are the nef classes found by one enumeration pass per
 degree k <= floor(sqrt(ell*H^2*hi)), each over the squares
-[max(lo, k^2/(ell*H^2)), min(hi, k^2/H^2)], bucketed by square.  The nef test
-pairs each class with the rows G.c of the curves.
+[max(lo, k^2/(ell*H^2)), min(hi, k^2/H^2)], bucketed by square.  The rows
+G.c of the curves are the kernel's walls, so a class that is not nef is never
+built; each class returned is still checked against every row.
 
 theta counts primitive classes only, xi counts all of them; the two are tied
 by xi(d) = sum over m^2 | d of theta(d/m^2).
@@ -19,7 +20,8 @@ from math import gcd
 
 from . import linalg
 from .cone import ChamberDescription, CurveSystem
-from .enumeration import classes_of_degree
+from .enumeration import DegreeCoset
+from .errors import K3ScanError
 from .lattice import GramLattice, is_primitive, square
 from .linalg import Vector
 
@@ -83,16 +85,16 @@ def big_nef_classes_by_square(
     if lo <= 0:
         raise ValueError("squares of big classes must be positive")
     lat = cs.lattice
-    h = cs.ample_seed
-    h2 = square(lat, h)
+    coset = DegreeCoset(lat, cs.ample_seed)
     ell = ch.ell
     rows = [linalg.mat_vec(lat.gram, c) for c in cs.curves]
     out: dict[int, list[Vector]] = {}
-    for k in range(1, degree_bound(lat, h, ell, hi) + 1):
-        least = max(lo, -(-k * k * ell.denominator // (ell.numerator * h2)))
-        for d, cls in classes_of_degree(lat, h, k, least, hi):
-            if all(linalg.dot(cls, row) >= 0 for row in rows):
-                out.setdefault(d, []).append(cls)
+    for k in range(1, degree_bound(lat, cs.ample_seed, ell, hi) + 1):
+        least = max(lo, -(-k * k * ell.denominator // (ell.numerator * coset.h2)))
+        for d, cls in coset.classes(k, least, hi, rows):
+            if not all(linalg.dot(cls, row) >= 0 for row in rows):
+                raise K3ScanError(f"kernel class {cls} is not nef: it meets a curve negatively")
+            out.setdefault(d, []).append(cls)
     return out
 
 

@@ -2,6 +2,28 @@
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
+from k3scan import linalg
+
+
+@st.composite
+def unimodular_change(draw, n):
+    """(U, U^-1) for a random product of 0-4 elementary moves col_i += f*col_j.
+
+    A Gram G becomes U^T G U in the new basis, and a class v becomes U^-1 v.
+    """
+    u, uinv = linalg.identity(n), linalg.identity(n)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 2))
+        j += j >= i
+        f = draw(st.integers(-2, 2))
+        for row in u:
+            row[i] += f * row[j]
+        uinv[j] = [x - f * y for x, y in zip(uinv[j], uinv[i])]
+    return u, uinv
+
 
 def gram_permutation_equivalent(a, b):
     """A permutation p with a[p[i]][p[j]] == b[i][j], or None.

@@ -6,12 +6,18 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from conftest import load_package_json
 
 import k3scan
+import k3scan.cone
+import k3scan.lattice
+import k3scan.linalg
 from k3scan.classify import builtin_searches
 from k3scan.cli import run
+from k3scan.cone import CurveSystem, chamber_vertices
+from k3scan.errors import CostLimitError
 from k3scan.presets import sieve_presets
 
 # Child interpreters import the same k3scan as this process.
@@ -252,6 +258,38 @@ def test_exit_code_noncompact(tmp_path):
     assert code == 4
 
 
+def _boom(*args, **kwargs):
+    raise AssertionError("the refused work was started")
+
+
+def test_exit_code_cost_limit_chamber(presets, monkeypatch):
+    # 700 copies of one curve on rank 3: C(700, 2) = 244,650 subsets to try.
+    s1 = presets["S1"]
+    curve = (0, 1, 0)
+    cs = CurveSystem(lattice=s1.lattice, ample_seed=s1.ample, curves=(curve,) * 700,
+                     gram_of_curves=((-2,) * 700,) * 700)
+    monkeypatch.setattr(k3scan.linalg, "rank", _boom)
+    with pytest.raises(CostLimitError, match="244650 subsets"):
+        chamber_vertices(cs)
+    monkeypatch.setattr(k3scan.cone, "vinberg_sieve", lambda *args: cs)
+    code, text = invoke("chamber", "--preset", "S1")
+    assert code == 5 and text.startswith("error: ") and text.count("\n") == 1, text
+
+
+def test_exit_code_cost_limit_disc(tmp_path, monkeypatch):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"rank": 1, "gram": [[2 * 10**8]]}))
+    out = subprocess.run(
+        [sys.executable, "-m", "k3scan.cli", "disc", "--file", str(path)],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+    )
+    assert out.returncode == 5 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert "200000000" in out.stderr and "Traceback" not in out.stderr
+    monkeypatch.setattr(k3scan.lattice.DiscriminantGroup, "elements", _boom)
+    assert invoke("disc", "--file", str(path))[0] == 5
+
+
 def test_deterministic_bytes_across_runs():
     for argv in (
         ("curves", "--preset", "L24"),
@@ -404,6 +442,55 @@ def test_other_commands_bytes_pinned():
         code, text = invoke(*PINNED_COMMANDS[command], source, name, "--format", fmt)
         assert code == 0, text
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (command, name, fmt)
+
+
+# sha256 of `series --kind theta|xi --max-square 200` on every sieve preset,
+# recorded before the kernel took the curve walls: the widest windows the
+# clipped enumeration runs over in the suite.
+SQUARE_200_DIGESTS = {
+    ("theta", "S1", "json"): "aa2ce958149201eb0405565b39b96328fe39fd4b71830211fb190638290bbe96",
+    ("theta", "S1", "text"): "0e458fb07caec121990bb16b21b51ce312e7892afb374c049934a96cbf99ff5a",
+    ("theta", "S2", "json"): "f30503836151553cbc6d3a27fe01d483c350771f4f6f72ceb69dbe9e4ad69cf2",
+    ("theta", "S2", "text"): "5e58881f74d979fd24d01c6d56d04dc8e3ca31e49a6be89f7789ea2c39e4d7c6",
+    ("theta", "S3", "json"): "f928ce3ac66019feb6fae2d2d0d3fa10224e8931d6524644ac3883b0f2df6b98",
+    ("theta", "S3", "text"): "96e8d502ffb4c4718709a36d4d6ba5b620df1471cd3c1a9d21112ca83b441a9b",
+    ("theta", "S4", "json"): "0caa8b27b8b6875e16c92057ad01977588488969403aade054930caf20afc810",
+    ("theta", "S4", "text"): "b0d80f3a74834f3442e784e1abba377bf982c3aa1f7af12a1220be7910f84f20",
+    ("theta", "S5", "json"): "5b97ab9ffe976770043aff9a6453e019293f855713150c9a03505dd5c0960167",
+    ("theta", "S5", "text"): "ee7cadf5eedc1b08481c848387de1a736f0680974cc918d344eed6e3cdbfa92a",
+    ("theta", "S6", "json"): "add29e6aa643f703aee3ebebf17876d5afe14621d1edce5688298e4bbc2e878d",
+    ("theta", "S6", "text"): "92a5fa12afc373e2a3ce1c0395d0f00f0acb74ed92d6d2316ce75c3cd21763bd",
+    ("theta", "L24", "json"): "29d81d03c4762b1ee9398d2012cd7b76b853cb22a45381a7277356eb10627fcc",
+    ("theta", "L24", "text"): "d8e1240aab11baaa181eb4c5e36935550ec0200eefc9e5fa20611d0bb8d34f5a",
+    ("theta", "L27", "json"): "d556932715f3fe6285bb7bdb3dd677aaa41074be8864cf0186722738f79ad064",
+    ("theta", "L27", "text"): "aaa5cf350a3cd45d13fd6365263883d5b17107ea76bc2ef0216d696ca57cd130",
+    ("xi", "S1", "json"): "715936525d0c019ccf77792925e1bbd67703dc5201a2c9a1534eb0baa0c4dfaf",
+    ("xi", "S1", "text"): "8509d281eb15f158fa97604b9cb858a7565cba2246cd0b6526f77a026aef62b1",
+    ("xi", "S2", "json"): "9973fed30636afa6d807c9b656b1a699db413199e20e2e4e9238a8e44b3898b6",
+    ("xi", "S2", "text"): "d4f4bee3cf8c9ee7c14e4957e7447484f14ad154b8fb9ce6b14111ffc606f5dd",
+    ("xi", "S3", "json"): "1e82153436094c71e0f532aae37f4daf439de24326e425e84a980b5d85db6896",
+    ("xi", "S3", "text"): "1a7fdb6eb2772a875e3049553af76b001bcbb2b03f85ff2e5425f330f7281082",
+    ("xi", "S4", "json"): "01f4b0fd058157b930323ae79390a0014014330af6d0d4e43d6ab9ce738a2944",
+    ("xi", "S4", "text"): "05429c23f9100dfe40834d7d8fd8171b88f4c313a5eef4e6fbf30d27d9ff4f27",
+    ("xi", "S5", "json"): "ca936f835ec9d2bb9e321309d24e3de64a3bb9bc2b3886142acb4c2706e471a7",
+    ("xi", "S5", "text"): "749218ca166ce345ce9f6fab431ffba23fcd185fdd0b7aa44eb7d22dd4eecaf1",
+    ("xi", "S6", "json"): "238881cc7415b1aee4313b681d380d5c0ffe694d8b6101ed399713865faf25b8",
+    ("xi", "S6", "text"): "81e446465d7812d405befb0716513dbbf070c35227d013a8f108c7ca8c5826c6",
+    ("xi", "L24", "json"): "ff7e0cf49e341821d8bf2238c5065ed414c2de75967484b7c0dc88561354b10f",
+    ("xi", "L24", "text"): "22f9df5868ad4b0974fe588b1b08607ce369cbed88aa7fae9cdbb5f8c672c9e4",
+    ("xi", "L27", "json"): "aaf020ce8ff8971c35c515643be9533251d52a2d0849bc4e318d25ae0f04836b",
+    ("xi", "L27", "text"): "95f542e8ec17414c92236327e1f76b89cc66619a8d693cdc8f29724a44e016b8",
+}
+
+
+def test_series_square_200_bytes_pinned():
+    assert {name for _, name, _ in SQUARE_200_DIGESTS} == set(sieve_presets())
+    for (kind, name, fmt), digest in SQUARE_200_DIGESTS.items():
+        code, text = invoke(
+            "series", "--kind", kind, "--max-square", "200", "--preset", name, "--format", fmt
+        )
+        assert code == 0, text
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (kind, name, fmt)
 
 
 def test_console_entry_point_subprocess():

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import unimodular_change
 from oracle import box_scan_classes, box_scan_vectors_of_norm
 
 from k3scan import linalg
 from k3scan.enumeration import (
+    DegreeCoset,
     EnumerationStats,
     classes_with_square_and_degree,
     vectors_of_norm,
@@ -147,16 +149,7 @@ def hyperbolic_lattice_and_class(draw):
     h0 = [draw(st.integers(1, 3))] + [draw(st.integers(-2, 2)) for _ in block]
     h0sq = linalg.dot(h0, linalg.mat_vec(gram, h0))
     assume(0 < h0sq <= 40)
-    # Basis change by elementary moves col_i += f*col_j; U^-1 is built alongside.
-    u, uinv = linalg.identity(n), linalg.identity(n)
-    for _ in range(draw(st.integers(0, 4))):
-        i = draw(st.integers(0, n - 1))
-        j = draw(st.integers(0, n - 2))
-        j += j >= i
-        f = draw(st.integers(-2, 2))
-        for row in u:
-            row[i] += f * row[j]
-        uinv[j] = [x - f * y for x, y in zip(uinv[j], uinv[i])]
+    u, uinv = draw(unimodular_change(n))
     new_gram = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u))
     h = linalg.mat_vec(uinv, h0)
     return GramLattice(rank=n, gram=new_gram), h
@@ -171,3 +164,54 @@ def test_enumeration_matches_oracle_random_lattices(case):
         for k in range(0, 6):
             got = classes_with_square_and_degree(lat, h, d, k)
             assert sorted(got) == box_scan_classes(lat, h, d, k), (d, k)
+
+
+def _clear_a0(basis0, r):
+    """r minus its part along basis0, scaled to stay integral: then a[0] = basis0.r = 0."""
+    n0, t = linalg.dot(basis0, basis0), linalg.dot(basis0, r)
+    return tuple(n0 * x - t * y for x, y in zip(r, basis0))
+
+
+def _wall_rows(draw, lat, h, basis0):
+    """0-6 int rows: random ones, ones with a[0] = 0, and multiples of G.H.
+
+    A multiple m*G.H pairs with every class of degree k as m*k: at k = 0 every
+    class meets it with equality, and for m*k < 0 it empties the whole coset.
+    """
+    w = linalg.mat_vec(lat.gram, h)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        r = [draw(st.integers(-4, 4)) for _ in range(lat.rank)]
+        kind = draw(st.sampled_from(("random", "a0_zero", "degree")))
+        if kind == "a0_zero":
+            r = _clear_a0(basis0, r)
+        elif kind == "degree":
+            r = [r[0] * x for x in w]
+        rows.append(tuple(r))
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(hyperbolic_lattice_and_class(), st.data())
+def test_walls_clip_exactly_the_classes_they_exclude(case, data):
+    lat, h = case
+    coset = DegreeCoset(lat, h)
+    basis0 = coset.basis[0]
+    w = linalg.mat_vec(lat.gram, h)
+    minus_w = tuple(-x for x in w)
+    a0_zero = [_clear_a0(basis0, e) for e in linalg.identity(lat.rank)]
+    assert all(linalg.dot(basis0, r) == 0 for r in a0_zero)
+    random_rows = _wall_rows(data.draw, lat, h, basis0)
+    for lo, hi in ((-2, -2), (-4, 6), (2, 12)):
+        for k in range(0, 6):
+            full = coset.classes(k, lo, hi)
+            # Random walls; rows with a[0] = 0; G.H, which every class of
+            # degree 0 meets with equality; -G.H, which cuts every class of
+            # degree k > 0 and so drops the whole level.
+            for rows in (random_rows, a0_zero, [w], [minus_w]):
+                stats = EnumerationStats()
+                got = coset.classes(k, lo, hi, rows, stats)
+                want = [(sq, c) for sq, c in full if all(linalg.dot(c, r) >= 0 for r in rows)]
+                assert got == want, (k, lo, hi, rows)
+                assert stats.lifts_tried == len(got)
+            assert coset.classes(k, lo, hi, [minus_w]) == ([] if k else full)

@@ -1,12 +1,18 @@
 import itertools
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import unimodular_change
 from oracle import box_scan_big_nef_count
 
+from k3scan import linalg
 from k3scan.cone import chamber_vertices, is_ample, is_nef, vinberg_sieve
-from k3scan.lattice import bilinear, square
+from k3scan.lattice import GramLattice, bilinear, square
+from k3scan.presets import sieve_presets
 from k3scan.series import (
     big_nef_classes_of_square,
     degree_bound,
@@ -104,17 +110,39 @@ def test_xi_s2_matches_golden(curve_systems, chambers, golden_series):
         assert table.coefficient(d) == printed.get(d, 0), f"xi({d})"
 
 
+def _theta_convolution(theta, d):
+    """sum over m^2 | d of theta(d/m^2), which xi(d) must equal."""
+    return sum(
+        theta.coefficient(d // (m * m))
+        for m in range(1, isqrt(d) + 1)
+        if d % (m * m) == 0
+    )
+
+
 def test_convolution_identity(curve_systems, chambers):
     for name, cs in curve_systems.items():
         theta = theta_series(cs, chambers[name], 100)
         xi = xi_series(cs, chambers[name], 100)
         for d in range(2, 101, 2):
-            total = sum(
-                theta.coefficient(d // (m * m))
-                for m in range(1, 11)
-                if m * m <= d and d % (m * m) == 0
-            )
-            assert xi.coefficient(d) == total, f"{name}: square {d}"
+            assert xi.coefficient(d) == _theta_convolution(theta, d), f"{name}: square {d}"
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from(sorted(sieve_presets())), st.data())
+def test_convolution_identity_in_random_bases(presets, curve_systems, chambers, name, data):
+    # An isometric copy of a preset: the sieve and the chamber are re-run in
+    # the new basis, and the chamber only moves by the isometry.
+    p = presets[name]
+    u, uinv = data.draw(unimodular_change(p.lattice.rank))
+    gram = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(p.lattice.gram, u))
+    lat = GramLattice(rank=p.lattice.rank, gram=gram)
+    cs = vinberg_sieve(lat, linalg.mat_vec(uinv, p.ample), p.kmax)
+    ch = chamber_vertices(cs)
+    theta = theta_series(cs, ch, 40)
+    xi = xi_series(cs, ch, 40)
+    for d in range(2, 41, 2):
+        assert xi.coefficient(d) == _theta_convolution(theta, d), f"{name}: square {d}"
+    assert theta.coefficients == theta_series(curve_systems[name], chambers[name], 40).coefficients
 
 
 def test_series_counts_match_oracle_small(curve_systems, chambers):
