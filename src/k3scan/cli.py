@@ -90,19 +90,19 @@ def _sieve(args):
     return cs, name
 
 
-def _minimal_polarization(cs, ch, limit: int = 12):
+def _minimal_polarization(cs, limit: int = 12):
     from .series import big_nef_classes_by_square
 
-    classes = big_nef_classes_by_square(cs, ch, 2, limit)
+    classes = big_nef_classes_by_square(cs, 2, limit)
     if not classes:
         return None
     d = min(classes)
     return {"square": d, "classes": [list(c) for c in classes[d]]}
 
 
-def _pair_relations(cs, ch):
+def _pair_relations(cs):
     """Pairs of curves whose sum is an integer multiple of the minimal polarization."""
-    minimal = _minimal_polarization(cs, ch)
+    minimal = _minimal_polarization(cs)
     if minimal is None or len(minimal["classes"]) != 1:
         return minimal, []
     base = minimal["classes"][0]
@@ -122,11 +122,10 @@ def _pair_relations(cs, ch):
 
 
 def cmd_curves(args) -> dict:
-    from .cone import chamber_vertices, is_ample
+    from .cone import is_ample
 
     cs, name = _sieve(args)
-    ch = chamber_vertices(cs)
-    minimal, relations = _pair_relations(cs, ch)
+    minimal, relations = _pair_relations(cs)
     lat = cs.lattice
     return {
         "command": "curves",
@@ -146,10 +145,8 @@ def cmd_curves(args) -> dict:
 
 
 def cmd_chamber(args) -> dict:
-    from .cone import chamber_vertices
-
     cs, name = _sieve(args)
-    ch = chamber_vertices(cs)
+    ch = cs.chamber
     return {
         "command": "chamber",
         "input": name,
@@ -164,15 +161,13 @@ def cmd_chamber(args) -> dict:
 
 
 def cmd_series(args) -> dict:
-    from .cone import chamber_vertices
     from .series import theta_series, xi_series
 
     if args.max_square < 2 or args.max_square % 2 != 0:
         raise UsageError("--max-square must be an even integer >= 2")
     cs, name = _sieve(args)
-    ch = chamber_vertices(cs)
     fn = theta_series if args.kind == "theta" else xi_series
-    table = fn(cs, ch, args.max_square)
+    table = fn(cs, args.max_square)
     return {
         "command": "series",
         "input": name,

@@ -4,7 +4,9 @@ The sieve walks the (-2)-classes in ascending degree against an interior
 ample seed and keeps a class exactly when it pairs non-negatively with every
 curve kept so far.  Once the resulting wall system closes up a compact
 chamber (all rays have positive square), no further (-2)-class can pass the
-filter, so the curve list is complete whatever the degree cutoff was.
+filter, so the curve list is complete whatever the degree cutoff was.  That
+chamber is the certificate, and the sieve returns it with the curves: every
+`CurveSystem` carries its own `ChamberDescription`, computed once.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ class CurveSystem:
     ample_seed: Vector
     curves: tuple[Vector, ...]
     gram_of_curves: Matrix
+    chamber: ChamberDescription
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(bilinear(self.lattice, self.ample_seed, c) for c in self.curves)
@@ -83,6 +86,7 @@ def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
 
     Classes are processed in ascending degree (canonical order within a
     degree); r is accepted iff r.c >= 0 for every curve accepted before it.
+    The result carries the compact chamber that certifies the list complete.
     Raises WallError when the seed is orthogonal to some (-2)-class and
     IncompleteSieveError when kmax is hit before the chamber closes.
     """
@@ -95,60 +99,56 @@ def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
         for _, r in coset.classes(k, -2, -2):
             if all(bilinear(lat, r, c) >= 0 for c in accepted):
                 accepted.append(r)
-    gram = tuple(
-        tuple(bilinear(lat, a, b) for b in accepted) for a in accepted
-    )
-    cs = CurveSystem(lattice=lat, ample_seed=coset.h, curves=tuple(accepted), gram_of_curves=gram)
-    _verify_closure(cs, kmax)
-    return cs
-
-
-def _verify_closure(cs: CurveSystem, kmax: int) -> None:
-    if not cs.curves:
+    if not accepted:
         raise IncompleteSieveError(f"no (-2)-curves found up to degree {kmax}")
-    chamber = chamber_vertices(cs)
+    curves = tuple(accepted)
+    chamber = chamber_vertices(lat, coset.h, curves)
+    _verify_closure(lat, curves, chamber, kmax)
+    gram = tuple(tuple(bilinear(lat, a, b) for b in curves) for a in curves)
+    return CurveSystem(
+        lattice=lat, ample_seed=coset.h, curves=curves, gram_of_curves=gram, chamber=chamber
+    )
+
+
+def _verify_closure(lat: GramLattice, curves, chamber: ChamberDescription, kmax: int) -> None:
     # A compact chamber of dimension rho-1 has at least rho vertices and every
     # wall carries one; with that certificate in hand no further (-2)-class
     # can be non-negative on all curves, so the list is complete.
-    if len(chamber.vertices) < cs.lattice.rank:
+    if len(chamber.vertices) < lat.rank:
         raise IncompleteSieveError(
             f"chamber did not close at degree {kmax}: "
             f"only {len(chamber.vertices)} rays found"
         )
-    supported = set()
-    for vertex in chamber.vertices:
-        for i, c in enumerate(cs.curves):
-            if bilinear(cs.lattice, vertex.coords, c) == 0:
-                supported.add(i)
-    if len(supported) != len(cs.curves):
-        missing = [i for i in range(len(cs.curves)) if i not in supported]
+    missing = [
+        i for i, c in enumerate(curves)
+        if all(bilinear(lat, vertex.coords, c) for vertex in chamber.vertices)
+    ]
+    if missing:
         raise IncompleteSieveError(
             f"chamber did not close at degree {kmax}: "
             f"curves {missing} support no vertex"
         )
 
 
-def chamber_vertices(cs: CurveSystem) -> ChamberDescription:
+def chamber_vertices(lat: GramLattice, h, curves) -> ChamberDescription:
     """Rays of the nef cone: primitive nef generators orthogonal to rho-1 curves.
 
     Every (rho-1)-subset of curves whose common orthogonal complement has rank
-    one contributes a candidate; nef candidates must have positive square or
-    the chamber is not compact (NonCompactChamberError).  More than
-    MAX_CURVE_SUBSETS subsets raise CostLimitError before any is tried.
+    one contributes a candidate, oriented by H.v > 0; nef candidates must have
+    positive square or the chamber is not compact (NonCompactChamberError).
+    More than MAX_CURVE_SUBSETS subsets raise CostLimitError before any is tried.
     """
-    lat = cs.lattice
     rho = lat.rank
-    h = cs.ample_seed
-    subsets = math.comb(len(cs.curves), rho - 1)
+    subsets = math.comb(len(curves), rho - 1)
     if subsets > MAX_CURVE_SUBSETS:
         raise CostLimitError(
-            f"{len(cs.curves)} curves in rank {rho} give {subsets} subsets to try "
+            f"{len(curves)} curves in rank {rho} give {subsets} subsets to try "
             f"for chamber vertices, more than {MAX_CURVE_SUBSETS}"
         )
     seen = set()
     vertices = []
-    for subset in itertools.combinations(range(len(cs.curves)), rho - 1):
-        rows = [linalg.mat_vec(lat.gram, cs.curves[i]) for i in subset]
+    for subset in itertools.combinations(range(len(curves)), rho - 1):
+        rows = [linalg.mat_vec(lat.gram, curves[i]) for i in subset]
         if linalg.rank(rows) != rho - 1:
             continue
         kernel = linalg.integer_kernel_basis(rows)
@@ -166,7 +166,7 @@ def chamber_vertices(cs: CurveSystem) -> ChamberDescription:
         if v in seen:
             continue
         seen.add(v)
-        if not all(bilinear(lat, v, c) >= 0 for c in cs.curves):
+        if not all(bilinear(lat, v, c) >= 0 for c in curves):
             continue
         sq = square(lat, v)
         if sq <= 0:

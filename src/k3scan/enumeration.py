@@ -89,6 +89,22 @@ def _scaled_form(q):
     return n, t, mults, nums, scale
 
 
+def _solve_form(form, p) -> list[Fraction]:
+    """The c with Q c = p, from the factors scale*Q = M^T diag(t) M of `_scaled_form`.
+
+    M is upper triangular with m_i on its diagonal and n_ij above it: a
+    forward substitution with M^T, a division by t, a back substitution with M.
+    """
+    n, t, mults, nums, scale = form
+    y: list[Fraction] = []
+    for i in range(n):
+        y.append(Fraction(scale * p[i] - sum(nums[j][i] * y[j] for j in range(i)), mults[i]))
+    c = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        c[i] = (y[i] / t[i] - sum(nums[i][j] * c[j] for j in range(i + 1, n))) / mults[i]
+    return c
+
+
 def _shell(form, centre, den: int, lo: int, hi: int, stats: EnumerationStats | None, walls=()):
     """All (x, v) with x integral and lo <= v <= hi, where v = scale*den^2*Q(x - centre/den).
 
@@ -198,7 +214,7 @@ class DegreeCoset:
         q = [[-linalg.dot(a, linalg.mat_vec(gram, b)) for b in basis] for a in basis]
         self.form = _scaled_form(q)
         p = [linalg.dot(a, linalg.mat_vec(gram, self.unit)) for a in basis]
-        c = linalg.solve_rational(q, p) if basis else ()
+        c = _solve_form(self.form, p)
         self.den = lcm(1, *(x.denominator for x in c))
         self.centre = tuple(int(x * self.den) for x in c)
         self.rows = [tuple(b[i] for b in basis) for i in range(lat.rank)]  # D = d0 + rows*x

@@ -1,7 +1,8 @@
 """Isometry testing for small hyperbolic lattices.
 
-Cheap invariants (rank, determinant, Smith invariant factors, signature)
-decide most non-isometric pairs outright.  When the invariants agree, both
+Cheap invariants (rank, determinant, Smith invariant factors) decide most
+non-isometric pairs outright; the signature needs no test, since every
+GramLattice has signature (1, rho-1).  When the invariants agree, both
 Gram matrices are first put through a greedy unimodular reduction that
 shrinks the basis norms, then a backtracking search looks for a basis map:
 candidate images of each basis vector are enumerated with the
@@ -23,7 +24,7 @@ from math import isqrt
 from . import linalg
 from .enumeration import DegreeCoset
 from .errors import InvalidLatticeError, K3ScanError
-from .lattice import GramLattice, bilinear, signature, square
+from .lattice import GramLattice, bilinear, square
 from .linalg import Matrix, Vector, canonical_key, sign_normalize
 
 _DEGREE_CAPS = (8, 16, 32, 64)
@@ -113,8 +114,6 @@ def isometry_small(l1: GramLattice, l2: GramLattice) -> Matrix | None:
         return None
     if linalg.invariant_factors(l1.gram) != linalg.invariant_factors(l2.gram):
         return None
-    if signature(l1) != signature(l2):
-        return None
     if l1.rank > 5:
         raise K3ScanError(f"isometry search supports rank at most 5, not {l1.rank}")
     g1r, _, t1inv = _greedy_reduce(l1.gram)
@@ -137,8 +136,8 @@ def isometry_small(l1: GramLattice, l2: GramLattice) -> Matrix | None:
 def identify_type(gram_or_lattice) -> str | None:
     """Name from the built-in catalog realized by the given even lattice.
 
-    Compares rank, determinant and Smith invariants first, then confirms with
-    an explicit isometry; None when nothing matches.
+    Tries `isometry_small` against each catalog lattice in turn, which
+    compares the invariants before it searches; None when nothing matches.
     """
     from .presets import catalog
 
@@ -150,10 +149,7 @@ def identify_type(gram_or_lattice) -> str | None:
         except InvalidLatticeError:
             return None
     for name, preset in catalog().items():
-        ref = preset.lattice
-        if ref.rank != lat.rank or ref.det() != lat.det():
-            continue
-        if isometry_small(lat, ref) is not None:
+        if isometry_small(lat, preset.lattice) is not None:
             return name
     return None
 

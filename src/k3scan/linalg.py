@@ -122,35 +122,6 @@ def rank(m) -> int:
     return r
 
 
-def solve_rational(a, b):
-    """Solve a*x = b exactly over Q; returns tuple of Fractions or None."""
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(len(a[0]))] + [Fraction(b[i])] for i in range(n)]
-    cols = len(a[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, n) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if m[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for row_idx, c in enumerate(pivots):
-        x[c] = m[row_idx][cols]
-    return tuple(x)
-
-
 def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form of an integer matrix.
 

@@ -1,9 +1,11 @@
 """Generating series of big-and-nef classes, counted by square.
 
-The compact chamber gives the degree bound (H.D)^2 <= ell * H^2 * D^2, and
-the Hodge index gives H^2 * D^2 <= (H.D)^2.  So the big-and-nef classes with
-square in [lo, hi] are the nef classes found by one enumeration pass per
-degree k <= floor(sqrt(ell*H^2*hi)), each over the squares
+Every function takes the `CurveSystem` of the sieve, which carries its
+compact chamber.  The chamber's radius `cs.chamber.ell` gives the degree
+bound (H.D)^2 <= ell * H^2 * D^2, and the Hodge index gives
+H^2 * D^2 <= (H.D)^2.  So the big-and-nef classes with square in [lo, hi]
+are the nef classes found by one enumeration pass per degree
+k <= floor(sqrt(ell*H^2*hi)), each over the squares
 [max(lo, k^2/(ell*H^2)), min(hi, k^2/H^2)], bucketed by square.  The rows
 G.c of the curves are the kernel's walls, so a class that is not nef is never
 built; each class returned is still checked against every row.
@@ -19,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .cone import ChamberDescription, CurveSystem
+from .cone import CurveSystem
 from .enumeration import DegreeCoset
 from .errors import K3ScanError
 from .lattice import GramLattice, is_primitive, square
@@ -74,9 +76,7 @@ def degree_bound(lat: GramLattice, h, ell: Fraction, d: int) -> int:
     return linalg.isqrt_fraction_floor(ell * h2 * d)
 
 
-def big_nef_classes_by_square(
-    cs: CurveSystem, ch: ChamberDescription, lo: int, hi: int
-) -> dict[int, list[Vector]]:
+def big_nef_classes_by_square(cs: CurveSystem, lo: int, hi: int) -> dict[int, list[Vector]]:
     """Big-and-nef classes with square in [lo, hi], keyed by square.
 
     Only squares that have classes appear; each list is in (degree,
@@ -86,7 +86,7 @@ def big_nef_classes_by_square(
         raise ValueError("squares of big classes must be positive")
     lat = cs.lattice
     coset = DegreeCoset(lat, cs.ample_seed)
-    ell = ch.ell
+    ell = cs.chamber.ell
     rows = [linalg.mat_vec(lat.gram, c) for c in cs.curves]
     out: dict[int, list[Vector]] = {}
     for k in range(1, degree_bound(lat, cs.ample_seed, ell, hi) + 1):
@@ -98,19 +98,17 @@ def big_nef_classes_by_square(
     return out
 
 
-def big_nef_classes_of_square(
-    cs: CurveSystem, ch: ChamberDescription, d: int
-) -> list[Vector]:
+def big_nef_classes_of_square(cs: CurveSystem, d: int) -> list[Vector]:
     """All big-and-nef classes of square d, complete by the chamber radius bound."""
     if d % 2 != 0 or d <= 0:
         raise ValueError("square must be a positive even integer")
-    return big_nef_classes_by_square(cs, ch, d, d).get(d, [])
+    return big_nef_classes_by_square(cs, d, d).get(d, [])
 
 
-def theta_series(cs: CurveSystem, ch: ChamberDescription, max_square: int) -> SeriesTable:
+def theta_series(cs: CurveSystem, max_square: int) -> SeriesTable:
     """Counts of primitive big-and-nef classes for each even square up to max_square."""
     _check_max_square(max_square)
-    classes = big_nef_classes_by_square(cs, ch, 2, max_square)
+    classes = big_nef_classes_by_square(cs, 2, max_square)
     coeffs = {
         d: sum(1 for c in classes.get(d, ()) if is_primitive(c))
         for d in range(2, max_square + 1, 2)
@@ -118,10 +116,10 @@ def theta_series(cs: CurveSystem, ch: ChamberDescription, max_square: int) -> Se
     return SeriesTable(kind="theta", max_square=max_square, coefficients=coeffs)
 
 
-def xi_series(cs: CurveSystem, ch: ChamberDescription, max_square: int) -> SeriesTable:
+def xi_series(cs: CurveSystem, max_square: int) -> SeriesTable:
     """Counts of all big-and-nef classes for each even square up to max_square."""
     _check_max_square(max_square)
-    classes = big_nef_classes_by_square(cs, ch, 2, max_square)
+    classes = big_nef_classes_by_square(cs, 2, max_square)
     coeffs = {d: len(classes.get(d, ())) for d in range(2, max_square + 1, 2)}
     return SeriesTable(kind="xi", max_square=max_square, coefficients=coeffs)
 

@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from k3scan.cone import chamber_vertices, vinberg_sieve
+from k3scan.cone import vinberg_sieve
 from k3scan.presets import catalog, sieve_presets
 
 
@@ -19,11 +19,6 @@ def curve_systems(presets):
         p = presets[name]
         out[name] = vinberg_sieve(p.lattice, p.ample, p.kmax)
     return out
-
-
-@pytest.fixture(scope="session")
-def chambers(curve_systems):
-    return {name: chamber_vertices(cs) for name, cs in curve_systems.items()}
 
 
 def load_package_json(name):

@@ -88,45 +88,45 @@ def test_criterion_02_linear_relations(curve_systems):
     check(2, "published pair-sum relations hold exactly and exhaust the curves", ok)
 
 
-def test_criterion_03_minimal_polarizations(curve_systems, chambers):
+def test_criterion_03_minimal_polarizations(curve_systems):
     ok = True
     for name in ("S1", "S4", "S5", "S6", "L27"):
-        if len(big_nef_classes_of_square(curve_systems[name], chambers[name], 2)) != 1:
+        if len(big_nef_classes_of_square(curve_systems[name], 2)) != 1:
             ok = False
     for name in ("S2", "S3"):
-        if big_nef_classes_of_square(curve_systems[name], chambers[name], 2) != []:
+        if big_nef_classes_of_square(curve_systems[name], 2) != []:
             ok = False
-        if len(big_nef_classes_of_square(curve_systems[name], chambers[name], 4)) != 1:
+        if len(big_nef_classes_of_square(curve_systems[name], 4)) != 1:
             ok = False
     check(3, "unique minimal polarizations at the published squares", ok)
 
 
-def test_criterion_04_ell_values(chambers):
+def test_criterion_04_ell_values(curve_systems):
     expected = {
         "S1": Fraction(3), "S2": Fraction(9), "S3": Fraction(3),
         "S4": Fraction(10, 3), "S5": Fraction(2), "S6": Fraction(22, 3),
         "L24": Fraction(7, 2), "L27": Fraction(15, 2),
     }
-    ok = all(chambers[name].ell == expected[name] for name in SIEVE_NAMES)
+    ok = all(curve_systems[name].chamber.ell == expected[name] for name in SIEVE_NAMES)
     check(4, "exact chamber radii ell match the published arccosh values", ok)
 
 
-def test_criterion_05_vertex_inventories(chambers):
+def test_criterion_05_vertex_inventories(curve_systems):
     ok = True
     for name in SIEVE_NAMES:
-        stats = sorted((v.square, v.degree) for v in chambers[name].vertices)
+        stats = sorted((v.square, v.degree) for v in curve_systems[name].chamber.vertices)
         if stats != PUBLISHED_VERTEX_STATS[name]:
             ok = False
     for name, table in PUBLISHED_VERTICES.items():
-        if sorted(v.coords for v in chambers[name].vertices) != table:
+        if sorted(v.coords for v in curve_systems[name].chamber.vertices) != table:
             ok = False
     check(5, "vertex squares/degrees and printed coordinate tables reproduced", ok)
 
 
-def test_criterion_06_xi_series_s2(curve_systems, chambers, golden_series):
+def test_criterion_06_xi_series_s2(curve_systems, golden_series):
     doc = golden_series[("S2", "xi")]
     printed = {int(k): v for k, v in doc["coefficients"].items()}
-    table = xi_series(curve_systems["S2"], chambers["S2"], doc["printed_through"])
+    table = xi_series(curve_systems["S2"], doc["printed_through"])
     ok = all(
         table.coefficient(d) == printed.get(d, 0)
         for d in range(2, doc["printed_through"] + 1, 2)
@@ -134,7 +134,7 @@ def test_criterion_06_xi_series_s2(curve_systems, chambers, golden_series):
     check(6, "xi for S2 matches the published series through T^108", ok)
 
 
-def test_criterion_07_theta_series(curve_systems, chambers, golden_series, errata):
+def test_criterion_07_theta_series(curve_systems, golden_series, errata):
     recorded = {
         (e["preset"], e["exponent"]): e for e in errata if e["kind"] == "theta"
     }
@@ -142,7 +142,7 @@ def test_criterion_07_theta_series(curve_systems, chambers, golden_series, errat
     for name in SIEVE_NAMES:
         doc = golden_series[(name, "theta")]
         printed = {int(k): v for k, v in doc["coefficients"].items()}
-        table = theta_series(curve_systems[name], chambers[name], doc["printed_through"])
+        table = theta_series(curve_systems[name], doc["printed_through"])
         for d in range(2, doc["printed_through"] + 1, 2):
             got = table.coefficient(d)
             want = printed.get(d, 0)
@@ -156,7 +156,7 @@ def test_criterion_07_theta_series(curve_systems, chambers, golden_series, errat
                 curve_systems[name].lattice,
                 curve_systems[name].ample_seed,
                 curve_systems[name].curves,
-                chambers[name].ell,
+                curve_systems[name].chamber.ell,
                 d,
                 primitive_only=True,
             )
@@ -165,11 +165,11 @@ def test_criterion_07_theta_series(curve_systems, chambers, golden_series, errat
     check(7, "theta matches every published series; mismatches errata-logged and oracle-backed", ok)
 
 
-def test_criterion_08_convolution_identity(curve_systems, chambers):
+def test_criterion_08_convolution_identity(curve_systems):
     ok = True
     for name in SIEVE_NAMES:
-        theta = theta_series(curve_systems[name], chambers[name], 100)
-        xi = xi_series(curve_systems[name], chambers[name], 100)
+        theta = theta_series(curve_systems[name], 100)
+        xi = xi_series(curve_systems[name], 100)
         for d in range(2, 101, 2):
             total = sum(
                 theta.coefficient(d // (m * m))

@@ -16,7 +16,7 @@ import k3scan.lattice
 import k3scan.linalg
 from k3scan.classify import builtin_searches
 from k3scan.cli import run
-from k3scan.cone import CurveSystem, chamber_vertices
+from k3scan.cone import chamber_vertices
 from k3scan.errors import CostLimitError
 from k3scan.presets import sieve_presets
 
@@ -266,14 +266,35 @@ def test_exit_code_cost_limit_chamber(presets, monkeypatch):
     # 700 copies of one curve on rank 3: C(700, 2) = 244,650 subsets to try.
     s1 = presets["S1"]
     curve = (0, 1, 0)
-    cs = CurveSystem(lattice=s1.lattice, ample_seed=s1.ample, curves=(curve,) * 700,
-                     gram_of_curves=((-2,) * 700,) * 700)
     monkeypatch.setattr(k3scan.linalg, "rank", _boom)
     with pytest.raises(CostLimitError, match="244650 subsets"):
-        chamber_vertices(cs)
-    monkeypatch.setattr(k3scan.cone, "vinberg_sieve", lambda *args: cs)
+        chamber_vertices(s1.lattice, s1.ample, (curve,) * 700)
+    monkeypatch.setattr(
+        k3scan.cone, "vinberg_sieve", lambda lat, h, kmax: chamber_vertices(lat, h, (curve,) * 700)
+    )
     code, text = invoke("chamber", "--preset", "S1")
     assert code == 5 and text.startswith("error: ") and text.count("\n") == 1, text
+
+
+def test_one_chamber_per_command(monkeypatch):
+    # The sieve returns the chamber that certifies its curves; no command
+    # computes it a second time.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return chamber_vertices(*args)
+
+    monkeypatch.setattr(k3scan.cone, "chamber_vertices", counting)
+    for argv in (
+        ("curves", "--preset", "L27"),
+        ("chamber", "--preset", "L27"),
+        ("series", "--preset", "L27", "--max-square", "20"),
+    ):
+        calls.clear()
+        code, text = invoke(*argv)
+        assert code == 0, text
+        assert len(calls) == 1, argv
 
 
 def test_exit_code_cost_limit_disc(tmp_path, monkeypatch):

@@ -11,7 +11,6 @@ from helpers import (
 )
 
 from k3scan.cone import (
-    chamber_vertices,
     hyperbolic_ell,
     is_ample,
     is_nef,
@@ -121,12 +120,12 @@ def test_is_nef_and_ample_examples(curve_systems):
     assert degrees == [2, 2, 3, 3, 3, 3]
 
 
-def test_chamber_inventories(curve_systems, chambers):
-    for name, ch in chambers.items():
+def test_chamber_inventories(curve_systems):
+    for name, cs in curve_systems.items():
+        ch = cs.chamber
         stats = sorted((v.square, v.degree) for v in ch.vertices)
         assert stats == PUBLISHED_VERTEX_STATS[name], name
         assert ch.ell == EXPECTED_ELL[name], name
-        cs = curve_systems[name]
         rho = cs.lattice.rank
         for v in ch.vertices:
             assert is_nef(cs, v.coords)
@@ -139,18 +138,18 @@ def test_chamber_inventories(curve_systems, chambers):
             assert linalg.rank(rows) == rho - 1
 
 
-def test_chamber_vertex_coordinates_match_published(chambers):
+def test_chamber_vertex_coordinates_match_published(curve_systems):
     for name, table in PUBLISHED_VERTICES.items():
-        got = sorted(v.coords for v in chambers[name].vertices)
+        got = sorted(v.coords for v in curve_systems[name].chamber.vertices)
         assert got == table, name
 
 
-def test_l24_vertices_from_20_triples(curve_systems, chambers):
+def test_l24_vertices_from_20_triples(curve_systems):
     import itertools
 
     cs = curve_systems["L24"]
     assert len(list(itertools.combinations(range(6), 3))) == 20
-    assert len(chambers["L24"].vertices) == 8
+    assert len(cs.chamber.vertices) == 8
 
 
 def test_hyperbolic_ell_examples(curve_systems):
@@ -160,7 +159,7 @@ def test_hyperbolic_ell_examples(curve_systems):
     assert hyperbolic_ell(s2.lattice, s2.ample_seed, vertex) == 9
 
     s4 = curve_systems["S4"]
-    v4 = next(v for v in chamber_vertices(s4).vertices if v.square == 60)
+    v4 = next(v for v in s4.chamber.vertices if v.square == 60)
     assert hyperbolic_ell(s4.lattice, s4.ample_seed, v4.coords) == Fraction(10, 3)
 
     with pytest.raises(ValueError):

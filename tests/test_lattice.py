@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import unimodular_change
 from oracle import scan_isotropic_dual_classes
 
 from k3scan import linalg
@@ -189,19 +190,34 @@ def test_s114_isotropic_elements_and_saturations(presets):
 
 @st.composite
 def small_hyperbolic_lattice(draw):
-    """An even Gram of rank 2-3 and signature (1, rho-1) with 0 < |det| <= 30."""
-    n = draw(st.integers(2, 3))
-    gram = [[0] * n for _ in range(n)]
-    for i in range(n):
-        gram[i][i] = 2 * draw(st.integers(-4, 4))
-        for j in range(i):
-            gram[i][j] = gram[j][i] = draw(st.integers(-4, 4))
-    assume(0 < abs(linalg.det(gram)) <= 30 and signature(gram) == (1, n - 1, 0))
-    return GramLattice(n, gram)
+    """An even Gram of rank 2-3 and signature (1, rho-1) with 0 < |det| <= 30.
+
+    Hyperbolic by construction: an even negative definite block N of rank
+    1-2, bordered by an integer row r, with an even corner 2a >= 0 (a > 0
+    when r = 0).  By interlacing the bordered Gram has at least rho-1
+    negative eigenvalues, and its det = det(N) * (2a + r^T (-N)^-1 r) is
+    non-zero, so the last eigenvalue is positive.  A random unimodular basis
+    change then scrambles the entries.
+    """
+    b = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        block = [[-2 * b]]
+    else:
+        e = draw(st.integers(1, 2))
+        c = draw(st.integers(-(2 * min(b, e) - 1), 2 * min(b, e) - 1))
+        block = [[-2 * b, c], [c, -2 * e]]
+    border = [draw(st.integers(-2, 2)) for _ in block]
+    n = 1 + len(block)
+    gram = [[2 * draw(st.integers(0 if any(border) else 1, 3))] + border]
+    gram += [[x] + row for x, row in zip(border, block)]
+    assume(abs(linalg.det(gram)) <= 30)
+    u, _ = draw(unimodular_change(n))
+    return GramLattice(n, linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_hyperbolic_lattice())
+@example(GramLattice(3, [[-2, 1, 3], [1, -2, 1], [3, 1, -2]]))  # S4: an all-negative diagonal
 def test_isotropic_elements_match_oracle_random_lattices(lat):
     # The oracle scans [0, |det|)^rho in numpy and knows nothing of the
     # generator form; both sides give dual classes as vectors in [0, 1)^rho.

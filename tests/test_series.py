@@ -10,7 +10,7 @@ from helpers import unimodular_change
 from oracle import box_scan_big_nef_count
 
 from k3scan import linalg
-from k3scan.cone import chamber_vertices, is_ample, is_nef, vinberg_sieve
+from k3scan.cone import is_ample, is_nef, vinberg_sieve
 from k3scan.lattice import GramLattice, bilinear, square
 from k3scan.presets import sieve_presets
 from k3scan.series import (
@@ -32,16 +32,16 @@ def test_degree_bound_examples(presets):
         degree_bound(s2.lattice, s2.ample, Fraction(9), 0)
 
 
-def test_big_nef_examples(curve_systems, chambers):
-    s1, ch1 = curve_systems["S1"], chambers["S1"]
-    assert big_nef_classes_of_square(s1, ch1, 2) == [(1, -1, -1)]
+def test_big_nef_examples(curve_systems):
+    s1 = curve_systems["S1"]
+    assert big_nef_classes_of_square(s1, 2) == [(1, -1, -1)]
 
-    s2, ch2 = curve_systems["S2"], chambers["S2"]
-    assert big_nef_classes_of_square(s2, ch2, 2) == []
-    assert big_nef_classes_of_square(s2, ch2, 4) == [s2.ample_seed]
+    s2 = curve_systems["S2"]
+    assert big_nef_classes_of_square(s2, 2) == []
+    assert big_nef_classes_of_square(s2, 4) == [s2.ample_seed]
 
-    s3, ch3 = curve_systems["S3"], chambers["S3"]
-    sixes = big_nef_classes_of_square(s3, ch3, 6)
+    s3 = curve_systems["S3"]
+    sixes = big_nef_classes_of_square(s3, 6)
     assert len(sixes) == 4
     for cls in sixes:
         contracted = [c for c in s3.curves if bilinear(s3.lattice, cls, c) == 0]
@@ -50,29 +50,29 @@ def test_big_nef_examples(curve_systems, chambers):
                 [next(c for c in s3.curves if bilinear(s3.lattice, cls, c) == 0)]}) == 4
 
 
-def test_minimal_polarizations(curve_systems, chambers):
+def test_minimal_polarizations(curve_systems):
     for name in ("S1", "S4", "S5", "S6", "L27"):
-        classes = big_nef_classes_of_square(curve_systems[name], chambers[name], 2)
+        classes = big_nef_classes_of_square(curve_systems[name], 2)
         assert len(classes) == 1, name
         assert is_ample(curve_systems[name], classes[0])
     for name in ("S2", "S3"):
-        assert big_nef_classes_of_square(curve_systems[name], chambers[name], 2) == []
-        assert len(big_nef_classes_of_square(curve_systems[name], chambers[name], 4)) == 1
+        assert big_nef_classes_of_square(curve_systems[name], 2) == []
+        assert len(big_nef_classes_of_square(curve_systems[name], 4)) == 1
 
 
-def test_every_counted_class_is_big_nef_and_bounded(curve_systems, chambers):
+def test_every_counted_class_is_big_nef_and_bounded(curve_systems):
     for name in ("S4", "L24"):
-        cs, ch = curve_systems[name], chambers[name]
+        cs = curve_systems[name]
         h2 = square(cs.lattice, cs.ample_seed)
         for d in range(2, 31, 2):
-            for cls in big_nef_classes_of_square(cs, ch, d):
+            for cls in big_nef_classes_of_square(cs, d):
                 assert square(cs.lattice, cls) == d
                 assert is_nef(cs, cls)
                 k = bilinear(cs.lattice, cs.ample_seed, cls)
-                assert 1 <= k and k * k <= ch.ell * h2 * d
+                assert 1 <= k and k * k <= cs.chamber.ell * h2 * d
 
 
-def test_theta_matches_golden_modulo_errata(curve_systems, chambers, golden_series, errata):
+def test_theta_matches_golden_modulo_errata(curve_systems, golden_series, errata):
     known = {
         (e["preset"], e["kind"], e["exponent"]): e
         for e in errata
@@ -82,7 +82,7 @@ def test_theta_matches_golden_modulo_errata(curve_systems, chambers, golden_seri
         doc = golden_series[(name, "theta")]
         through = doc["printed_through"]
         printed = {int(k): v for k, v in doc["coefficients"].items()}
-        table = theta_series(cs, chambers[name], through)
+        table = theta_series(cs, through)
         mismatches = {}
         for d in range(2, through + 1, 2):
             if table.coefficient(d) != printed.get(d, 0):
@@ -96,16 +96,16 @@ def test_theta_matches_golden_modulo_errata(curve_systems, chambers, golden_seri
         # every recorded mismatch must be reproduced by the independent oracle
         for d, (_, computed) in mismatches.items():
             count = box_scan_big_nef_count(
-                cs.lattice, cs.ample_seed, cs.curves, chambers[name].ell, d,
+                cs.lattice, cs.ample_seed, cs.curves, curve_systems[name].chamber.ell, d,
                 primitive_only=True,
             )
             assert count == computed
 
 
-def test_xi_s2_matches_golden(curve_systems, chambers, golden_series):
+def test_xi_s2_matches_golden(curve_systems, golden_series):
     doc = golden_series[("S2", "xi")]
     printed = {int(k): v for k, v in doc["coefficients"].items()}
-    table = xi_series(curve_systems["S2"], chambers["S2"], doc["printed_through"])
+    table = xi_series(curve_systems["S2"], doc["printed_through"])
     for d in range(2, doc["printed_through"] + 1, 2):
         assert table.coefficient(d) == printed.get(d, 0), f"xi({d})"
 
@@ -119,17 +119,17 @@ def _theta_convolution(theta, d):
     )
 
 
-def test_convolution_identity(curve_systems, chambers):
+def test_convolution_identity(curve_systems):
     for name, cs in curve_systems.items():
-        theta = theta_series(cs, chambers[name], 100)
-        xi = xi_series(cs, chambers[name], 100)
+        theta = theta_series(cs, 100)
+        xi = xi_series(cs, 100)
         for d in range(2, 101, 2):
             assert xi.coefficient(d) == _theta_convolution(theta, d), f"{name}: square {d}"
 
 
 @settings(max_examples=24, deadline=None)
 @given(st.sampled_from(sorted(sieve_presets())), st.data())
-def test_convolution_identity_in_random_bases(presets, curve_systems, chambers, name, data):
+def test_convolution_identity_in_random_bases(presets, curve_systems, name, data):
     # An isometric copy of a preset: the sieve and the chamber are re-run in
     # the new basis, and the chamber only moves by the isometry.
     p = presets[name]
@@ -137,25 +137,25 @@ def test_convolution_identity_in_random_bases(presets, curve_systems, chambers, 
     gram = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(p.lattice.gram, u))
     lat = GramLattice(rank=p.lattice.rank, gram=gram)
     cs = vinberg_sieve(lat, linalg.mat_vec(uinv, p.ample), p.kmax)
-    ch = chamber_vertices(cs)
-    theta = theta_series(cs, ch, 40)
-    xi = xi_series(cs, ch, 40)
+    theta = theta_series(cs, 40)
+    xi = xi_series(cs, 40)
     for d in range(2, 41, 2):
         assert xi.coefficient(d) == _theta_convolution(theta, d), f"{name}: square {d}"
-    assert theta.coefficients == theta_series(curve_systems[name], chambers[name], 40).coefficients
+    assert theta.coefficients == theta_series(curve_systems[name], 40).coefficients
 
 
-def test_series_counts_match_oracle_small(curve_systems, chambers):
+def test_series_counts_match_oracle_small(curve_systems):
     for name in ("S1", "S5"):
-        cs, ch = curve_systems[name], chambers[name]
-        theta = theta_series(cs, ch, 12)
-        xi = xi_series(cs, ch, 12)
+        cs = curve_systems[name]
+        ell = cs.chamber.ell
+        theta = theta_series(cs, 12)
+        xi = xi_series(cs, 12)
         for d in range(2, 13, 2):
             assert theta.coefficient(d) == box_scan_big_nef_count(
-                cs.lattice, cs.ample_seed, cs.curves, ch.ell, d, primitive_only=True
+                cs.lattice, cs.ample_seed, cs.curves, ell, d, primitive_only=True
             )
             assert xi.coefficient(d) == box_scan_big_nef_count(
-                cs.lattice, cs.ample_seed, cs.curves, ch.ell, d, primitive_only=False
+                cs.lattice, cs.ample_seed, cs.curves, ell, d, primitive_only=False
             )
 
 
@@ -169,30 +169,29 @@ def _another_ample_class(cs):
     raise AssertionError("no alternative ample class in the box")
 
 
-def test_series_independent_of_ample_seed(curve_systems, chambers):
+def test_series_independent_of_ample_seed(curve_systems):
     for name in ("S1", "S5"):
         cs = curve_systems[name]
         h2 = _another_ample_class(cs)
         kmax2 = 2 * max(bilinear(cs.lattice, h2, c) for c in cs.curves)
         cs2 = vinberg_sieve(cs.lattice, h2, kmax2)
         assert set(cs2.curves) == set(cs.curves)
-        ch2 = chamber_vertices(cs2)
-        base = theta_series(cs, chambers[name], 40).coefficients
-        moved = theta_series(cs2, ch2, 40).coefficients
+        base = theta_series(cs, 40).coefficients
+        moved = theta_series(cs2, 40).coefficients
         assert base == moved
 
 
-def test_series_validation(curve_systems, chambers):
-    cs, ch = curve_systems["S1"], chambers["S1"]
+def test_series_validation(curve_systems):
+    cs = curve_systems["S1"]
     with pytest.raises(ValueError):
-        theta_series(cs, ch, 0)
+        theta_series(cs, 0)
     with pytest.raises(ValueError):
-        xi_series(cs, ch, 7)
+        xi_series(cs, 7)
     with pytest.raises(ValueError):
-        big_nef_classes_of_square(cs, ch, -2)
+        big_nef_classes_of_square(cs, -2)
 
 
-def test_factored_display(curve_systems, chambers):
-    table = theta_series(curve_systems["S1"], chambers["S1"], 8)
+def test_factored_display(curve_systems):
+    table = theta_series(curve_systems["S1"], 8)
     assert table.factored_polynomial() == "T^2 + 6(T^4 + T^6)"
     assert table.as_polynomial() == "T^2 + 6T^4 + 6T^6"
