@@ -136,8 +136,13 @@ def chamber_vertices(lat: GramLattice, h, curves) -> ChamberDescription:
     Every (rho-1)-subset of curves whose common orthogonal complement has rank
     one contributes a candidate, oriented by H.v > 0; nef candidates must have
     positive square or the chamber is not compact (NonCompactChamberError).
-    More than MAX_CURVE_SUBSETS subsets raise CostLimitError before any is tried.
+    More than MAX_CURVE_SUBSETS subsets raise CostLimitError before any is tried;
+    an h of non-positive square raises ValueError.
     """
+    h = lat.check_vector(h)
+    h2 = square(lat, h)
+    if h2 <= 0:
+        raise ValueError("degree class must have positive square")
     rho = lat.rank
     subsets = math.comb(len(curves), rho - 1)
     if subsets > MAX_CURVE_SUBSETS:
@@ -175,7 +180,6 @@ def chamber_vertices(lat: GramLattice, h, curves) -> ChamberDescription:
             )
         vertices.append(ChamberVertex(coords=v, square=sq, degree=deg))
     vertices.sort(key=lambda vx: (vx.square, vx.degree, canonical_key(vx.coords)))
-    h2 = square(lat, h)
     ell = max(
         (Fraction(vx.degree ** 2, h2 * vx.square) for vx in vertices),
         default=Fraction(1),

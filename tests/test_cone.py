@@ -11,6 +11,7 @@ from helpers import (
 )
 
 from k3scan.cone import (
+    chamber_vertices,
     hyperbolic_ell,
     is_ample,
     is_nef,
@@ -225,3 +226,15 @@ def test_noncompact_chamber_detected(presets):
 def test_nonpositive_seed_rejected(presets):
     with pytest.raises(ValueError):
         vinberg_sieve(presets["S1"].lattice, (0, 1, 0), 4)
+
+
+def test_chamber_vertices_validates_seed(curve_systems):
+    cs = curve_systems["S1"]
+    for bad in ((0, 1, 0), (0, 0, 0)):  # square -2, square 0
+        with pytest.raises(ValueError, match="positive square"):
+            chamber_vertices(cs.lattice, bad, cs.curves)
+    with pytest.raises(ValueError, match="length"):
+        chamber_vertices(cs.lattice, cs.ample_seed[:2], cs.curves)
+    with pytest.raises(TypeError):
+        chamber_vertices(cs.lattice, tuple(map(float, cs.ample_seed)), cs.curves)
+    assert chamber_vertices(cs.lattice, list(cs.ample_seed), cs.curves) == cs.chamber

@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import unimodular_change
@@ -193,24 +195,37 @@ def small_hyperbolic_lattice(draw):
     """An even Gram of rank 2-3 and signature (1, rho-1) with 0 < |det| <= 30.
 
     Hyperbolic by construction: an even negative definite block N of rank
-    1-2, bordered by an integer row r, with an even corner 2a >= 0 (a > 0
-    when r = 0).  By interlacing the bordered Gram has at least rho-1
-    negative eigenvalues, and its det = det(N) * (2a + r^T (-N)^-1 r) is
-    non-zero, so the last eigenvalue is positive.  A random unimodular basis
-    change then scrambles the entries.
+    1-2 (diagonal -2..-8, off-diagonal in [-4, 4]), bordered by a row r in
+    [-4, 4], with an even corner 2a, 0 <= a <= 4 (a > 0 when r = 0).  By
+    interlacing the bordered Gram has at least rho-1 negative eigenvalues,
+    and |det| = 2a |det N| + (|det| at a = 0) is non-zero, so the last
+    eigenvalue is positive.  Only rows that leave room for some a under the
+    det bound are offered, and a is drawn inside the room left, so no draw
+    is rejected.  A random unimodular basis change then scrambles the
+    entries.  Every discriminant form reachable with diagonals in [-8, 8]
+    and off-diagonals in [-4, 4] is reachable here.
     """
-    b = draw(st.integers(1, 2))
+    b = draw(st.integers(1, 4))
     if draw(st.booleans()):
         block = [[-2 * b]]
     else:
-        e = draw(st.integers(1, 2))
-        c = draw(st.integers(-(2 * min(b, e) - 1), 2 * min(b, e) - 1))
+        e = draw(st.integers(1, 4))
+        m = min(4, isqrt(4 * b * e - 1))
+        c = draw(st.integers(-m, m))
         block = [[-2 * b, c], [c, -2 * e]]
-    border = [draw(st.integers(-2, 2)) for _ in block]
     n = 1 + len(block)
-    gram = [[2 * draw(st.integers(0 if any(border) else 1, 3))] + border]
-    gram += [[x] + row for x, row in zip(border, block)]
-    assume(abs(linalg.det(gram)) <= 30)
+    dn = abs(linalg.det(block))
+
+    def bordered(r, corner):
+        return [[corner, *r]] + [[x] + row for x, row in zip(r, block)]
+
+    rows = []
+    for r in itertools.product(sorted(range(-4, 5), key=abs), repeat=n - 1):
+        rest, lo = abs(linalg.det(bordered(r, 0))), 0 if any(r) else 1
+        if rest + 2 * lo * dn <= 30:
+            rows.append((r, lo, min(4, (30 - rest) // (2 * dn))))
+    r, lo, hi = draw(st.sampled_from(rows))
+    gram = bordered(r, 2 * draw(st.integers(lo, hi)))
     u, _ = draw(unimodular_change(n))
     return GramLattice(n, linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u)))
 
@@ -218,6 +233,9 @@ def small_hyperbolic_lattice(draw):
 @settings(max_examples=80, deadline=None)
 @given(small_hyperbolic_lattice())
 @example(GramLattice(3, [[-2, 1, 3], [1, -2, 1], [3, 1, -2]]))  # S4: an all-negative diagonal
+@example(GramLattice(2, [[0, 3], [3, 0]]))  # U(3): (Z/3)^2
+@example(GramLattice(2, [[0, 4], [4, 0]]))  # U(4): (Z/4)^2
+@example(GramLattice(2, [[2, 0], [0, -8]]))  # <2> + <-8>: Z/2 x Z/8
 def test_isotropic_elements_match_oracle_random_lattices(lat):
     # The oracle scans [0, |det|)^rho in numpy and knows nothing of the
     # generator form; both sides give dual classes as vectors in [0, 1)^rho.
