@@ -8,15 +8,22 @@ reports those whose instantiated matrix has rank at most the target, each
 identified against the catalog by isometry.identify_type.
 
 The search first compiles the template into int rows const + sum c_k x_k
-over the parameter order.  A constraint is the row lhs - rhs; it bounds the
-range of its last parameter (== fixes the value, <= clips the range by floor
-or ceiling division), so no assignment outside the constraints is visited.
+over the parameter order.  A constraint is the row lhs - rhs; it bounds every
+parameter it touches, at that parameter's depth, by floor or ceiling division:
+the earlier terms are set by then, and the later ones can reach only a range
+fixed by their domains.  So <= clips the range and == clips it from both
+sides; at the last parameter == fixes the value or leaves nothing.  No
+assignment outside the constraints is visited.
 
-Exhaustiveness under pruning: a matrix of rank <= r has every (r+1)-minor
-equal to zero, so the search may discard a partial assignment as soon as some
-fully determined (r+1)-minor is nonzero.  A minor is scheduled at the depth
-of the last parameter with a nonzero coefficient in its entries and memoized
-on the values of those parameters.
+Exhaustiveness under pruning: a matrix of rank <= r has every minor of order
+> r equal to zero, so the search may discard a partial assignment as soon as
+some fully determined principal minor of order r+1 or r+2 is nonzero.  For a
+symmetric matrix these suffice: it has rank <= r exactly when all of them
+vanish (take the Schur complement on a maximal nonsingular principal block),
+so nothing is lost once a block is fully set, and the final rank computation
+decides every leaf.  A minor is scheduled at the depth of the last parameter
+with a nonzero coefficient in its entries and memoized on the values of those
+parameters.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .errors import UsageError
@@ -36,8 +43,7 @@ _TERM = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class AffineExpr:
+class AffineExpr(NamedTuple):
     """Integer affine expression c0 + sum coeff_i * param_i."""
 
     const: int = 0
@@ -83,8 +89,7 @@ class AffineExpr:
         return self.const + sum(c * assignment[name] for name, c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     lhs: AffineExpr
     op: str  # "<=" or "=="
     rhs: AffineExpr
@@ -98,8 +103,7 @@ class Constraint:
         raise UsageError(f"constraint {text!r} must use <= or ==")
 
 
-@dataclass(frozen=True)
-class MatrixTemplate:
+class _TemplateFields(NamedTuple):
     size: int
     entries: tuple[tuple[AffineExpr, ...], ...]
     parameters: tuple[str, ...]
@@ -109,7 +113,14 @@ class MatrixTemplate:
     # the normalizations recovers exactly the orbit of the normalized set.
     symmetries: tuple[tuple[tuple[str, AffineExpr], ...], ...] = ()
 
-    def __post_init__(self):
+
+class MatrixTemplate(_TemplateFields):
+    """An immutable template, validated when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, size, entries, parameters, domains, constraints=(), symmetries=()):
+        self = super().__new__(cls, size, entries, parameters, domains, constraints, symmetries)
         n = self.size
         if n < 1:
             raise UsageError("size must be at least 1")
@@ -130,6 +141,12 @@ class MatrixTemplate:
             used |= c.lhs.params() | c.rhs.params()
         if not used <= known:
             raise UsageError(f"unknown parameters {sorted(used - known)}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """Validated like the constructor; `_replace` builds through here."""
+        return cls(*iterable)
 
     def instantiate(self, values) -> Matrix:
         assignment = dict(zip(self.parameters, values))
@@ -156,19 +173,10 @@ class MatrixTemplate:
         return seen
 
     def without_normalizations(self) -> "MatrixTemplate":
-        keep = tuple(c for c in self.constraints if c.op == "==")
-        return MatrixTemplate(
-            size=self.size,
-            entries=self.entries,
-            parameters=self.parameters,
-            domains=self.domains,
-            constraints=keep,
-            symmetries=self.symmetries,
-        )
+        return self._replace(constraints=tuple(c for c in self.constraints if c.op == "=="))
 
 
-@dataclass(frozen=True)
-class TemplateSolution:
+class TemplateSolution(NamedTuple):
     values: tuple[int, ...]
     rank: int
     matrix: Matrix
@@ -176,8 +184,7 @@ class TemplateSolution:
     identified: str | None
 
 
-@dataclass
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     name: str
     target_rank: int
     parameters: tuple[str, ...]
@@ -215,15 +222,22 @@ def _search_sequential(template: MatrixTemplate, target_rank: int, first_values=
     nparams = len(template.parameters)
     n = template.size
     order = {p: k for k, p in enumerate(template.parameters)}
-    # Compile: a constraint is the row lhs - rhs, applied as a bound on its
-    # last parameter; an entry is a row, filled in once its last parameter is set.
+    # Compile: a constraint is the row lhs - rhs, applied as a bound on each
+    # parameter it touches, at that parameter's depth: the earlier terms are
+    # set by then, and the later ones reach only [below, above] over their
+    # domains.  An entry is a row, filled in once its last parameter is set.
     bounds: list[list] = [[] for _ in range(nparams)]
     for c in template.constraints:
         const, terms = _int_row(((1, c.lhs), (-1, c.rhs)), order)
-        if terms:
-            bounds[terms[-1][0]].append((c.op, terms[-1][1], const, terms[:-1]))
-        elif not (const <= 0 if c.op == "<=" else const == 0):
+        if not terms and not (const <= 0 if c.op == "<=" else const == 0):
             return []
+        below = above = 0
+        for t in range(len(terms) - 1, -1, -1):
+            k, lead = terms[t]
+            bounds[k].append((lead, const, terms[:t], below, above if c.op == "==" else None))
+            lo, hi = template.domains[k]
+            below += min(lead * lo, lead * hi)
+            above += max(lead * lo, lead * hi)
     cur = [[0] * n for _ in range(n)]
     masks = [[0] * n for _ in range(n)]
     fills: list[list] = [[] for _ in range(nparams)]
@@ -238,25 +252,24 @@ def _search_sequential(template: MatrixTemplate, target_rank: int, first_values=
     minor_cache: dict = {}
     hits = []
 
-    def minor_ok(rows, cols, dep) -> bool:
-        key = (rows, cols, tuple(values[k] for k in dep))
+    def minor_ok(idx, dep) -> bool:
+        key = (idx, tuple(values[k] for k in dep))
         val = minor_cache.get(key)
         if val is None:
-            val = linalg.det([[cur[i][j] for j in cols] for i in rows])
+            val = linalg.det([[cur[i][j] for j in idx] for i in idx])
             minor_cache[key] = val
         return val == 0
 
-    # An (r+1)-minor is tested at the depth of the last parameter its entries
-    # use, memoized on the values of those parameters; minors of the last
-    # parameter are left to the final rank computation.
+    # A principal minor of order r+1 or r+2 is tested at the depth of the last
+    # parameter its entries use, memoized on the values of those parameters;
+    # minors of the last parameter are left to the final rank computation.
     minors: dict[int, list] = {}
-    subsets = list(itertools.combinations(range(n), target_rank + 1))
-    for rows in subsets:
-        for cols in subsets:
-            mask = functools.reduce(int.__or__, (masks[i][j] for i in rows for j in cols), 0)
+    for size in (target_rank + 1, target_rank + 2):
+        for idx in itertools.combinations(range(n), size):
+            mask = functools.reduce(int.__or__, (masks[i][j] for i in idx for j in idx), 0)
             if mask.bit_length() < nparams:
                 dep = tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
-                minors.setdefault(mask.bit_length() - 1, []).append((rows, cols, dep))
+                minors.setdefault(mask.bit_length() - 1, []).append((idx, dep))
     if not all(minor_ok(*m) for m in minors.get(-1, ())):
         return []
 
@@ -268,17 +281,22 @@ def _search_sequential(template: MatrixTemplate, target_rank: int, first_values=
                 hits.append((tuple(values), r, matrix))
             return
         lo, hi = template.domains[depth]
-        for op, lead, const, terms in bounds[depth]:
+        for lead, const, terms, below, above in bounds[depth]:
+            # rest + lead*x + (later terms, in [below, above]) <= 0, or == 0;
+            # for the last term below = above = 0, and a lead that does not
+            # divide -rest leaves the range empty.
             rest = const + sum(c * values[k] for k, c in terms)
-            if op == "==":  # lead * x + rest == 0
-                x, rem = divmod(-rest, lead)
-                if rem:
-                    return
-                lo, hi = max(lo, x), min(hi, x)
-            elif lead > 0:  # x <= floor(-rest / lead)
-                hi = min(hi, -rest // lead)
-            else:  # x >= ceil(-rest / lead)
-                lo = max(lo, -(rest // lead))
+            top = -rest - below  # lead*x <= top
+            if lead > 0:
+                hi = min(hi, top // lead)
+            else:
+                lo = max(lo, -(-top // lead))
+            if above is not None:  # ==: lead*x >= -rest - above
+                bottom = -rest - above
+                if lead > 0:
+                    lo = max(lo, -(-bottom // lead))
+                else:
+                    hi = min(hi, bottom // lead)
         candidates = range(lo, hi + 1)
         if first_values is not None and depth == 0:
             candidates = [v for v in first_values if lo <= v <= hi]
@@ -368,8 +386,14 @@ def template_from_dict(data) -> tuple[MatrixTemplate, int]:
         if not isinstance(parameters, list) or not all(isinstance(p, str) for p in parameters):
             raise UsageError(f"parameters must be a list of names, got {parameters!r}")
         parameters = tuple(parameters)
+        unlisted = set(domains_map) - set(parameters)
+        if unlisted:
+            raise UsageError(f"domains name parameters that are not listed: {sorted(unlisted)}")
         domains = tuple(domains_map[p] for p in parameters)
-        constraints = tuple(Constraint.parse(c) for c in data.get("normalize", []))
+        normalize = data.get("normalize", [])
+        if not isinstance(normalize, list) or not all(isinstance(c, str) for c in normalize):
+            raise UsageError(f"normalize must be a list of constraint strings, got {normalize!r}")
+        constraints = tuple(Constraint.parse(c) for c in normalize)
         target_rank = linalg.strict_int(data["target_rank"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad template document: {exc}") from exc
@@ -393,8 +417,7 @@ def _grid(rows) -> tuple[tuple[AffineExpr, ...], ...]:
     return tuple(tuple(AffineExpr.parse(cell) for cell in row) for row in rows)
 
 
-@dataclass(frozen=True)
-class BuiltinSearch:
+class BuiltinSearch(NamedTuple):
     template: MatrixTemplate
     target_rank: int
     expected: tuple[tuple[int, ...], ...]

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .enumeration import DegreeCoset
@@ -28,8 +28,7 @@ from .linalg import Matrix, Vector, canonical_key
 MAX_CURVE_SUBSETS = 200_000
 
 
-@dataclass(frozen=True)
-class CurveSystem:
+class CurveSystem(NamedTuple):
     lattice: GramLattice
     ample_seed: Vector
     curves: tuple[Vector, ...]
@@ -40,15 +39,13 @@ class CurveSystem:
         return tuple(bilinear(self.lattice, self.ample_seed, c) for c in self.curves)
 
 
-@dataclass(frozen=True)
-class ChamberVertex:
+class ChamberVertex(NamedTuple):
     coords: Vector
     square: int
     degree: int
 
 
-@dataclass(frozen=True)
-class ChamberDescription:
+class ChamberDescription(NamedTuple):
     vertices: tuple[ChamberVertex, ...]
     ell: Fraction
 

@@ -26,7 +26,6 @@ centre c over a denominator den.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
@@ -37,7 +36,6 @@ from .lattice import GramLattice
 from .linalg import Vector, canonical_key
 
 
-@dataclass
 class EnumerationStats:
     """Work counters of the kernel, filled in only when one is passed in.
 
@@ -47,9 +45,23 @@ class EnumerationStats:
     coset {H.D = k}, so every one is integral and `lifts_discarded` stays 0.
     """
 
-    lifts_tried: int = 0
-    lifts_discarded: int = 0
-    nodes: int = 0
+    __slots__ = ("lifts_tried", "lifts_discarded", "nodes")
+
+    def __init__(self, lifts_tried: int = 0, lifts_discarded: int = 0, nodes: int = 0):
+        self.lifts_tried = lifts_tried
+        self.lifts_discarded = lifts_discarded
+        self.nodes = nodes
+
+    def _counts(self) -> tuple[int, int, int]:
+        return self.lifts_tried, self.lifts_discarded, self.nodes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._counts() == other._counts()
+
+    def __repr__(self) -> str:
+        return "EnumerationStats(lifts_tried={}, lifts_discarded={}, nodes={})".format(*self._counts())
 
 
 def _cholesky(q):

@@ -9,9 +9,9 @@ All arithmetic is exact (ints and Fractions).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import CostLimitError, InvalidLatticeError
 from . import linalg
@@ -21,40 +21,46 @@ from .linalg import Matrix, Vector, freeze_matrix
 MAX_SCANNED_ELEMENTS = 2_000_000
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class _LatticeFields(NamedTuple):
     rank: int
     gram: Matrix
     basis_labels: tuple[str, ...] = ()
 
-    def __post_init__(self):
+
+class GramLattice(_LatticeFields):
+    """An immutable record, validated when it is built; `gram` is stored as int tuples."""
+
+    __slots__ = ()
+
+    def __new__(cls, rank: int, gram, basis_labels=()):
         try:
-            linalg.strict_int(self.rank)
-            gram = freeze_matrix(self.gram)
+            linalg.strict_int(rank)
+            gram = freeze_matrix(gram)
         except TypeError as exc:
             raise InvalidLatticeError(str(exc)) from exc
-        object.__setattr__(self, "gram", gram)
-        if self.rank < 1 or len(gram) != self.rank:
+        if rank < 1 or len(gram) != rank:
             raise InvalidLatticeError("rank does not match the Gram matrix size")
         if not linalg.is_symmetric(gram):
             raise InvalidLatticeError("Gram matrix must be symmetric")
-        if any(gram[i][i] % 2 != 0 for i in range(self.rank)):
+        if any(gram[i][i] % 2 != 0 for i in range(rank)):
             raise InvalidLatticeError("Gram matrix must have even diagonal")
         if linalg.det(gram) == 0:
             raise InvalidLatticeError("Gram matrix is singular")
-        if not self.basis_labels:
-            object.__setattr__(
-                self, "basis_labels", tuple(f"e{i + 1}" for i in range(self.rank))
-            )
-        elif len(self.basis_labels) != self.rank:
+        if not basis_labels:
+            basis_labels = tuple(f"e{i + 1}" for i in range(rank))
+        elif len(basis_labels) != rank:
             raise InvalidLatticeError("wrong number of basis labels")
-        else:
-            object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
-        pos, neg, zero = signature(self)
-        if (pos, neg, zero) != (1, self.rank - 1, 0):
+        pos, neg, zero = signature(gram)
+        if (pos, neg, zero) != (1, rank - 1, 0):
             raise InvalidLatticeError(
-                f"signature is ({pos},{neg},{zero}), expected (1,{self.rank - 1},0)"
+                f"signature is ({pos},{neg},{zero}), expected (1,{rank - 1},0)"
             )
+        return super().__new__(cls, rank, gram, tuple(basis_labels))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Validated like the constructor; `_replace` builds through here."""
+        return cls(*iterable)
 
     def det(self) -> int:
         return linalg.det(self.gram)
@@ -133,8 +139,7 @@ def is_primitive(v) -> bool:
     return g == 1
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(NamedTuple):
     """The finite quadratic form (NS*/NS, q) of an even lattice.
 
     `invariant_factors` lists the cyclic orders > 1; `generator_lifts` are

@@ -9,15 +9,14 @@ identify_type and probed by the discriminant machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lattice import GramLattice
 from .linalg import Vector
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     name: str
     lattice: GramLattice
     ample: Vector | None = None

@@ -16,9 +16,9 @@ by xi(d) = sum over m^2 | d of theta(d/m^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import linalg
 from .cone import CurveSystem
@@ -28,8 +28,7 @@ from .lattice import GramLattice, is_primitive, square
 from .linalg import Vector
 
 
-@dataclass
-class SeriesTable:
+class SeriesTable(NamedTuple):
     kind: str  # "theta" or "xi"
     max_square: int
     coefficients: dict[int, int]

@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -186,6 +188,13 @@ def test_custom_template_roundtrip(tmp_path):
     assert set(result.value_tuples()) == {(0,), (1,)}
 
 
+def test_template_pickles_by_value():
+    # --jobs sends the template to its pool workers; unpickling re-validates it.
+    for bs in builtin_searches().values():
+        copy = pickle.loads(pickle.dumps(bs.template))
+        assert copy == bs.template and type(copy) is MatrixTemplate
+
+
 def test_jobs_do_not_change_results():
     bs = builtin_searches()["S6"]
     seq = search_template(bs.template, bs.target_rank, name="S6", jobs=1)
@@ -269,8 +278,32 @@ PINNED = MatrixTemplate(
 )
 
 
+
+
+def _pinned(domains, *constraints):
+    return MatrixTemplate(
+        size=2, entries=PINNED.entries, parameters=PINNED.parameters, domains=domains,
+        constraints=tuple(map(Constraint.parse, constraints)),
+    )
+
+
+# Rows whose later terms clip an earlier parameter: p1 in [0, 1] leaves p0 only
+# 2 or 3 in p0+p1==3; the lead -2 makes the bound on p0 a ceiling (<=) and a
+# ceiling and a floor (==); -p1 makes the later terms reach [-2, 0].
+CLIPPING_PINS = (
+    _pinned(((-3, 3), (0, 1)), "p0+p1==3"),
+    _pinned(((-3, 3), (0, 2)), "-2*p0+p1<=-3"),
+    _pinned(((-3, 3), (0, 2)), "-2*p0+p1==-3"),
+    _pinned(((-3, 3), (0, 2)), "2*p0-p1==1"),
+)
+
+
 @given(small_templates())
 @example((PINNED, 1))
+@example((CLIPPING_PINS[0], 1))
+@example((CLIPPING_PINS[1], 1))
+@example((CLIPPING_PINS[2], 1))
+@example((CLIPPING_PINS[3], 1))
 @settings(max_examples=300, deadline=None)
 def test_compiled_search_matches_brute_force(case):
     template, target_rank = case
@@ -282,3 +315,21 @@ def test_compiled_search_matches_brute_force(case):
         evens = [v for v in range(lo, hi + 1) if v % 2 == 0]
         part = _search_sequential(template, rank, first_values=evens)
         assert part == [h for h in expected if h[0][0] % 2 == 0]
+
+
+def test_rows_clip_earlier_parameters():
+    # With one row over box domains the clip is exact, so at full rank (no
+    # minor prunes) the search sets p0 only to values that some solution has.
+    for template in CLIPPING_PINS:
+        entered = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "descend" and frame.f_locals["depth"] == 1:
+                entered.append(frame.f_locals["values"][0])
+
+        sys.setprofile(profile)
+        try:
+            hits = _search_sequential(template, template.size)
+        finally:
+            sys.setprofile(None)
+        assert entered == sorted({h[0][0] for h in hits}), template.constraints

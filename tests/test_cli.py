@@ -183,6 +183,11 @@ def test_exit_code_usage_errors(tmp_path):
         # A string used to be split into one-letter parameter names.
         ({"parameters": "ab", "domains": {"a": [0, 1], "b": [0, 1]}}, "list of names"),
         ({"parameters": [1, 2]}, "list of names"),
+        # A string used to be read character by character, and [3] to raise a TypeError.
+        ({"normalize": "a<=1"}, "normalize must be a list of constraint strings"),
+        ({"normalize": [3]}, "normalize must be a list of constraint strings"),
+        # A domain of no listed parameter used to be dropped without a word.
+        ({"parameters": ["a"], "domains": {"a": [0, 1], "b": [0, 1]}}, "not listed: ['b']"),
     ):
         path.write_text(json.dumps({**good, **change}))
         code, text = invoke("classify", "--custom", str(path))
@@ -539,6 +544,8 @@ def test_invariant_checks_survive_optimize_flag():
 MODULES_SCRIPT = """
 import contextlib, io, json, sys
 pool_before = "multiprocessing" in sys.modules
+# dataclasses imports inspect, which imports ast, dis and tokenize: ~10 ms cold.
+slow_before = {m for m in ("dataclasses", "inspect") if m in sys.modules}
 def loaded():
     return sorted(m for m in sys.modules if m == "k3scan" or m.startswith("k3scan."))
 import k3scan
@@ -550,6 +557,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({
     "package": package, "cli": cli, "command": loaded(), "code": code,
     "pool": "multiprocessing" in sys.modules and not pool_before,
+    "slow": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules and m not in slow_before),
 }))
 """
 CLI_MODULES = {"k3scan", "k3scan.cli", "k3scan.errors"}
@@ -573,6 +581,7 @@ def test_each_command_loads_only_its_modules():
         assert got["cli"] == sorted(CLI_MODULES), got["cli"]
         assert got["command"] == sorted(expected), (argv, got["command"])
         assert not got["pool"], argv
+        assert got["slow"] == [], (argv, got["slow"])
         if argv[0] == "disc":  # the template search stays out of disc
             assert "k3scan.classify" not in got["command"]
 

@@ -5,6 +5,13 @@ import pytest
 import k3scan
 import k3scan.classify
 import k3scan.isometry
+from k3scan.classify import builtin_searches, search_template
+from k3scan.cone import vinberg_sieve
+from k3scan.enumeration import EnumerationStats
+from k3scan.errors import InvalidLatticeError, UsageError
+from k3scan.lattice import GramLattice, discriminant_group
+from k3scan.presets import Preset
+from k3scan.series import theta_series
 
 
 def test_every_public_name_is_its_modules_object():
@@ -29,3 +36,58 @@ def test_identify_type_lives_in_isometry():
     assert k3scan.classify.identify_type is k3scan.isometry.identify_type
     assert k3scan.identify_type is k3scan.isometry.identify_type
     assert k3scan.identify_type.__module__ == "k3scan.isometry"
+
+
+def _records():
+    """One of each public record, built from scratch by the library."""
+    lat = GramLattice(rank=3, gram=((12, 0, 0), (0, -2, 1), (0, 1, -2)))
+    cs = vinberg_sieve(lat, (1, -2, -2), 4)
+    bs = builtin_searches()["S3"]
+    result = search_template(bs.template, bs.target_rank, name="S3")
+    return {
+        "GramLattice": lat,
+        "DiscriminantGroup": discriminant_group(lat),
+        "Preset": Preset(name="S3", lattice=lat, ample=(1, -2, -2), kmax=4),
+        "CurveSystem": cs,
+        "ChamberDescription": cs.chamber,
+        "ChamberVertex": cs.chamber.vertices[0],
+        "SeriesTable": theta_series(cs, 12),
+        "BuiltinSearch": bs,
+        "MatrixTemplate": bs.template,
+        "AffineExpr": bs.template.entries[0][2],
+        "Constraint": bs.template.constraints[0],
+        "ClassificationResult": result,
+        "TemplateSolution": result.solutions[0],
+    }
+
+
+def test_records_are_immutable_values():
+    first, second = _records(), _records()
+    for name, a in first.items():
+        b = second[name]
+        assert type(a).__name__ == name
+        assert a == b and a is not b, name
+        if name != "SeriesTable":  # its coefficients are a dict
+            assert hash(a) == hash(b), name
+        with pytest.raises(AttributeError):
+            setattr(a, a._fields[0], None)
+        with pytest.raises(AttributeError):
+            a.not_a_field = None
+    assert first["ChamberVertex"] != first["CurveSystem"].chamber.vertices[1]
+    lat = first["GramLattice"]
+    assert lat != lat._replace(basis_labels=("L", "A1", "A2"))
+    # _replace validates as the constructor does.
+    with pytest.raises(InvalidLatticeError, match="even diagonal"):
+        lat._replace(gram=((1, 0, 0), (0, -2, 1), (0, 1, -2)))
+    with pytest.raises(UsageError, match="unknown parameters"):
+        first["MatrixTemplate"]._replace(parameters=("b",), domains=((0, 2),))
+
+
+def test_enumeration_stats_count_by_value():
+    stats = EnumerationStats()
+    assert (stats.lifts_tried, stats.lifts_discarded, stats.nodes) == (0, 0, 0)
+    stats.nodes += 2
+    assert stats == EnumerationStats(nodes=2) != EnumerationStats()
+    assert repr(stats) == "EnumerationStats(lifts_tried=0, lifts_discarded=0, nodes=2)"
+    with pytest.raises(AttributeError):
+        stats.not_a_counter = 1
