@@ -21,9 +21,9 @@ _EXPORTS = {
     ),
     "cone": (
         "ChamberDescription", "ChamberVertex", "CurveSystem", "chamber_vertices",
-        "hyperbolic_ell", "is_ample", "is_nef", "vinberg_sieve",
+        "hyperbolic_ell", "is_ample", "vinberg_sieve",
     ),
-    "enumeration": ("EnumerationStats", "classes_with_square_and_degree", "vectors_of_norm"),
+    "enumeration": ("EnumerationStats",),
     "errors": (
         "CostLimitError", "IncompleteSieveError", "InvalidLatticeError",
         "K3ScanError", "NonCompactChamberError", "UsageError", "WallError",
@@ -36,8 +36,7 @@ _EXPORTS = {
     ),
     "presets": ("Preset", "catalog", "sieve_presets"),
     "series": (
-        "SeriesTable", "big_nef_classes_of_square", "degree_bound", "theta_series",
-        "xi_series",
+        "SeriesTable", "degree_bound", "theta_series", "xi_series",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

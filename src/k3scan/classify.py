@@ -1,11 +1,11 @@
 """Parametric intersection-matrix searches.
 
 A MatrixTemplate is a symmetric matrix whose cells are affine expressions in
-named integer parameters, together with finite domains, normalization
-constraints ("a<=2", "a1+b1+c1+d1==16") and optional swap symmetries.
-search_template enumerates every assignment satisfying the constraints and
-reports those whose instantiated matrix has rank at most the target, each
-identified against the catalog by isometry.identify_type.
+named integer parameters, together with finite domains and normalization
+constraints ("a<=2", "a1+b1+c1+d1==16").  search_template enumerates every
+assignment satisfying the constraints and reports those whose instantiated
+matrix has rank at most the target, each identified against the catalog by
+isometry.identify_type.
 
 The search first compiles the template into int rows const + sum c_k x_k
 over the parameter order.  A constraint is the row lhs - rhs; it bounds every
@@ -109,9 +109,6 @@ class _TemplateFields(NamedTuple):
     parameters: tuple[str, ...]
     domains: tuple[tuple[int, int], ...]  # inclusive, aligned with parameters
     constraints: tuple[Constraint, ...] = ()
-    # Each symmetry maps parameter -> expression; used to test that dropping
-    # the normalizations recovers exactly the orbit of the normalized set.
-    symmetries: tuple[tuple[tuple[str, AffineExpr], ...], ...] = ()
 
 
 class MatrixTemplate(_TemplateFields):
@@ -119,8 +116,8 @@ class MatrixTemplate(_TemplateFields):
 
     __slots__ = ()
 
-    def __new__(cls, size, entries, parameters, domains, constraints=(), symmetries=()):
-        self = super().__new__(cls, size, entries, parameters, domains, constraints, symmetries)
+    def __new__(cls, size, entries, parameters, domains, constraints=()):
+        self = super().__new__(cls, size, entries, parameters, domains, constraints)
         n = self.size
         if n < 1:
             raise UsageError("size must be at least 1")
@@ -153,27 +150,6 @@ class MatrixTemplate(_TemplateFields):
         return tuple(
             tuple(e.evaluate(assignment) for e in row) for row in self.entries
         )
-
-    def orbit(self, values) -> set[tuple[int, ...]]:
-        """Closure of a parameter tuple under the declared swap symmetries."""
-        maps = [dict(sym) for sym in self.symmetries]
-        seen = {tuple(values)}
-        queue = [tuple(values)]
-        while queue:
-            current = queue.pop()
-            assignment = dict(zip(self.parameters, current))
-            for mapping in maps:
-                image = tuple(
-                    mapping[p].evaluate(assignment) if p in mapping else assignment[p]
-                    for p in self.parameters
-                )
-                if image not in seen:
-                    seen.add(image)
-                    queue.append(image)
-        return seen
-
-    def without_normalizations(self) -> "MatrixTemplate":
-        return self._replace(constraints=tuple(c for c in self.constraints if c.op == "=="))
 
 
 class TemplateSolution(NamedTuple):
@@ -372,9 +348,10 @@ def template_from_dict(data) -> tuple[MatrixTemplate, int]:
     """
     try:
         size = linalg.strict_int(data["size"])
-        entries = tuple(
-            tuple(AffineExpr.parse(cell) for cell in row) for row in data["entries"]
-        )
+        rows = data["entries"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise UsageError("entries must be a list of rows, each a list of cells")
+        entries = tuple(tuple(AffineExpr.parse(cell) for cell in row) for row in rows)
         if not isinstance(data["domains"], dict):
             raise UsageError("domains must map each parameter to [lo, hi]")
         domains_map = {}
@@ -409,10 +386,6 @@ def template_from_dict(data) -> tuple[MatrixTemplate, int]:
     )
 
 
-def _sym(*pairs) -> tuple[tuple[str, AffineExpr], ...]:
-    return tuple((name, AffineExpr.parse(expr)) for name, expr in pairs)
-
-
 def _grid(rows) -> tuple[tuple[AffineExpr, ...], ...]:
     return tuple(tuple(AffineExpr.parse(cell) for cell in row) for row in rows)
 
@@ -441,7 +414,6 @@ def builtin_searches() -> dict[str, BuiltinSearch]:
             parameters=("a", "b", "c"),
             domains=((0, 4), (0, 4), (0, 4)),
             constraints=(Constraint.parse("a<=2"), Constraint.parse("b<=2")),
-            symmetries=(_sym(("a", "4-a"), ("c", "4-c")), _sym(("b", "4-b"), ("c", "4-c"))),
         ),
         target_rank=3,
         expected=((0, 0, 4),),
@@ -468,12 +440,6 @@ def builtin_searches() -> dict[str, BuiltinSearch]:
                 Constraint.parse("a1<=b1"),
                 Constraint.parse("a2<=b2"),
             ),
-            symmetries=(
-                _sym(("a1", "b1"), ("b1", "a1"), ("c1", "d1"), ("d1", "c1"),
-                     ("a3", "c3"), ("c3", "a3"), ("b3", "d3"), ("d3", "b3")),
-                _sym(("a2", "b2"), ("b2", "a2"), ("c2", "d2"), ("d2", "c2"),
-                     ("a3", "b3"), ("b3", "a3"), ("c3", "d3"), ("d3", "c3")),
-            ),
         ),
         target_rank=3,
         expected=((1, 7, 7, 1, 1, 7, 7, 1, 7, 1, 1, 7),),
@@ -491,7 +457,6 @@ def builtin_searches() -> dict[str, BuiltinSearch]:
             parameters=("a",),
             domains=((0, 2),),
             constraints=(Constraint.parse("a<=1"),),
-            symmetries=(_sym(("a", "2-a")),),
         ),
         target_rank=3,
         expected=((0,), (1,)),
@@ -509,7 +474,6 @@ def builtin_searches() -> dict[str, BuiltinSearch]:
             parameters=("t",),
             domains=((0, 2),),
             constraints=(Constraint.parse("t<=1"),),
-            symmetries=(_sym(("t", "2-t")),),
         ),
         target_rank=3,
         expected=((0,), (1,)),
@@ -527,7 +491,6 @@ def builtin_searches() -> dict[str, BuiltinSearch]:
             parameters=("s",),
             domains=((0, 1),),
             constraints=(Constraint.parse("s<=0"),),
-            symmetries=(_sym(("s", "1-s")),),
         ),
         target_rank=3,
         expected=((0,),),
@@ -547,7 +510,6 @@ def builtin_searches() -> dict[str, BuiltinSearch]:
             parameters=("u", "v", "a"),
             domains=((0, 6), (0, 6), (0, 9)),
             constraints=(Constraint.parse("u<=3"), Constraint.parse("v<=3")),
-            symmetries=(_sym(("u", "6-u"), ("a", "9-a")), _sym(("v", "6-v"), ("a", "9-a"))),
         ),
         target_rank=3,
         expected=((1, 1, 9),),
@@ -567,11 +529,6 @@ def builtin_searches() -> dict[str, BuiltinSearch]:
             parameters=("p", "q", "r"),
             domains=((0, 1), (0, 1), (0, 1)),
             constraints=(Constraint.parse("p<=0"), Constraint.parse("q<=0")),
-            symmetries=(
-                _sym(("p", "1-p"), ("q", "1-q")),
-                _sym(("p", "1-p"), ("r", "1-r")),
-                _sym(("q", "1-q"), ("r", "1-r")),
-            ),
         ),
         target_rank=4,
         expected=((0, 0, 0), (0, 0, 1)),
@@ -596,12 +553,6 @@ def builtin_searches() -> dict[str, BuiltinSearch]:
                 Constraint.parse("a<=2"),
                 Constraint.parse("b<=2"),
                 Constraint.parse("u<=1"),
-            ),
-            symmetries=(
-                _sym(("a", "4-a"), ("b", "4-b"), ("u", "2-u")),
-                _sym(("a", "4-a"), ("c", "4-c"), ("v", "2-v")),
-                _sym(("b", "4-b"), ("c", "4-c"), ("w", "2-w")),
-                _sym(("u", "2-u"), ("v", "2-v"), ("w", "2-w")),
             ),
         ),
         target_rank=4,

@@ -64,13 +64,6 @@ def hyperbolic_ell(lat: GramLattice, d, d2) -> Fraction:
     return Fraction(bilinear(lat, d, d2) ** 2, a * b)
 
 
-def is_nef(cs: CurveSystem, d) -> bool:
-    """Non-negative square and non-negative degree on every curve."""
-    return square(cs.lattice, d) >= 0 and all(
-        bilinear(cs.lattice, d, c) >= 0 for c in cs.curves
-    )
-
-
 def is_ample(cs: CurveSystem, d) -> bool:
     """Positive square and strictly positive degree on every curve."""
     return square(cs.lattice, d) > 0 and all(

@@ -7,21 +7,17 @@ scale*Q(x) = sum_i t_i*(m_i*x_i + sum_{j>i} n_ij*x_j)^2, and the kernel lists
 every integer x with lo <= scale*den^2*Q(x - c/den) <= hi, for an integer
 centre c over a denominator den.
 
-* `vectors_of_norm` enumerates the vectors of one square in a negative
-  definite lattice: centre 0 and lo = hi.
-
-* `DegreeCoset` is built once per lattice and H of positive square.  Its
-  `classes(k, lo, hi, walls)` finds every class D with H.D = k, D^2 in a
-  closed range and D.r >= 0 for each wall row r.  Those classes form the coset
-  D0 + h^perp, where D0 = (k/g)*u for a point u with H.u = g, the gcd of the
-  entries of G.H; when g does not divide k there are none.  Over a basis B of
-  h^perp, D = D0 + B*x has D^2 = k^2/H^2 - Q(x - c), where Q is the opposite
-  form on h^perp and B*c is minus the projection of D0 to h^perp.  The kernel
-  walks that coset directly, so every solution is an integral class and none
-  is thrown away.  A wall row r becomes the half-space
-  (B^T r).x + D0.r >= 0, which clips the innermost coordinate's range, so a
-  class on the wrong side of a wall is never built.
-  `classes_with_square_and_degree` is the range [d, d] with no walls.
+`DegreeCoset` is built once per lattice and H of positive square.  Its
+`classes(k, lo, hi, walls)` finds every class D with H.D = k, D^2 in a
+closed range and D.r >= 0 for each wall row r.  Those classes form the coset
+D0 + h^perp, where D0 = (k/g)*u for a point u with H.u = g, the gcd of the
+entries of G.H; when g does not divide k there are none.  Over a basis B of
+h^perp, D = D0 + B*x has D^2 = k^2/H^2 - Q(x - c), where Q is the opposite
+form on h^perp and B*c is minus the projection of D0 to h^perp.  The kernel
+walks that coset directly, so every solution is an integral class and none
+is thrown away.  A wall row r becomes the half-space
+(B^T r).x + D0.r >= 0, which clips the innermost coordinate's range, so a
+class on the wrong side of a wall is never built.
 """
 
 from __future__ import annotations
@@ -42,26 +38,19 @@ class EnumerationStats:
     `nodes` counts branch-and-bound nodes visited.  `lifts_tried` counts the
     classes built from kernel solutions; with walls, only those that pass the
     clip are built, so only they are counted.  The kernel is centred on the
-    coset {H.D = k}, so every one is integral and `lifts_discarded` stays 0.
+    coset {H.D = k}, so every class built is integral and none is discarded.
     """
 
-    __slots__ = ("lifts_tried", "lifts_discarded", "nodes")
+    __slots__ = ("lifts_tried", "nodes")
 
-    def __init__(self, lifts_tried: int = 0, lifts_discarded: int = 0, nodes: int = 0):
+    def __init__(self, lifts_tried: int = 0, nodes: int = 0):
         self.lifts_tried = lifts_tried
-        self.lifts_discarded = lifts_discarded
         self.nodes = nodes
-
-    def _counts(self) -> tuple[int, int, int]:
-        return self.lifts_tried, self.lifts_discarded, self.nodes
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._counts() == other._counts()
-
-    def __repr__(self) -> str:
-        return "EnumerationStats(lifts_tried={}, lifts_discarded={}, nodes={})".format(*self._counts())
+        return (self.lifts_tried, self.nodes) == (other.lifts_tried, other.nodes)
 
 
 def _cholesky(q):
@@ -179,29 +168,6 @@ def _shell(form, centre, den: int, lo: int, hi: int, stats: EnumerationStats | N
     return out
 
 
-def vectors_of_norm(neg_def_gram, n: int) -> list[Vector]:
-    """Complete list of vectors v with v^T G v == n in a negative definite lattice.
-
-    The list is duplicate-free, closed under negation and canonically ordered.
-    n = 0 admits only the zero vector, which is excluded from the output.
-    """
-    gram = linalg.freeze_matrix(neg_def_gram)
-    if not linalg.is_symmetric(gram):
-        raise ValueError("Gram matrix must be symmetric")
-    size = len(gram)
-    try:
-        form = _scaled_form([[-gram[i][j] for j in range(size)] for i in range(size)])
-    except ValueError:
-        raise ValueError("form is not negative definite") from None
-    if n > 0:
-        raise ValueError("a negative definite form takes no positive values")
-    if n == 0:
-        return []
-    value = -n * form[4]
-    sols = _shell(form, [0] * size, 1, value, value, None)
-    return sorted((v for v, _ in sols), key=canonical_key)
-
-
 class DegreeCoset:
     """The classes of each degree against one H of positive square, in the kernel's terms.
 
@@ -266,16 +232,3 @@ class DegreeCoset:
             stats.lifts_tried += len(out)
         out.sort(key=lambda item: canonical_key(item[1]))
         return out
-
-
-def classes_with_square_and_degree(
-    lat: GramLattice,
-    h,
-    d: int,
-    k: int,
-    stats: EnumerationStats | None = None,
-) -> list[Vector]:
-    """All classes D with D^2 = d and H.D = k, for H of positive square, in canonical order."""
-    if d % 2 != 0:
-        raise ValueError("square must be even in an even lattice")
-    return [cls for _, cls in DegreeCoset(lat, h).classes(k, d, d, stats=stats)]

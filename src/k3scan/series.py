@@ -97,13 +97,6 @@ def big_nef_classes_by_square(cs: CurveSystem, lo: int, hi: int) -> dict[int, li
     return out
 
 
-def big_nef_classes_of_square(cs: CurveSystem, d: int) -> list[Vector]:
-    """All big-and-nef classes of square d, complete by the chamber radius bound."""
-    if d % 2 != 0 or d <= 0:
-        raise ValueError("square must be a positive even integer")
-    return big_nef_classes_by_square(cs, d, d).get(d, [])
-
-
 def theta_series(cs: CurveSystem, max_square: int) -> SeriesTable:
     """Counts of primitive big-and-nef classes for each even square up to max_square."""
     _check_max_square(max_square)

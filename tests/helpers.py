@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from k3scan import linalg
+from k3scan.classify import AffineExpr
 
 
 @st.composite
@@ -179,3 +180,37 @@ PUBLISHED_VERTEX_STATS = {
     "L24": sorted([(14, 7)] * 2 + [(28, 14)] * 6),
     "L27": sorted([(60, 30)] * 12),
 }
+
+# Swap symmetries of five built-in templates, each a map parameter ->
+# expression in the old values.  Dropping a template's normalizations must
+# recover exactly the orbit of its published solutions under them.
+TEMPLATE_SYMMETRIES = {
+    "S1": ({"a": "4-a", "c": "4-c"}, {"b": "4-b", "c": "4-c"}),
+    "S3": ({"a": "2-a"},),
+    "S4": ({"t": "2-t"},),
+    "S6": ({"u": "6-u", "a": "9-a"}, {"v": "6-v", "a": "9-a"}),
+    "L27": (
+        {"a": "4-a", "b": "4-b", "u": "2-u"},
+        {"a": "4-a", "c": "4-c", "v": "2-v"},
+        {"b": "4-b", "c": "4-c", "w": "2-w"},
+        {"u": "2-u", "v": "2-v", "w": "2-w"},
+    ),
+}
+
+
+def orbit(parameters, symmetries, values):
+    """Closure of a parameter tuple under swap symmetries (maps parameter -> expression)."""
+    maps = [{p: AffineExpr.parse(e) for p, e in sym.items()} for sym in symmetries]
+    seen = {tuple(values)}
+    queue = [tuple(values)]
+    while queue:
+        assignment = dict(zip(parameters, queue.pop()))
+        for mapping in maps:
+            image = tuple(
+                mapping[p].evaluate(assignment) if p in mapping else assignment[p]
+                for p in parameters
+            )
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return seen

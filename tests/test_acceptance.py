@@ -25,7 +25,7 @@ from oracle import box_scan_big_nef_count, box_scan_classes, scan_isotropic_dual
 from k3scan.classify import builtin_searches, search_template
 from k3scan.cli import run as cli_run
 from k3scan.cone import hyperbolic_ell
-from k3scan.enumeration import classes_with_square_and_degree
+from k3scan.enumeration import DegreeCoset
 from k3scan.isometry import isometry_small
 from k3scan.lattice import (
     GramLattice,
@@ -34,7 +34,7 @@ from k3scan.lattice import (
     overlattice_from_isotropic,
     square,
 )
-from k3scan.series import big_nef_classes_of_square, theta_series, xi_series
+from k3scan.series import big_nef_classes_by_square, theta_series, xi_series
 
 SIEVE_NAMES = ("S1", "S2", "S3", "S4", "S5", "S6", "L24", "L27")
 
@@ -91,12 +91,12 @@ def test_criterion_02_linear_relations(curve_systems):
 def test_criterion_03_minimal_polarizations(curve_systems):
     ok = True
     for name in ("S1", "S4", "S5", "S6", "L27"):
-        if len(big_nef_classes_of_square(curve_systems[name], 2)) != 1:
+        if len(big_nef_classes_by_square(curve_systems[name], 2, 2).get(2, [])) != 1:
             ok = False
     for name in ("S2", "S3"):
-        if big_nef_classes_of_square(curve_systems[name], 2) != []:
+        if big_nef_classes_by_square(curve_systems[name], 2, 2).get(2, []) != []:
             ok = False
-        if len(big_nef_classes_of_square(curve_systems[name], 4)) != 1:
+        if len(big_nef_classes_by_square(curve_systems[name], 4, 4).get(4, [])) != 1:
             ok = False
     check(3, "unique minimal polarizations at the published squares", ok)
 
@@ -297,9 +297,10 @@ def test_criterion_12_enumeration_oracle(curve_systems):
     for name in SIEVE_NAMES:
         cs = curve_systems[name]
         lat, h = cs.lattice, cs.ample_seed
+        coset = DegreeCoset(lat, h)
         for d in (-2, 2, 4, 6, 8, 10, 12):
             for k in range(0 if d == -2 else 1, 13):
-                got = sorted(classes_with_square_and_degree(lat, h, d, k))
+                got = sorted(cls for _, cls in coset.classes(k, d, d))
                 if got != box_scan_classes(lat, h, d, k):
                     ok = False
     check(12, "square-and-degree enumeration equals the naive box scan on all cells with degree <= 12", ok)

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import PUBLISHED_CURVE_GRAMS
+from helpers import (
+    PUBLISHED_CURVE_GRAMS,
+    TEMPLATE_SYMMETRIES,
+    gram_permutation_equivalent,
+    orbit,
+)
 
 from k3scan import linalg
 from k3scan.classify import (
@@ -91,7 +96,7 @@ EXPECTED_IDENTIFICATIONS = {
 }
 
 
-def test_builtin_searches_return_published_solutions():
+def test_builtin_searches_return_published_solutions(curve_systems):
     searches = builtin_searches()
     assert set(searches) == {"S1", "S2", "S3", "S4", "S5", "S6", "L24", "L27"}
     for name, bs in searches.items():
@@ -102,6 +107,13 @@ def test_builtin_searches_return_published_solutions():
             expected_type = EXPECTED_IDENTIFICATIONS.get(name, {}).get(sol.values)
             if expected_type is not None:
                 assert sol.identified == expected_type, (name, sol.values)
+        # The sieve's curve matrix is, up to a permutation of the curves, the
+        # matrix of exactly one solution, and that solution is named after it.
+        gram = curve_systems[name].gram_of_curves
+        matches = [
+            s for s in result.solutions if gram_permutation_equivalent(s.matrix, gram) is not None
+        ]
+        assert [s.identified for s in matches] == [name], (name, [s.values for s in matches])
 
 
 def test_l27_solution_isometry_classes():
@@ -131,13 +143,17 @@ def test_l27_solution_isometry_classes():
 
 def test_orbit_property_without_normalizations():
     searches = builtin_searches()
-    for name in ("S1", "S3", "S4", "S6", "L27"):
+    for name, symmetries in TEMPLATE_SYMMETRIES.items():
         bs = searches[name]
-        free = search_template(bs.template.without_normalizations(), bs.target_rank)
-        orbit = set()
+        t = bs.template
+        free = MatrixTemplate(
+            t.size, t.entries, t.parameters, t.domains,
+            tuple(c for c in t.constraints if c.op == "=="),
+        )
+        expected = set()
         for sol in bs.expected:
-            orbit |= bs.template.orbit(sol)
-        assert set(free.value_tuples()) == orbit, name
+            expected |= orbit(t.parameters, symmetries, sol)
+        assert set(search_template(free, bs.target_rank).value_tuples()) == expected, name
 
 
 def test_random_non_solutions_have_larger_rank():
@@ -186,6 +202,10 @@ def test_custom_template_roundtrip(tmp_path):
     template, target = template_from_dict(doc)
     result = search_template(template, target)
     assert set(result.value_tuples()) == {(0,), (1,)}
+    # A string row used to be read character by character, as the cells a and b.
+    for entries in ([["-2", "a"], "ab"], "ab", [["-2"], 3], {"0": ["-2"]}):
+        with pytest.raises(UsageError, match="entries must be a list of rows"):
+            template_from_dict({**doc, "entries": entries})
 
 
 def test_template_pickles_by_value():

@@ -188,6 +188,8 @@ def test_exit_code_usage_errors(tmp_path):
         ({"normalize": [3]}, "normalize must be a list of constraint strings"),
         # A domain of no listed parameter used to be dropped without a word.
         ({"parameters": ["a"], "domains": {"a": [0, 1], "b": [0, 1]}}, "not listed: ['b']"),
+        # A string row used to be read character by character, as the cells a and b.
+        ({"entries": [["-2", "a"], "ab"]}, "entries must be a list of rows"),
     ):
         path.write_text(json.dumps({**good, **change}))
         code, text = invoke("classify", "--custom", str(path))
@@ -261,6 +263,18 @@ def test_exit_code_noncompact(tmp_path):
     path.write_text(json.dumps(doc))
     code, _ = invoke("curves", "--file", str(path), "--kmax", "6")
     assert code == 4
+
+    # At rank 5 and more every indefinite form has an isotropic vector, so no
+    # chamber is compact: each sieve command ends in one error line.
+    for diag, seed in (([6, -2, -2, -2, -4], [3, 1, 1, 1, 1]),
+                       ([6, -2, -2, -2, -4, -6], [3, 1, 1, 1, 1, 1])):
+        n = len(diag)
+        gram = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        path.write_text(json.dumps({"rank": n, "gram": gram, "ample": seed}))
+        for command in ("curves", "chamber", "series"):
+            code, text = invoke(command, "--file", str(path))
+            assert code in (3, 4, 5), (n, command, code)
+            assert text.startswith("error: ") and text.count("\n") == 1, (n, command, text)
 
 
 def _boom(*args, **kwargs):

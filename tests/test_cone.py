@@ -14,10 +14,9 @@ from k3scan.cone import (
     chamber_vertices,
     hyperbolic_ell,
     is_ample,
-    is_nef,
     vinberg_sieve,
 )
-from k3scan.enumeration import classes_with_square_and_degree
+from k3scan.enumeration import DegreeCoset
 from k3scan.errors import IncompleteSieveError, NonCompactChamberError, WallError
 from k3scan.lattice import bilinear, is_primitive, square
 
@@ -103,6 +102,10 @@ def test_s6_curve_relation(curve_systems):
     # one degree-2 curve is a combination of the basis curves: A1 - 2A3 + 2A5
     cs = curve_systems["S6"]
     assert (1, -2, 2) in cs.curves
+
+
+def is_nef(cs, d):
+    return square(cs.lattice, d) >= 0 and all(bilinear(cs.lattice, d, c) >= 0 for c in cs.curves)
 
 
 def test_is_nef_and_ample_examples(curve_systems):
@@ -194,10 +197,11 @@ def test_sieve_is_tie_order_independent(curve_systems):
         cs = curve_systems[name]
         lat, h = cs.lattice, cs.ample_seed
         kmax = {"S1": 4, "S5": 2, "L27": 4}[name]
+        coset = DegreeCoset(lat, h)
         for _ in range(5):
             accepted = []
             for k in range(1, kmax + 1):
-                batch = list(classes_with_square_and_degree(lat, h, -2, k))
+                batch = [r for _, r in coset.classes(k, -2, -2)]
                 rng.shuffle(batch)
                 for r in batch:
                     if all(bilinear(lat, r, c) >= 0 for c in accepted):

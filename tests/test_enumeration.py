@@ -6,20 +6,31 @@ from helpers import unimodular_change
 from oracle import box_scan_classes, box_scan_vectors_of_norm
 
 from k3scan import linalg
-from k3scan.enumeration import (
-    DegreeCoset,
-    EnumerationStats,
-    classes_with_square_and_degree,
-    vectors_of_norm,
-)
+from k3scan.enumeration import DegreeCoset, EnumerationStats
 from k3scan.lattice import GramLattice, bilinear, square
+
+
+def vectors_of_norm(neg_def_gram, n):
+    """The vectors of square n in N, as the classes of degree 0 against e0 in <2> + N.
+
+    This is the kernel at centre 0, the path the sieve's wall check takes.
+    """
+    size = len(neg_def_gram)
+    gram = [[2] + [0] * size] + [[0] + list(row) for row in neg_def_gram]
+    e0 = (1,) + (0,) * size
+    coset = DegreeCoset(GramLattice(rank=size + 1, gram=gram), e0)
+    return [cls[1:] for _, cls in coset.classes(0, n, n)]
+
+
+def classes(lat, h, d, k, stats=None):
+    return [cls for _, cls in DegreeCoset(lat, h).classes(k, d, d, stats=stats)]
 
 
 def test_vectors_of_norm_rank_one():
     assert vectors_of_norm([[-2]], -2) == [(1,), (-1,)] or set(
         vectors_of_norm([[-2]], -2)
     ) == {(1,), (-1,)}
-    assert vectors_of_norm([[-2]], 0) == []
+    assert vectors_of_norm([[-2]], 0) == [(0,)]
 
 
 def test_vectors_of_norm_a2():
@@ -33,10 +44,6 @@ def test_vectors_of_norm_contract():
     out = vectors_of_norm([[-2, 0], [0, -4]], -6)
     assert len(out) == len(set(out))
     assert all(tuple(-x for x in v) in set(out) for v in out)
-    with pytest.raises(ValueError):
-        vectors_of_norm([[2, 0], [0, -2]], -2)  # not negative definite
-    with pytest.raises(ValueError):
-        vectors_of_norm([[-2]], 2)
 
 
 def test_vectors_of_norm_against_oracle():
@@ -50,28 +57,26 @@ def test_vectors_of_norm_against_oracle():
 
 def test_classes_examples(presets):
     s2 = presets["S2"]
-    found = classes_with_square_and_degree(s2.lattice, s2.ample, 4, 4)
+    found = classes(s2.lattice, s2.ample, 4, 4)
     assert found == [s2.ample]  # projected norm 0: only the seed itself
 
     s1 = presets["S1"]
-    curves = classes_with_square_and_degree(s1.lattice, s1.ample, -2, 2)
+    curves = classes(s1.lattice, s1.ample, -2, 2)
     assert len(curves) == 6
     for c in curves:
         assert square(s1.lattice, c) == -2
         assert bilinear(s1.lattice, s1.ample, c) == 2
 
     # positive projected norm: no solutions in the negative definite complement
-    assert classes_with_square_and_degree(s1.lattice, s1.ample, 4, 1) == []
+    assert classes(s1.lattice, s1.ample, 4, 1) == []
 
 
 def test_classes_validation(presets):
     s1 = presets["S1"]
     with pytest.raises(ValueError):
-        classes_with_square_and_degree(s1.lattice, (0, 1, 0), 2, 1)  # seed square < 0
+        DegreeCoset(s1.lattice, (0, 1, 0))  # seed square < 0
     with pytest.raises(ValueError):
-        classes_with_square_and_degree(s1.lattice, s1.ample, 3, 1)  # odd square
-    with pytest.raises(ValueError):
-        classes_with_square_and_degree(s1.lattice, s1.ample, 2, -1)
+        DegreeCoset(s1.lattice, s1.ample).classes(-1, 2, 2)
 
 
 def test_projection_identity(presets):
@@ -81,19 +86,17 @@ def test_projection_identity(presets):
         lat, h = p.lattice, p.ample
         h2 = square(lat, h)
         for d, k in ((-2, 1), (-2, 2), (2, 3), (4, 4)):
-            for cls in classes_with_square_and_degree(lat, h, d, k):
+            for cls in classes(lat, h, d, k):
                 proj = tuple(h2 * a - k * b for a, b in zip(cls, h))
                 assert bilinear(lat, proj, h) == 0
                 assert square(lat, proj) == h2 * h2 * d - k * k * h2
 
 
-def test_discard_counter(presets):
+def test_kernel_counters(presets):
     p = presets["S2"]
     stats = EnumerationStats()
-    classes_with_square_and_degree(p.lattice, p.ample, -2, 4, stats=stats)
+    classes(p.lattice, p.ample, -2, 4, stats=stats)
     assert stats.lifts_tried > 0
-    assert 0 <= stats.lifts_discarded < stats.lifts_tried
-    assert stats.lifts_discarded == 0
     assert stats.nodes > 0
 
 
@@ -102,7 +105,7 @@ def test_minus_two_up_to_degree(presets):
         return [
             r
             for k in range(1, kmax + 1)
-            for r in classes_with_square_and_degree(p.lattice, p.ample, -2, k)
+            for r in classes(p.lattice, p.ample, -2, k)
         ]
 
     s5 = presets["S5"]
@@ -122,7 +125,7 @@ def test_enumeration_matches_oracle_small(presets):
         p = presets[name]
         for d in (-2, 2, 4):
             for k in range(0 if d == -2 else 1, 9):
-                got = classes_with_square_and_degree(p.lattice, p.ample, d, k)
+                got = classes(p.lattice, p.ample, d, k)
                 assert sorted(got) == box_scan_classes(p.lattice, p.ample, d, k)
 
 
@@ -162,7 +165,7 @@ def test_enumeration_matches_oracle_random_lattices(case):
     assert 0 < square(lat, h) <= 40
     for d in (-2, 2, 4):
         for k in range(0, 6):
-            got = classes_with_square_and_degree(lat, h, d, k)
+            got = classes(lat, h, d, k)
             assert sorted(got) == box_scan_classes(lat, h, d, k), (d, k)
 
 
