@@ -57,7 +57,9 @@ def _load_input(args) -> tuple:
         try:
             rank = linalg.strict_int(doc["rank"])
             gram = tuple(tuple(linalg.strict_int(x) for x in row) for row in doc["gram"])
-            labels = tuple(str(x) for x in doc.get("labels", ()))
+            labels = doc.get("labels", [])
+            if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+                raise TypeError("labels must be a list of strings")
             ample = doc.get("ample")
             if ample is not None:
                 ample = tuple(linalg.strict_int(x) for x in ample)

@@ -17,7 +17,9 @@ from .errors import CostLimitError, InvalidLatticeError
 from . import linalg
 from .linalg import Matrix, Vector, freeze_matrix
 
-# isotropic_elements visits every element, at about 3 us each: about 6 s at the limit.
+# isotropic_elements refuses a group of more elements than this.  It visits
+# only sum |A_p| of them, but for a p-group that is every element, so the
+# guard still bounds |A|, the worst case.
 MAX_SCANNED_ELEMENTS = 2_000_000
 
 
@@ -225,9 +227,22 @@ def isotropic_elements(dg: DiscriminantGroup) -> list[tuple[int, ...]]:
 
     x and -x generate the same cyclic subgroup, hence the same overlattice, so
     only the lexicographically smaller of the two coefficient tuples is kept
-    (an element of order 2 is its own inverse and is kept once).  The test is
-    c^T form c = 0 mod 2N in plain integers.  A group of more than
-    MAX_SCANNED_ELEMENTS elements raises CostLimitError before the scan.
+    (an element of order 2 is its own inverse and is kept once), in sorted
+    order.  A group of more than MAX_SCANNED_ELEMENTS elements raises
+    CostLimitError before the scan.
+
+    A is the orthogonal sum of its p-primary parts A_p (Nikulin 1979), and
+    each A_p is scanned on its own: in the Smith coordinates it is generated
+    by the multiples (d_i / p^a_i) g_i with p^a_i || d_i.  An element of A_p
+    is isotropic when c^T form c = 0 mod 2N in plain integers.  Every sum of
+    one isotropic element per prime is then formed (mod d_i), so the work is
+    sum |A_p| form evaluations plus the output, not |A|.  This is exact:
+    x = sum x_p uniquely, and elements of coprime orders pair to 0 in Q/Z,
+    so q(x) = sum q(x_p) mod 2.  The q(x_p) have denominators that are
+    powers of different primes, so the sum is 0 mod 2 only if each q(x_p)
+    is an integer.  For odd p, q(x_p) = 1 would give
+    q(p^k x_p) = p^2k q(x_p) = 1, but p^k x_p = 0; so every odd part has
+    q = 0, and then q(x_2) = 0 as well.
     """
     if dg.order() > MAX_SCANNED_ELEMENTS:
         raise CostLimitError(
@@ -235,14 +250,35 @@ def isotropic_elements(dg: DiscriminantGroup) -> list[tuple[int, ...]]:
             f"{MAX_SCANNED_ELEMENTS} elements to scan for isotropic ones"
         )
     two_n, factors = 2 * dg.denominator, dg.invariant_factors
-    out = []
-    for coeffs in dg.elements():
-        if (
-            dg._scaled_norm(coeffs) % two_n == 0
-            and any(coeffs)
-            and coeffs <= tuple((-c) % d for c, d in zip(coeffs, factors))
-        ):
-            out.append(coeffs)
+    found = [(0,) * len(factors)]
+    for p in _prime_divisors(dg.order()):
+        # d // gcd(d, p^bits) is d with its p-part removed: the step of A_p.
+        part = [
+            c
+            for c in itertools.product(
+                *(range(0, d, d // gcd(d, p ** d.bit_length())) for d in factors)
+            )
+            if dg._scaled_norm(c) % two_n == 0
+        ]
+        found = [
+            tuple((a + b) % d for a, b, d in zip(x, y, factors)) for x in found for y in part
+        ]
+    return sorted(
+        c for c in found if any(c) and c <= tuple((-x) % d for x, d in zip(c, factors))
+    )
+
+
+def _prime_divisors(n: int) -> list[int]:
+    """The primes dividing n >= 1, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
     return out
 
 

@@ -214,3 +214,21 @@ def orbit(parameters, symmetries, values):
                 seen.add(image)
                 queue.append(image)
     return seen
+
+
+def isotropic_elements_whole_group(dg):
+    """`isotropic_elements` as a scan of every element of the group, in order.
+
+    The reference for the primary split: the same integer test
+    c^T form c = 0 mod 2N on each element, kept up to inversion.
+    """
+    two_n, factors = 2 * dg.denominator, dg.invariant_factors
+    out = []
+    for coeffs in dg.elements():
+        if (
+            dg._scaled_norm(coeffs) % two_n == 0
+            and any(coeffs)
+            and coeffs <= tuple((-c) % d for c, d in zip(coeffs, factors))
+        ):
+            out.append(coeffs)
+    return out

@@ -230,6 +230,15 @@ def test_exit_code_invalid_lattice(tmp_path):
         code, text = invoke("curves", "--file", str(path))
         assert code == 2 and "expected an integer" in text, (body, text)
 
+    # Labels used to be read character by character ("LAB" printed as L, A, B)
+    # and other entries coerced with str().
+    for labels in ("LAB", ["L", 1, "B"]):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({**doc, "labels": labels}))
+        code, text = invoke("disc", "--file", str(path))
+        assert code == 2 and text.startswith("error: ") and text.count("\n") == 1, text
+        assert "labels must be a list of strings" in text, text
+
     template = (
         '{"size": 2, "entries": [["-2", "a"], ["a", "-2"]], '
         '"domains": {"a": [0, %s]}, "target_rank": 1}'
@@ -327,7 +336,34 @@ def test_exit_code_cost_limit_disc(tmp_path, monkeypatch):
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
     assert "200000000" in out.stderr and "Traceback" not in out.stderr
     monkeypatch.setattr(k3scan.lattice.DiscriminantGroup, "elements", _boom)
+    monkeypatch.setattr(k3scan.lattice.DiscriminantGroup, "_scaled_norm", _boom)
     assert invoke("disc", "--file", str(path))[0] == 5
+    # |A| = 2 * 4000006 = 8,000,012 is refused before a single form evaluation.
+    gram = [[2, 0], [0, -4000006]]
+    path.write_text(json.dumps({"rank": 2, "gram": gram}))
+    dg = k3scan.lattice.discriminant_group(k3scan.lattice.GramLattice(2, gram))
+    with pytest.raises(CostLimitError, match="order 8000012"):
+        k3scan.lattice.isotropic_elements(dg)
+    code, text = invoke("disc", "--file", str(path))
+    assert code == 5 and text.startswith("error: ") and text.count("\n") == 1, text
+
+
+# sha256 of `disc --file big.json --format F` for <2> + <-999998>, whose group
+# 2^2 * 31 * 127^2 of order 1,999,996 has 63 isotropic elements up to sign.
+# Recorded from the whole-group scan, just under its cost limit.
+BIG_DISC_DIGESTS = {
+    "json": "7e28021b392c0d664ef720a99145f6c1db1f760251ef324062096016e4859d03",
+    "text": "03acfdd7b1fd411e42c49a197084529570722793986f66926b661e4dc9198556",
+}
+
+
+def test_disc_bytes_pinned_large_group(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report names its input file
+    Path("big.json").write_text('{"rank": 2, "gram": [[2, 0], [0, -999998]]}')
+    for fmt, digest in BIG_DISC_DIGESTS.items():
+        code, text = invoke("disc", "--file", "big.json", "--format", fmt)
+        assert code == 0, text
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, fmt
 
 
 def test_deterministic_bytes_across_runs():

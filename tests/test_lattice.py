@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import unimodular_change
+from helpers import isotropic_elements_whole_group, unimodular_change
 from oracle import scan_isotropic_dual_classes
 
 from k3scan import linalg
@@ -281,3 +281,58 @@ def test_snf_det_consistency_all_presets(presets):
         for f in linalg.invariant_factors(gram):
             product *= f
         assert product == abs(preset.lattice.det())
+
+
+def _split_grams():
+    """Rank-3 even hyperbolic Grams whose |A| <= 3000 has two or three primes.
+
+    Three shapes: <2a> + <-2b> + <-2c>, <2a> + 2b A2 and U(2a) + <-2b>, with
+    a, b, c in [1, 12].  Each 2-part has rank 3, so it is never cyclic, and
+    one or two odd primes split off from it.
+    """
+    out = []
+    for a, b, c in itertools.product(range(1, 13), repeat=3):
+        shapes = [([[2 * a, 0, 0], [0, -2 * b, 0], [0, 0, -2 * c]], 8 * a * b * c)]
+        if c == 1:
+            shapes.append(([[2 * a, 0, 0], [0, -4 * b, 2 * b], [0, 2 * b, -4 * b]], 24 * a * b * b))
+            shapes.append(([[0, 2 * a, 0], [2 * a, 0, 0], [0, 0, -2 * b]], 8 * a * a * b))
+        for gram, order in shapes:
+            primes = sum(order % p == 0 for p in (2, 3, 5, 7, 11))
+            if order <= 3000 and primes in (2, 3):
+                out.append(gram)
+    return out
+
+
+SPLIT_GRAMS = _split_grams()
+
+
+@st.composite
+def split_hyperbolic_lattice(draw):
+    gram = draw(st.sampled_from(SPLIT_GRAMS))
+    u, _ = draw(unimodular_change(3))
+    return GramLattice(3, linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_hyperbolic_lattice())
+def test_isotropic_elements_primary_split_matches_whole_group(lat):
+    dg = discriminant_group(lat)
+    assert isotropic_elements(dg) == isotropic_elements_whole_group(dg)
+
+
+def test_isotropic_elements_primary_split_examples(presets):
+    cases = [
+        # A = (2, 2, 18): (1, 0, 3) has order 6, a sum across the 2- and 3-parts.
+        ([[2, 0, 0], [0, -2, 0], [0, 0, -18]], (2, 2, 18),
+         [(0, 0, 6), (1, 0, 3), (1, 0, 9), (1, 1, 0), (1, 1, 6)]),
+        ([[0, 1], [1, 0]], (), []),  # the trivial group
+        ([[2, 0], [0, -2]], (2, 2), [(1, 1)]),  # order 2: kept once
+    ]
+    for gram, factors, expected in cases:
+        dg = discriminant_group(GramLattice(len(gram), gram))
+        assert dg.invariant_factors == factors
+        assert isotropic_elements(dg) == expected == isotropic_elements_whole_group(dg)
+    # L25: a 3-group, nothing to split.
+    dg = discriminant_group(presets["L25"].lattice)
+    assert dg.invariant_factors == (3, 9)
+    assert isotropic_elements(dg) == [(0, 3)] == isotropic_elements_whole_group(dg)
