@@ -32,7 +32,7 @@ def _frac(f) -> str:
 
 
 def _load_input(args) -> tuple:
-    """Returns (lattice, ample seed, kmax, display name)."""
+    """Returns (lattice, ample seed, display name)."""
     if args.preset and args.file:
         raise UsageError("give either --preset or --file, not both")
     if args.preset:
@@ -42,7 +42,7 @@ def _load_input(args) -> tuple:
             p = presets.get(args.preset)
         except KeyError as exc:
             raise UsageError(str(exc)) from exc
-        return p.lattice, p.ample, p.kmax, p.name
+        return p.lattice, p.ample, p.name
     if args.file:
         from . import linalg
         from .lattice import GramLattice, square
@@ -58,8 +58,6 @@ def _load_input(args) -> tuple:
             rank = linalg.strict_int(doc["rank"])
             gram = tuple(tuple(linalg.strict_int(x) for x in row) for row in doc["gram"])
             labels = doc.get("labels", [])
-            if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-                raise TypeError("labels must be a list of strings")
             ample = doc.get("ample")
             if ample is not None:
                 ample = tuple(linalg.strict_int(x) for x in ample)
@@ -75,20 +73,19 @@ def _load_input(args) -> tuple:
                 raise InvalidLatticeError(
                     f"ample class {list(ample)} must have positive square"
                 )
-        return lat, ample, None, args.file
+        return lat, ample, args.file
     raise UsageError("an input is required: --preset NAME or --file PATH")
 
 
 def _sieve(args):
     from .cone import vinberg_sieve
 
-    lat, ample, preset_kmax, name = _load_input(args)
+    lat, ample, name = _load_input(args)
     if ample is None:
         raise UsageError(f"input {name!r} carries no ample seed; this command needs one")
-    kmax = args.kmax if args.kmax is not None else (preset_kmax or 10)
-    if kmax < 1:
+    if args.kmax < 1:
         raise UsageError("--kmax must be a positive integer")
-    cs = vinberg_sieve(lat, ample, kmax)
+    cs = vinberg_sieve(lat, ample, args.kmax)
     return cs, name
 
 
@@ -186,7 +183,7 @@ def cmd_disc(args) -> dict:
     from .isometry import identify_type
     from .lattice import discriminant_group, isotropic_elements, overlattice_from_isotropic
 
-    lat, _, _, name = _load_input(args)
+    lat, _, name = _load_input(args)
     dg = discriminant_group(lat)
     isotropic = []
     for coeffs in isotropic_elements(dg):
@@ -333,7 +330,8 @@ def build_parser() -> _Parser:
         p.add_argument("--file", help="path to a lattice JSON document")
         p.add_argument("--format", choices=("json", "text"), default="json")
         if with_seed:
-            p.add_argument("--kmax", type=int, default=None, help="sieve degree cutoff")
+            p.add_argument("--kmax", type=int, default=10,
+                           help="largest degree tried before giving up (default 10)")
 
     p = sub.add_parser("curves", help="(-2)-curve system from the sieve")
     add_common(p)

@@ -4,7 +4,8 @@ The sieve walks the (-2)-classes in ascending degree against an interior
 ample seed and keeps a class exactly when it pairs non-negatively with every
 curve kept so far.  Once the resulting wall system closes up a compact
 chamber (all rays have positive square), no further (-2)-class can pass the
-filter, so the curve list is complete whatever the degree cutoff was.  That
+filter, so the sieve stops after the first whole degree whose curves close
+it; the degree cap kmax only ends the inputs that never close.  That
 chamber is the certificate, and the sieve returns it with the curves: every
 `CurveSystem` carries its own `ChamberDescription`, computed once.
 """
@@ -18,9 +19,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .enumeration import DegreeCoset
-from .errors import (
-    CostLimitError, IncompleteSieveError, K3ScanError, NonCompactChamberError, WallError,
-)
+from .errors import CostLimitError, IncompleteSieveError, NonCompactChamberError, WallError
 from .lattice import GramLattice, bilinear, square
 from .linalg import Matrix, Vector, canonical_key
 
@@ -72,13 +71,32 @@ def is_ample(cs: CurveSystem, d) -> bool:
 
 
 def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
-    """Sort the (-2)-curves among the (-2)-classes of degree at most kmax.
+    """Sort the (-2)-curves among the (-2)-classes, stopping where their chamber closes.
 
     Classes are processed in ascending degree (canonical order within a
     degree); r is accepted iff r.c >= 0 for every curve accepted before it.
-    The result carries the compact chamber that certifies the list complete.
+    After a degree that added a curve and left at least rho of them (a
+    compact chamber has at least rho walls), the curves are tested for a
+    closed chamber, and the first one found is returned with them.  At
+    degree kmax the test is made whatever the count, and its error is final.
+
+    Stopping there is exact.  Let C = {x : x.c >= 0 for every accepted c}.
+    When the test passes, `chamber_vertices` found at least rho >= 2
+    distinct rays, so the curves have rank rho (curves of lower rank cut out
+    at most one line) and C holds no line.  Each ray of C then lies on rho-1
+    independent walls, so it is one end of a line that `_verify_closure`
+    looks at from both ends: the ray has positive degree, so
+    `chamber_vertices` saw it, and it has positive square.  C is the cone
+    over its rays, so every non-zero class in C lies in the (convex)
+    positive cone.  A class that passes the filter at a later degree lies in
+    C, so it has positive square: no (-2)-class can, and running on to kmax
+    would return the same curves and chamber.  A failed test only means "not
+    closed yet": the curve list only grows, so the test at kmax raises the
+    error a sieve that runs every degree up to kmax would raise there.
+
     Raises WallError when the seed is orthogonal to some (-2)-class and
-    IncompleteSieveError when kmax is hit before the chamber closes.
+    IncompleteSieveError, NonCompactChamberError or CostLimitError when the
+    chamber has not closed by degree kmax.
     """
     coset = DegreeCoset(lat, h)  # refuses a seed of non-positive square
     walls = coset.classes(0, -2, -2)
@@ -86,27 +104,36 @@ def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
         raise WallError(walls[0][1])
     accepted: list[Vector] = []
     for k in range(1, kmax + 1):
+        before = len(accepted)
         for _, r in coset.classes(k, -2, -2):
             if all(bilinear(lat, r, c) >= 0 for c in accepted):
                 accepted.append(r)
-    if not accepted:
-        raise IncompleteSieveError(f"no (-2)-curves found up to degree {kmax}")
-    curves = tuple(accepted)
-    chamber = chamber_vertices(lat, coset.h, curves)
-    _verify_closure(lat, curves, chamber, kmax)
-    gram = tuple(tuple(bilinear(lat, a, b) for b in curves) for a in curves)
-    return CurveSystem(
-        lattice=lat, ample_seed=coset.h, curves=curves, gram_of_curves=gram, chamber=chamber
-    )
+        if not accepted or (k < kmax and (len(accepted) == before or len(accepted) < lat.rank)):
+            continue
+        curves = tuple(accepted)
+        try:
+            chamber = chamber_vertices(lat, coset.h, curves)
+            _verify_closure(lat, coset.h, curves, chamber, k)
+        except (IncompleteSieveError, NonCompactChamberError, CostLimitError):
+            if k == kmax:
+                raise
+            continue
+        gram = tuple(tuple(bilinear(lat, a, b) for b in curves) for a in curves)
+        return CurveSystem(
+            lattice=lat, ample_seed=coset.h, curves=curves, gram_of_curves=gram, chamber=chamber
+        )
+    raise IncompleteSieveError(f"no (-2)-curves found up to degree {kmax}")
 
 
-def _verify_closure(lat: GramLattice, curves, chamber: ChamberDescription, kmax: int) -> None:
+def _verify_closure(lat: GramLattice, h, curves, chamber: ChamberDescription, k: int) -> None:
     # A compact chamber of dimension rho-1 has at least rho vertices and every
-    # wall carries one; with that certificate in hand no further (-2)-class
-    # can be non-negative on all curves, so the list is complete.
+    # wall carries one.  `chamber_vertices` orients each line by H.v > 0, so
+    # it cannot see a ray of the cone on the far side of h^perp: every line
+    # is looked at from both ends here, and a nef end of degree <= 0 means
+    # the cone is not inside the positive cone.
     if len(chamber.vertices) < lat.rank:
         raise IncompleteSieveError(
-            f"chamber did not close at degree {kmax}: "
+            f"chamber did not close at degree {k}: "
             f"only {len(chamber.vertices)} rays found"
         )
     missing = [
@@ -115,9 +142,19 @@ def _verify_closure(lat: GramLattice, curves, chamber: ChamberDescription, kmax:
     ]
     if missing:
         raise IncompleteSieveError(
-            f"chamber did not close at degree {kmax}: "
+            f"chamber did not close at degree {k}: "
             f"curves {missing} support no vertex"
         )
+    for v, pairings in _lines(lat, curves):
+        if min(pairings) < 0:
+            v = tuple(-x for x in v)
+            if max(pairings) > 0:
+                continue
+        deg = bilinear(lat, h, v)
+        if deg <= 0:
+            raise NonCompactChamberError(
+                f"nef ray {v} has degree {deg}; the chamber is not compact"
+            )
 
 
 def chamber_vertices(lat: GramLattice, h, curves) -> ChamberDescription:
@@ -142,26 +179,14 @@ def chamber_vertices(lat: GramLattice, h, curves) -> ChamberDescription:
         )
     seen = set()
     vertices = []
-    for subset in itertools.combinations(range(len(curves)), rho - 1):
-        rows = [linalg.mat_vec(lat.gram, curves[i]) for i in subset]
-        if linalg.rank(rows) != rho - 1:
-            continue
-        kernel = linalg.integer_kernel_basis(rows)
-        if len(kernel) != 1:
-            raise K3ScanError(
-                f"curves {subset} of rank {rho - 1} have a kernel of rank {len(kernel)}, not 1"
-            )
-        v = linalg.primitive_part(kernel[0])
+    for v, pairings in _lines(lat, curves):
         deg = bilinear(lat, h, v)
         if deg < 0:
-            v = tuple(-x for x in v)
-            deg = -deg
-        if deg == 0:
-            continue
-        if v in seen:
+            v, deg, pairings = tuple(-x for x in v), -deg, [-x for x in pairings]
+        if deg == 0 or v in seen:
             continue
         seen.add(v)
-        if not all(bilinear(lat, v, c) >= 0 for c in curves):
+        if min(pairings) < 0:
             continue
         sq = square(lat, v)
         if sq <= 0:
@@ -175,3 +200,19 @@ def chamber_vertices(lat: GramLattice, h, curves) -> ChamberDescription:
         default=Fraction(1),
     )
     return ChamberDescription(vertices=tuple(vertices), ell=ell)
+
+
+def _lines(lat: GramLattice, curves):
+    """Each line orthogonal to rho-1 curves of rank rho-1: (v, [v.c for each curve]).
+
+    v is the primitive generator; the signed maximal minors of the rho-1
+    rows G.c span the line (Cramer's rule), and all vanish exactly when the
+    rows are dependent.
+    """
+    rho = lat.rank
+    rows = [linalg.mat_vec(lat.gram, c) for c in curves]
+    for subset in itertools.combinations(rows, rho - 1):
+        v = [(-1) ** j * linalg.det([r[:j] + r[j + 1:] for r in subset]) for j in range(rho)]
+        if any(v):
+            v = linalg.primitive_part(v)
+            yield v, [linalg.dot(v, r) for r in rows]

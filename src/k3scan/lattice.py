@@ -48,6 +48,10 @@ class GramLattice(_LatticeFields):
             raise InvalidLatticeError("Gram matrix must have even diagonal")
         if linalg.det(gram) == 0:
             raise InvalidLatticeError("Gram matrix is singular")
+        if not isinstance(basis_labels, (list, tuple)) or not all(
+            isinstance(x, str) for x in basis_labels
+        ):
+            raise InvalidLatticeError("labels must be a list of strings")
         if not basis_labels:
             basis_labels = tuple(f"e{i + 1}" for i in range(rank))
         elif len(basis_labels) != rank:

@@ -210,16 +210,6 @@ def invariant_factors(m) -> tuple[int, ...]:
     return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
 
 
-def integer_kernel_basis(m) -> tuple[Vector, ...]:
-    """Basis of the saturated integer kernel {x : m*x = 0}, as column vectors."""
-    d, _, v = smith_normal_form(m)
-    rows = len(m)
-    cols = len(m[0])
-    r = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
-    vt = transpose(v)
-    return tuple(vt[j] for j in range(r, cols))
-
-
 def hnf_row_basis(rows) -> tuple[Vector, ...]:
     """Echelon basis (over Z) of the row span of the given integer rows."""
     basis: list[list[int]] = []  # kept in echelon order by pivot column

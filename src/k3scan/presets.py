@@ -1,15 +1,13 @@
 """Catalog of the built-in lattices.
 
-Eight lattices come with an interior ample seed, a degree cutoff for the
-sieve, and reference data (curve count, exact chamber radius, golden series
-file): S1..S6 of rank 3 and L24, L27 of rank 4.  Three more reference
-lattices (L25, S113, S114) ship without seeds; they exist to be recognized by
-identify_type and probed by the discriminant machinery.
+Eight lattices come with an interior ample seed: S1..S6 of rank 3 and L24,
+L27 of rank 4.  Three more reference lattices (L25, S113, S114) ship without
+seeds; they exist to be recognized by identify_type and probed by the
+discriminant machinery.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .lattice import GramLattice
@@ -20,11 +18,6 @@ class Preset(NamedTuple):
     name: str
     lattice: GramLattice
     ample: Vector | None = None
-    kmax: int | None = None
-    curve_count: int | None = None
-    ell: Fraction | None = None
-    theta_golden: str | None = None
-    theta_printed_through: int | None = None
 
 
 def _lat(gram, labels):
@@ -36,61 +29,31 @@ _PRESETS = (
         name="S1",
         lattice=_lat([[6, 0, 0], [0, -2, 0], [0, 0, -2]], ("L", "A1", "A2")),
         ample=(1, -1, -1),
-        kmax=4,
-        curve_count=6,
-        ell=Fraction(3),
-        theta_golden="S1_theta.json",
-        theta_printed_through=92,
     ),
     Preset(
         name="S2",
         lattice=_lat([[36, 0, 0], [0, -2, 1], [0, 1, -2]], ("L", "A1", "A2")),
         ample=(1, -4, -4),
-        kmax=8,
-        curve_count=6,
-        ell=Fraction(9),
-        theta_golden="S2_theta.json",
-        theta_printed_through=100,
     ),
     Preset(
         name="S3",
         lattice=_lat([[12, 0, 0], [0, -2, 1], [0, 1, -2]], ("L", "A1", "A2")),
         ample=(1, -2, -2),
-        kmax=4,
-        curve_count=4,
-        ell=Fraction(3),
-        theta_golden="S3_theta.json",
-        theta_printed_through=100,
     ),
     Preset(
         name="S4",
         lattice=_lat([[-2, 1, 3], [1, -2, 1], [3, 1, -2]], ("A1", "A2", "A3")),
         ample=(1, 0, 1),
-        kmax=4,
-        curve_count=4,
-        ell=Fraction(10, 3),
-        theta_golden="S4_theta.json",
-        theta_printed_through=98,
     ),
     Preset(
         name="S5",
         lattice=_lat([[4, 0, 0], [0, -2, 1], [0, 1, -2]], ("L", "A1", "A2")),
         ample=(1, -1, -1),
-        kmax=2,
-        curve_count=4,
-        ell=Fraction(2),
-        theta_golden="S5_theta.json",
-        theta_printed_through=100,
     ),
     Preset(
         name="S6",
         lattice=_lat([[-2, 1, 5], [1, -2, 0], [5, 0, -2]], ("A1", "A3", "A5")),
         ample=(1, -1, 1),
-        kmax=6,
-        curve_count=6,
-        ell=Fraction(22, 3),
-        theta_golden="S6_theta.json",
-        theta_printed_through=94,
     ),
     Preset(
         name="L24",
@@ -99,11 +62,6 @@ _PRESETS = (
             ("L", "A1", "A2", "A3"),
         ),
         ample=(1, 0, 0, 0),
-        kmax=2,
-        curve_count=6,
-        ell=Fraction(7, 2),
-        theta_golden="L24_theta.json",
-        theta_printed_through=82,
     ),
     Preset(
         name="L27",
@@ -112,11 +70,6 @@ _PRESETS = (
             ("A2", "A4", "A5", "A7"),
         ),
         ample=(0, -1, 1, 1),
-        kmax=4,
-        curve_count=8,
-        ell=Fraction(15, 2),
-        theta_golden="L27_theta.json",
-        theta_printed_through=76,
     ),
     # Reference lattices without seeds: recognized by identify_type and usable
     # with the discriminant commands only.

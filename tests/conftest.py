@@ -17,7 +17,7 @@ def curve_systems(presets):
     out = {}
     for name in sieve_presets():
         p = presets[name]
-        out[name] = vinberg_sieve(p.lattice, p.ample, p.kmax)
+        out[name] = vinberg_sieve(p.lattice, p.ample, 10)
     return out
 
 

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import strategies as st
 
 from k3scan import linalg
 from k3scan.classify import AffineExpr
+from k3scan.cone import CurveSystem, _verify_closure, chamber_vertices
+from k3scan.enumeration import DegreeCoset
+from k3scan.errors import IncompleteSieveError, InvalidLatticeError, WallError
+from k3scan.lattice import GramLattice, bilinear, square
 
 
 @st.composite
@@ -231,4 +237,53 @@ def isotropic_elements_whole_group(dg):
             and coeffs <= tuple((-c) % d for c, d in zip(coeffs, factors))
         ):
             out.append(coeffs)
+    return out
+
+
+def sieve_every_degree(lat, h, kmax):
+    """`vinberg_sieve` without its early stop: every degree up to kmax, then one test.
+
+    The reference for the stop rule.  It accepts classes as the sieve does and
+    makes the sieve's own closure test once, at kmax.
+    """
+    coset = DegreeCoset(lat, h)
+    walls = coset.classes(0, -2, -2)
+    if walls:
+        raise WallError(walls[0][1])
+    accepted = []
+    for k in range(1, kmax + 1):
+        for _, r in coset.classes(k, -2, -2):
+            if all(bilinear(lat, r, c) >= 0 for c in accepted):
+                accepted.append(r)
+    if not accepted:
+        raise IncompleteSieveError(f"no (-2)-curves found up to degree {kmax}")
+    curves = tuple(accepted)
+    chamber = chamber_vertices(lat, coset.h, curves)
+    _verify_closure(lat, coset.h, curves, chamber, kmax)
+    gram = tuple(tuple(bilinear(lat, a, b) for b in curves) for a in curves)
+    return CurveSystem(
+        lattice=lat, ample_seed=coset.h, curves=curves, gram_of_curves=gram, chamber=chamber
+    )
+
+
+def random_seeded_lattices(seed, count):
+    """`count` (lattice, seed) pairs of rank 2-4 with small even Gram entries."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((2, 3, 3, 4, 4))
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = rng.choice((-6, -4, -2, -2, -2, 2, 4, 6, 8, 12))
+            for j in range(i + 1, n):
+                gram[i][j] = gram[j][i] = rng.randint(-4, 4)
+        try:
+            lat = GramLattice(n, gram)
+        except InvalidLatticeError:
+            continue
+        for _ in range(50):
+            h = tuple(rng.randint(-3, 3) for _ in range(n))
+            if square(lat, h) > 0:
+                out.append((lat, h))
+                break
     return out

@@ -305,8 +305,9 @@ def test_exit_code_cost_limit_chamber(presets, monkeypatch):
 
 
 def test_one_chamber_per_command(monkeypatch):
-    # The sieve returns the chamber that certifies its curves; no command
-    # computes it a second time.
+    # The sieve returns the chamber that certifies its curves, and tests for
+    # closure only once a degree leaves rho curves or more; no command
+    # computes a chamber twice.
     calls = []
 
     def counting(*args):
@@ -314,15 +315,30 @@ def test_one_chamber_per_command(monkeypatch):
         return chamber_vertices(*args)
 
     monkeypatch.setattr(k3scan.cone, "chamber_vertices", counting)
-    for argv in (
-        ("curves", "--preset", "L27"),
-        ("chamber", "--preset", "L27"),
-        ("series", "--preset", "L27", "--max-square", "20"),
-    ):
-        calls.clear()
-        code, text = invoke(*argv)
-        assert code == 0, text
-        assert len(calls) == 1, argv
+    for name in sieve_presets():
+        for argv in (
+            ("curves", "--preset", name),
+            ("chamber", "--preset", name),
+            ("series", "--preset", name, "--max-square", "20"),
+        ):
+            calls.clear()
+            code, text = invoke(*argv)
+            assert code == 0, text
+            assert len(calls) == 1, argv
+
+
+def test_huge_kmax_stops_where_the_chamber_closes():
+    # --kmax only caps inputs that never close; a cap far past the closure costs nothing.
+    default = subprocess.run(
+        [sys.executable, "-m", "k3scan.cli", "curves", "--preset", "S1"],
+        capture_output=True, env=CHILD_ENV, timeout=30,
+    )
+    huge = subprocess.run(
+        [sys.executable, "-m", "k3scan.cli", "curves", "--preset", "S1", "--kmax", "100000000"],
+        capture_output=True, env=CHILD_ENV, timeout=30,
+    )
+    assert default.returncode == huge.returncode == 0, huge.stderr
+    assert huge.stdout == default.stdout and huge.stderr == b""
 
 
 def test_exit_code_cost_limit_disc(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from helpers import (
     PUBLISHED_VERTEX_STATS,
     PUBLISHED_VERTICES,
     gram_permutation_equivalent,
+    random_seeded_lattices,
+    sieve_every_degree,
 )
 
 from k3scan.cone import (
@@ -17,8 +20,11 @@ from k3scan.cone import (
     vinberg_sieve,
 )
 from k3scan.enumeration import DegreeCoset
-from k3scan.errors import IncompleteSieveError, NonCompactChamberError, WallError
-from k3scan.lattice import bilinear, is_primitive, square
+from k3scan.errors import (
+    IncompleteSieveError, K3ScanError, NonCompactChamberError, WallError,
+)
+from k3scan.lattice import GramLattice, bilinear, is_primitive, square
+from k3scan.presets import sieve_presets
 
 EXPECTED_COUNTS = {"S1": 6, "S2": 6, "S3": 4, "S4": 4, "S5": 4, "S6": 6, "L24": 6, "L27": 8}
 EXPECTED_ELL = {
@@ -31,6 +37,18 @@ EXPECTED_ELL = {
     "L24": Fraction(7, 2),
     "L27": Fraction(15, 2),
 }
+
+# The degree after which each preset's curves first close a compact chamber.
+CLOSURE_DEGREE = {"S1": 2, "S2": 4, "S3": 2, "S4": 2, "S5": 1, "S6": 3, "L24": 1, "L27": 2}
+
+# Two rank-4 sieves whose walls by degree 10 bound every ray of positive
+# degree, each of positive square, while the cone of the walls runs on behind
+# h^perp (a nef ray of negative degree).  Later degrees add curves, and the
+# chamber is not compact.
+OPEN_BEHIND_THE_SEED = (
+    ([[-4, -1, -4, 2], [-1, -2, -3, -3], [-4, -3, -2, 4], [2, -3, 4, -2]], (-1, 1, -2, -3)),
+    ([[-4, 3, -1, 3], [3, 0, 5, -5], [-1, 5, -6, 2], [3, -5, 2, -2]], (1, -3, -3, 1)),
+)
 
 
 def test_curve_counts_and_grams_match_published(curve_systems):
@@ -242,3 +260,61 @@ def test_chamber_vertices_validates_seed(curve_systems):
     with pytest.raises(TypeError):
         chamber_vertices(cs.lattice, tuple(map(float, cs.ample_seed)), cs.curves)
     assert chamber_vertices(cs.lattice, list(cs.ample_seed), cs.curves) == cs.chamber
+
+
+def test_sieve_stops_at_the_closure_degree(presets, monkeypatch):
+    assert set(CLOSURE_DEGREE) == set(sieve_presets())
+    degrees = []
+    classes = DegreeCoset.classes
+
+    def spy(self, k, *args, **kwargs):
+        degrees.append(k)
+        return classes(self, k, *args, **kwargs)
+
+    monkeypatch.setattr(DegreeCoset, "classes", spy)
+    for name, closure in CLOSURE_DEGREE.items():
+        degrees.clear()
+        p = presets[name]
+        cs = vinberg_sieve(p.lattice, p.ample, 10)
+        assert max(degrees) == closure, name
+        assert len(cs.curves) == EXPECTED_COUNTS[name]
+
+
+def _outcome(sieve, lat, h, kmax):
+    try:
+        return "closed", sieve(lat, h, kmax)
+    except K3ScanError as exc:
+        return type(exc), str(exc)
+
+
+def test_stop_rule_matches_the_sieve_over_every_degree(presets):
+    cases = [
+        (presets[name].lattice, presets[name].ample, kmax)
+        for name in sieve_presets()
+        for kmax in range(1, 13)
+    ]
+    cases += [(lat, h, 12) for lat, h in random_seeded_lattices(2024, 700)]
+    cases += [
+        (GramLattice(4, gram), h, kmax)
+        for gram, h in OPEN_BEHIND_THE_SEED
+        for kmax in (9, 10, 12, 16, 24)
+    ]
+    kinds = Counter()
+    for lat, h, kmax in cases:
+        got = _outcome(vinberg_sieve, lat, h, kmax)
+        assert got == _outcome(sieve_every_degree, lat, h, kmax), (lat.gram, h, kmax)
+        kinds[got[0]] += 1
+    # The batch closes, and fails with every error of the sieve short of the cost limit.
+    assert set(kinds) == {
+        "closed", IncompleteSieveError, NonCompactChamberError, WallError
+    }, kinds
+
+
+def test_sieve_refuses_a_cone_open_behind_the_seed():
+    for gram, h in OPEN_BEHIND_THE_SEED:
+        lat = GramLattice(4, gram)
+        with pytest.raises(NonCompactChamberError, match="has degree -"):
+            vinberg_sieve(lat, h, 12)
+        # The curves of degree 12 and below were not the whole list.
+        with pytest.raises(NonCompactChamberError, match="has square -"):
+            vinberg_sieve(lat, h, 24)

@@ -50,6 +50,16 @@ def test_gram_entries_must_be_ints():
     assert GramLattice(2, [(2, 1), [1, -2]]) == lat
 
 
+def test_labels_must_be_a_list_of_strings():
+    # Checked at the type, so the library refuses what the CLI refuses.
+    gram = [[6, 0, 0], [0, -2, 0], [0, 0, -2]]
+    for bad in ("LAB", (1, 2, 3), ["L", 1, "B"], None):
+        with pytest.raises(InvalidLatticeError, match="labels must be a list of strings"):
+            GramLattice(3, gram, bad)
+    assert GramLattice(3, gram, ["L", "A1", "A2"]).basis_labels == ("L", "A1", "A2")
+    assert GramLattice(3, gram).basis_labels == ("e1", "e2", "e3")
+
+
 def test_vector_entries_must_be_ints():
     lat = GramLattice(3, [[6, 0, 0], [0, -2, 0], [0, 0, -2]])
     for bad in ((1.9, -1, -1), (1.0, -1, -1), (True, -1, -1), ("1", -1, -1)):

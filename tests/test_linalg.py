@@ -75,23 +75,6 @@ def test_determinant_matches_snf():
         assert abs(linalg.det(m)) == product
 
 
-def test_integer_kernel_is_saturated():
-    m = ((2, 4, 6),)
-    basis = linalg.integer_kernel_basis(m)
-    assert len(basis) == 2
-    for v in basis:
-        assert linalg.dot(m[0], v) == 0
-    # saturation: (1,1,-1) is in the kernel and must be an integer combination
-    target = (1, 1, -1)
-    from itertools import product
-
-    assert any(
-        tuple(a * basis[0][i] + b * basis[1][i] for i in range(3)) == target
-        for a in range(-6, 7)
-        for b in range(-6, 7)
-    )
-
-
 def test_hnf_row_basis():
     rows = [[2, 0], [0, 2], [1, 1]]
     basis = linalg.hnf_row_basis(rows)

@@ -63,7 +63,7 @@ def _records():
     return {
         "GramLattice": lat,
         "DiscriminantGroup": discriminant_group(lat),
-        "Preset": Preset(name="S3", lattice=lat, ample=(1, -2, -2), kmax=4),
+        "Preset": Preset(name="S3", lattice=lat, ample=(1, -2, -2)),
         "CurveSystem": cs,
         "ChamberDescription": cs.chamber,
         "ChamberVertex": cs.chamber.vertices[0],
@@ -90,6 +90,8 @@ def test_records_are_immutable_values():
         with pytest.raises(AttributeError):
             a.not_a_field = None
     assert first["ChamberVertex"] != first["CurveSystem"].chamber.vertices[1]
+    # A preset holds only what the program reads; the sieve finds its own stop.
+    assert first["Preset"]._fields == ("name", "lattice", "ample")
     lat = first["GramLattice"]
     assert lat != lat._replace(basis_labels=("L", "A1", "A2"))
     # _replace validates as the constructor does.
