@@ -7,6 +7,12 @@ assignment satisfying the constraints and reports those whose instantiated
 matrix has rank at most the target, each identified against the catalog by
 isometry.identify_type.
 
+Templates are JSON documents, built by template_from_dict and read from a
+file by read_template alone.  The shipped searches are such documents,
+templates/<NAME>.json, each with the extra key "expected" (the published
+solution set); builtin_searches reads them all and builtin_template resolves
+one shipped name to its file.
+
 The search first compiles the template into int rows const + sum c_k x_k
 over the parameter order.  A constraint is the row lhs - rhs; it bounds every
 parameter it touches, at that parameter's depth, by floor or ceiling division:
@@ -30,6 +36,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
+import os
 import re
 from typing import NamedTuple
 
@@ -37,6 +45,8 @@ from . import linalg
 from .errors import UsageError
 from .isometry import identify_type
 from .linalg import Matrix
+
+_TEMPLATE_DIR = os.path.join(os.path.dirname(__file__), "templates")
 
 _TERM = re.compile(
     r"\s*([+-])?\s*(?:(\d+)\s*\*\s*([A-Za-z]\w*)|(\d+)|([A-Za-z]\w*))"
@@ -301,11 +311,13 @@ def search_template(
     """Exhaustive search for assignments of rank <= target_rank.
 
     With jobs > 1 the domain of the first parameter is partitioned across a
-    process pool; results are merged in canonical parameter order, so the
-    outcome is independent of the worker count.
+    process pool of at most os.cpu_count() workers; results are merged in
+    canonical parameter order, so the outcome is independent of the worker
+    count.
     """
     if target_rank < 0:
         raise UsageError(f"target_rank must be non-negative, got {target_rank}")
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and template.parameters:
         import multiprocessing
 
@@ -386,188 +398,53 @@ def template_from_dict(data) -> tuple[MatrixTemplate, int]:
     )
 
 
-def _grid(rows) -> tuple[tuple[AffineExpr, ...], ...]:
-    return tuple(tuple(AffineExpr.parse(cell) for cell in row) for row in rows)
-
-
 class BuiltinSearch(NamedTuple):
     template: MatrixTemplate
     target_rank: int
     expected: tuple[tuple[int, ...], ...]
 
 
+def read_template(path) -> tuple[MatrixTemplate, int, dict]:
+    """Open and parse the template document at path: (template, target_rank, document).
+
+    The one reader of template files, for --template, --custom and
+    builtin_searches alike; a file that cannot be read or parsed is a UsageError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"cannot parse {path}: {exc}") from exc
+    return (*template_from_dict(doc), doc)
+
+
+def _builtin_names() -> list[str]:
+    return sorted(f[: -len(".json")] for f in os.listdir(_TEMPLATE_DIR) if f.endswith(".json"))
+
+
+def builtin_template(name: str) -> str:
+    """The path of the shipped search name, templates/<name>.json.
+
+    name is checked against the shipped files before it touches a path, so
+    "../errata" or "S2.json" is an unknown template, not a file.
+    """
+    names = _builtin_names()
+    if name not in names:
+        raise UsageError(f"unknown template {name!r}; choose from {', '.join(names)}")
+    return os.path.join(_TEMPLATE_DIR, f"{name}.json")
+
+
 def builtin_searches() -> dict[str, BuiltinSearch]:
-    """The eight shipped configuration searches, keyed by lattice type name."""
-    searches: dict[str, BuiltinSearch] = {}
+    """The shipped configuration searches, keyed by lattice type name, in sorted order.
 
-    searches["S1"] = BuiltinSearch(
-        template=MatrixTemplate(
-            size=6,
-            entries=_grid([
-                [-2, 6, "a", "4-a", "b", "4-b"],
-                [6, -2, "4-a", "a", "4-b", "b"],
-                ["a", "4-a", -2, 6, "c", "4-c"],
-                ["4-a", "a", 6, -2, "4-c", "c"],
-                ["b", "4-b", "c", "4-c", -2, 6],
-                ["4-b", "b", "4-c", "c", 6, -2],
-            ]),
-            parameters=("a", "b", "c"),
-            domains=((0, 4), (0, 4), (0, 4)),
-            constraints=(Constraint.parse("a<=2"), Constraint.parse("b<=2")),
-        ),
-        target_rank=3,
-        expected=((0, 0, 4),),
-    )
-
-    searches["S2"] = BuiltinSearch(
-        template=MatrixTemplate(
-            size=6,
-            entries=_grid([
-                [-2, 10, "a1", "b1", "a2", "b2"],
-                [10, -2, "c1", "d1", "c2", "d2"],
-                ["a1", "c1", -2, 10, "a3", "b3"],
-                ["b1", "d1", 10, -2, "c3", "d3"],
-                ["a2", "c2", "a3", "c3", -2, 10],
-                ["b2", "d2", "b3", "d3", 10, -2],
-            ]),
-            parameters=("a1", "b1", "c1", "d1", "a2", "b2", "c2", "d2",
-                        "a3", "b3", "c3", "d3"),
-            domains=tuple(((0, 16),) * 12),
-            constraints=(
-                Constraint.parse("a1+b1+c1+d1==16"),
-                Constraint.parse("a2+b2+c2+d2==16"),
-                Constraint.parse("a3+b3+c3+d3==16"),
-                Constraint.parse("a1<=b1"),
-                Constraint.parse("a2<=b2"),
-            ),
-        ),
-        target_rank=3,
-        expected=((1, 7, 7, 1, 1, 7, 7, 1, 7, 1, 1, 7),),
-    )
-
-    searches["S3"] = BuiltinSearch(
-        template=MatrixTemplate(
-            size=4,
-            entries=_grid([
-                [-2, 4, "a", "2-a"],
-                [4, -2, "2-a", "a"],
-                ["a", "2-a", -2, 4],
-                ["2-a", "a", 4, -2],
-            ]),
-            parameters=("a",),
-            domains=((0, 2),),
-            constraints=(Constraint.parse("a<=1"),),
-        ),
-        target_rank=3,
-        expected=((0,), (1,)),
-    )
-
-    searches["S4"] = BuiltinSearch(
-        template=MatrixTemplate(
-            size=4,
-            entries=_grid([
-                [-2, 3, "t", "2-t"],
-                [3, -2, "2-t", "t"],
-                ["t", "2-t", -2, 6],
-                ["2-t", "t", 6, -2],
-            ]),
-            parameters=("t",),
-            domains=((0, 2),),
-            constraints=(Constraint.parse("t<=1"),),
-        ),
-        target_rank=3,
-        expected=((0,), (1,)),
-    )
-
-    searches["S5"] = BuiltinSearch(
-        template=MatrixTemplate(
-            size=4,
-            entries=_grid([
-                [-2, 3, "s", "1-s"],
-                [3, -2, "1-s", "s"],
-                ["s", "1-s", -2, 3],
-                ["1-s", "s", 3, -2],
-            ]),
-            parameters=("s",),
-            domains=((0, 1),),
-            constraints=(Constraint.parse("s<=0"),),
-        ),
-        target_rank=3,
-        expected=((0,),),
-    )
-
-    searches["S6"] = BuiltinSearch(
-        template=MatrixTemplate(
-            size=6,
-            entries=_grid([
-                [-2, 6, "u", "6-u", "6-v", "v"],
-                [6, -2, "6-u", "u", "v", "6-v"],
-                ["u", "6-u", -2, 11, "9-a", "a"],
-                ["6-u", "u", 11, -2, "a", "9-a"],
-                ["6-v", "v", "9-a", "a", -2, 11],
-                ["v", "6-v", "a", "9-a", 11, -2],
-            ]),
-            parameters=("u", "v", "a"),
-            domains=((0, 6), (0, 6), (0, 9)),
-            constraints=(Constraint.parse("u<=3"), Constraint.parse("v<=3")),
-        ),
-        target_rank=3,
-        expected=((1, 1, 9),),
-    )
-
-    searches["L24"] = BuiltinSearch(
-        template=MatrixTemplate(
-            size=6,
-            entries=_grid([
-                [-2, 3, "p", "1-p", "q", "1-q"],
-                [3, -2, "1-p", "p", "1-q", "q"],
-                ["p", "1-p", -2, 3, "r", "1-r"],
-                ["1-p", "p", 3, -2, "1-r", "r"],
-                ["q", "1-q", "r", "1-r", -2, 3],
-                ["1-q", "q", "1-r", "r", 3, -2],
-            ]),
-            parameters=("p", "q", "r"),
-            domains=((0, 1), (0, 1), (0, 1)),
-            constraints=(Constraint.parse("p<=0"), Constraint.parse("q<=0")),
-        ),
-        target_rank=4,
-        expected=((0, 0, 0), (0, 0, 1)),
-    )
-
-    searches["L27"] = BuiltinSearch(
-        template=MatrixTemplate(
-            size=8,
-            entries=_grid([
-                [-2, 6, "a", "4-a", "b", "4-b", "u", "2-u"],
-                [6, -2, "4-a", "a", "4-b", "b", "2-u", "u"],
-                ["a", "4-a", -2, 6, "c", "4-c", "v", "2-v"],
-                ["4-a", "a", 6, -2, "4-c", "c", "2-v", "v"],
-                ["b", "4-b", "c", "4-c", -2, 6, "w", "2-w"],
-                ["4-b", "b", "4-c", "c", 6, -2, "2-w", "w"],
-                ["u", "2-u", "v", "2-v", "w", "2-w", -2, 3],
-                ["2-u", "u", "2-v", "v", "2-w", "w", 3, -2],
-            ]),
-            parameters=("a", "b", "c", "u", "v", "w"),
-            domains=((0, 4), (0, 4), (0, 4), (0, 2), (0, 2), (0, 2)),
-            constraints=(
-                Constraint.parse("a<=2"),
-                Constraint.parse("b<=2"),
-                Constraint.parse("u<=1"),
-            ),
-        ),
-        target_rank=4,
-        expected=(
-            (0, 0, 4, 1, 1, 1),
-            (0, 0, 4, 0, 1, 0),
-            (0, 0, 4, 1, 2, 0),
-            (0, 0, 4, 1, 0, 2),
-            (0, 0, 4, 0, 0, 1),
-            (2, 0, 4, 0, 2, 2),
-            (0, 2, 4, 0, 2, 2),
-            (0, 0, 2, 0, 2, 2),
-            (0, 2, 0, 0, 2, 0),
-            (2, 0, 0, 0, 0, 2),
-        ),
-    )
-
+    Each is read from templates/<name>.json, a --custom document whose extra
+    key "expected" lists the published solution set.
+    """
+    searches = {}
+    for name in _builtin_names():
+        template, target_rank, doc = read_template(builtin_template(name))
+        expected = tuple(tuple(values) for values in doc["expected"])
+        searches[name] = BuiltinSearch(template, target_rank, expected)
     return searches

@@ -216,31 +216,17 @@ def cmd_disc(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
-    from .classify import builtin_searches, search_template, template_from_dict
+    from .classify import builtin_template, read_template, search_template
 
     if args.jobs < 1:
         raise UsageError("--jobs must be a positive integer")
     if bool(args.template) == bool(args.custom):
         raise UsageError("give exactly one of --template NAME or --custom PATH")
     if args.template:
-        searches = builtin_searches()
-        if args.template not in searches:
-            raise UsageError(
-                f"unknown template {args.template!r}; "
-                f"choose from {', '.join(sorted(searches))}"
-            )
-        bs = searches[args.template]
-        template, target_rank, name = bs.template, bs.target_rank, args.template
+        path, name = builtin_template(args.template), args.template
     else:
-        try:
-            with open(args.custom, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.custom}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"cannot parse {args.custom}: {exc}") from exc
-        template, target_rank = template_from_dict(doc)
-        name = args.custom
+        path = name = args.custom
+    template, target_rank, _ = read_template(path)
     result = search_template(template, target_rank, name=name, jobs=args.jobs)
     return {
         "command": "classify",

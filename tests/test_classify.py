@@ -1,4 +1,6 @@
 import itertools
+import multiprocessing
+import os
 import pickle
 import random
 import sys
@@ -221,6 +223,37 @@ def test_jobs_do_not_change_results():
     par = search_template(bs.template, bs.target_rank, name="S6", jobs=3)
     assert seq.value_tuples() == par.value_tuples()
     assert [s.basis_gram for s in seq.solutions] == [s.basis_gram for s in par.solutions]
+
+
+def test_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # The pool used to get min(jobs, |first domain|) workers: 10,000 here.
+    # A fake pool records its size and maps in this process, so none starts.
+    pools = []
+
+    class FakePool:
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    template, target_rank = template_from_dict(
+        {"size": 1, "entries": [["a"]], "domains": {"a": [0, 20000]}, "target_rank": 0}
+    )
+    sequential = search_template(template, target_rank, jobs=1)
+    assert sequential.value_tuples() == ((0,),) and pools == []
+    for cpus, sizes in ((3, [3]), (None, [])):  # cpu_count() may be unknown
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pools.clear()
+        assert search_template(template, target_rank, jobs=10_000) == sequential
+        assert pools == sizes, cpus
 
 
 NAMES = ("p0", "p1", "p2")

@@ -157,6 +157,30 @@ def test_custom_template_file(tmp_path):
     assert [s["values"] for s in got["solutions"]] == [[0], [1]]
 
 
+def test_builtin_template_is_its_custom_document():
+    templates = Path(k3scan.__file__).parent / "templates"
+    for name in sieve_presets():
+        path = str(templates / f"{name}.json")
+        builtin = report("classify", "--template", name)
+        custom = report("classify", "--custom", path)
+        assert (builtin.pop("template"), custom.pop("template")) == (name, path)
+        assert builtin == custom, name
+        builtin = invoke("classify", "--template", name, "--format", "text")[1].split("\n", 1)
+        custom = invoke("classify", "--custom", path, "--format", "text")[1].split("\n", 1)
+        assert (builtin[0], custom[0]) == (f"classify report for {name}", f"classify report for {path}")
+        assert builtin[1] == custom[1], name
+
+
+def test_template_command_builds_one_template(monkeypatch):
+    import k3scan.classify
+
+    built = []
+    real = k3scan.classify.template_from_dict
+    monkeypatch.setattr(k3scan.classify, "template_from_dict", lambda doc: built.append(doc) or real(doc))
+    assert report("classify", "--template", "S5")["template"] == "S5"
+    assert [doc["size"] for doc in built] == [4]
+
+
 def test_exit_code_usage_errors(tmp_path):
     assert invoke("series", "--preset", "S1", "--max-square", "0")[0] == 1
     assert invoke("curves")[0] == 1
@@ -167,6 +191,11 @@ def test_exit_code_usage_errors(tmp_path):
     for kmax in ("0", "-1"):
         code, text = invoke("curves", "--preset", "S1", "--kmax", kmax)
         assert code == 1 and "--kmax" in text
+
+    # A template name is looked up among the shipped files, never joined into a path.
+    for name in ("NOPE", "../errata", "S2.json"):
+        code, text = invoke("classify", "--template", name)
+        assert code == 1 and text.startswith("error: unknown template") and text.count("\n") == 1, text
 
     # Malformed --custom templates are refused at the boundary, not by a traceback.
     good = {

@@ -1,4 +1,5 @@
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -108,3 +109,17 @@ def test_enumeration_stats_count_by_value():
     assert stats == EnumerationStats(nodes=2) != EnumerationStats()
     with pytest.raises(AttributeError):
         stats.not_a_counter = 1
+
+
+def test_every_package_json_file_is_package_data():
+    # A data file no glob names is left out of a built wheel: an installed
+    # `classify --template` would then find no template to read.
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["k3scan"]
+    package = root / "src" / "k3scan"
+    shipped = {path for pattern in globs for path in package.glob(pattern)}
+    files = set(package.rglob("*.json"))
+    assert package / "templates" / "S2.json" in files
+    assert sorted(map(str, files - shipped)) == []
