@@ -20,7 +20,7 @@ _EXPORTS = {
         "span_gram",
     ),
     "cone": (
-        "ChamberDescription", "ChamberVertex", "CurveSystem", "chamber_vertices",
+        "ChamberDescription", "ChamberVertex", "CurveSystem",
         "hyperbolic_ell", "is_ample", "vinberg_sieve",
     ),
     "enumeration": ("EnumerationStats",),

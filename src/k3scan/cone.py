@@ -23,7 +23,7 @@ from .errors import CostLimitError, IncompleteSieveError, NonCompactChamberError
 from .lattice import GramLattice, bilinear, square
 from .linalg import Matrix, Vector, canonical_key
 
-# chamber_vertices tries every (rho-1)-subset of the curves; L27 has 56.
+# _chamber_vertices tries every (rho-1)-subset of the curves; L27 has 56.
 MAX_CURVE_SUBSETS = 200_000
 
 
@@ -81,12 +81,12 @@ def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
     degree kmax the test is made whatever the count, and its error is final.
 
     Stopping there is exact.  Let C = {x : x.c >= 0 for every accepted c}.
-    When the test passes, `chamber_vertices` found at least rho >= 2
+    When the test passes, `_chamber_vertices` found at least rho >= 2
     distinct rays, so the curves have rank rho (curves of lower rank cut out
     at most one line) and C holds no line.  Each ray of C then lies on rho-1
     independent walls, so it is one end of a line that `_verify_closure`
     looks at from both ends: the ray has positive degree, so
-    `chamber_vertices` saw it, and it has positive square.  C is the cone
+    `_chamber_vertices` saw it, and it has positive square.  C is the cone
     over its rays, so every non-zero class in C lies in the (convex)
     positive cone.  A class that passes the filter at a later degree lies in
     C, so it has positive square: no (-2)-class can, and running on to kmax
@@ -112,7 +112,7 @@ def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
             continue
         curves = tuple(accepted)
         try:
-            chamber = chamber_vertices(lat, coset.h, curves)
+            chamber = _chamber_vertices(lat, coset.h, curves)
             _verify_closure(lat, coset.h, curves, chamber, k)
         except (IncompleteSieveError, NonCompactChamberError, CostLimitError):
             if k == kmax:
@@ -127,7 +127,7 @@ def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
 
 def _verify_closure(lat: GramLattice, h, curves, chamber: ChamberDescription, k: int) -> None:
     # A compact chamber of dimension rho-1 has at least rho vertices and every
-    # wall carries one.  `chamber_vertices` orients each line by H.v > 0, so
+    # wall carries one.  `_chamber_vertices` orients each line by H.v > 0, so
     # it cannot see a ray of the cone on the far side of h^perp: every line
     # is looked at from both ends here, and a nef end of degree <= 0 means
     # the cone is not inside the positive cone.
@@ -157,14 +157,16 @@ def _verify_closure(lat: GramLattice, h, curves, chamber: ChamberDescription, k:
             )
 
 
-def chamber_vertices(lat: GramLattice, h, curves) -> ChamberDescription:
+def _chamber_vertices(lat: GramLattice, h, curves) -> ChamberDescription:
     """Rays of the nef cone: primitive nef generators orthogonal to rho-1 curves.
 
     Every (rho-1)-subset of curves whose common orthogonal complement has rank
     one contributes a candidate, oriented by H.v > 0; nef candidates must have
     positive square or the chamber is not compact (NonCompactChamberError).
     More than MAX_CURVE_SUBSETS subsets raise CostLimitError before any is tried;
-    an h of non-positive square raises ValueError.
+    an h of non-positive square raises ValueError.  It sees no ray on the far
+    side of h^perp, so it certifies nothing alone: only `vinberg_sieve`
+    calls it, and `_verify_closure` checks both ends of every line.
     """
     h = lat.check_vector(h)
     h2 = square(lat, h)

@@ -3,9 +3,12 @@
 Every caller shares one Fincke-Pohst kernel (Fincke & Pohst, Math. Comp. 44
 (1985); Cohen, A Course in Computational Algebraic Number Theory, 2.7).  It
 runs on plain ints: a positive definite rational form Q is rewritten as
-scale*Q(x) = sum_i t_i*(m_i*x_i + sum_{j>i} n_ij*x_j)^2, and the kernel lists
-every integer x with lo <= scale*den^2*Q(x - c/den) <= hi, for an integer
-centre c over a denominator den.
+scale*Q(x) = sum_i t_i*(M x)_i^2 with M upper triangular, (M x)_i =
+m_i*x_i + sum_{j>i} n_ij*x_j, and t_i, m_i, n_ij integers; the kernel lists
+every integer x with lo <= scale*den^2*Q(x - c) <= hi, for a rational centre
+c with den*M*c integral.  Affine forms in x are carried down its levels as
+running sums, so each level reads its centre, its walls and, at the last
+level, the output coordinates without a matrix product.
 
 `DegreeCoset` is built once per lattice and H of positive square.  Its
 `classes(k, lo, hi, walls)` finds every class D with H.D = k, D^2 in a
@@ -13,17 +16,23 @@ closed range and D.r >= 0 for each wall row r.  Those classes form the coset
 D0 + h^perp, where D0 = (k/g)*u for a point u with H.u = g, the gcd of the
 entries of G.H; when g does not divide k there are none.  Over a basis B of
 h^perp, D = D0 + B*x has D^2 = k^2/H^2 - Q(x - c), where Q is the opposite
-form on h^perp and B*c is minus the projection of D0 to h^perp.  The kernel
-walks that coset directly, so every solution is an integral class and none
-is thrown away.  A wall row r becomes the half-space
-(B^T r).x + D0.r >= 0, which clips the innermost coordinate's range, so a
-class on the wrong side of a wall is never built.
+form on h^perp and B*c is minus the projection of D0 to h^perp.  B is
+LLL-reduced under Q (Lenstra, Lenstra & Lovasz, Math. Ann. 261 (1982)), so
+its Gram-Schmidt lengths fall off slowly and every level's range is short.
+The kernel walks the coset directly, so every solution is an integral class
+and none is thrown away.  A wall row r becomes the half-space
+(B^T r).x + D0.r >= 0.  Fourier-Motzkin elimination projects the walls onto
+every level (`Walls`), so each coordinate's range is clipped by what the
+walls leave for it, a class on the wrong side of a wall is never built, and
+a degree the walls rule out as a whole visits no node.  D, G.D and each D.r
+reach the last level as carried sums, and every class returned is
+re-checked there: its degree, its square and its pairing with every wall.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import linalg
@@ -31,14 +40,22 @@ from .errors import K3ScanError
 from .lattice import GramLattice
 from .linalg import Vector, canonical_key
 
+# Fourier-Motzkin pairs each row of one sign with each of the other, so a
+# level can hold the square of the rows of the level before it.  Past this
+# many pairs a level keeps only the rows it inherits: a weaker cut, still sound.
+_MAX_WALL_PAIRS = 1024
+
 
 class EnumerationStats:
     """Work counters of the kernel, filled in only when one is passed in.
 
-    `nodes` counts branch-and-bound nodes visited.  `lifts_tried` counts the
-    classes built from kernel solutions; with walls, only those that pass the
-    clip are built, so only they are counted.  The kernel is centred on the
-    coset {H.D = k}, so every class built is integral and none is discarded.
+    `nodes` counts branch-and-bound nodes visited: one per range of a
+    coordinate scanned, at every level, including ranges the walls leave
+    empty.  `lifts_tried` counts the classes built from kernel solutions;
+    the walls are applied before a class is built, so only classes that
+    pass them are counted.  The kernel is centred on the coset {H.D = k}, so
+    every class built is integral and none is discarded.  A degree that the
+    projected walls rule out as a whole adds nothing to either.
     """
 
     __slots__ = ("lifts_tried", "nodes")
@@ -75,13 +92,51 @@ def _cholesky(q):
     return d, u
 
 
-def _scaled_form(q):
-    """Integer branch-and-bound data for a positive definite rational form.
+def _lll(basis, q):
+    """LLL-reduce `basis` under the positive definite int Gram q, with delta = 3/4.
+
+    Cohen, Alg. 2.6.3, on the Gram matrix, with the Gram-Schmidt data taken
+    from `_cholesky`: d_i = |b*_i|^2 and u[j][i] = mu_ij.  Every move is
+    b_i -= r*b_j or a swap of neighbours, so the change of basis is
+    unimodular.  Works in place on the lists `basis` and `q` and returns
+    (d, u) of the reduced basis: |u[j][i]| <= 1/2 for j < i, and
+    d_i >= (3/4 - u[i-1][i]^2) * d_{i-1}.
+    """
+    n = len(q)
+    d, u = _cholesky(q)
+    i = 1
+    while i < n:
+        for j in reversed(range(i)):  # size-reduce b_i, the nearest b_j first
+            r = round(u[j][i])
+            if r:
+                basis[i] = [a - r * b for a, b in zip(basis[i], basis[j])]
+                qi, qj = q[i], q[j]
+                ii = qi[i] - 2 * r * qi[j] + r * r * qj[j]
+                for l in range(n):
+                    qi[l] -= r * qj[l]
+                    q[l][i] = qi[l]
+                qi[i] = ii
+                for l in range(j):
+                    u[l][i] -= r * u[l][j]
+                u[j][i] -= r
+        if 4 * d[i] >= (3 - 4 * u[i - 1][i] ** 2) * d[i - 1]:  # the Lovasz condition
+            i += 1
+            continue
+        basis[i - 1], basis[i] = basis[i], basis[i - 1]
+        q[i - 1], q[i] = q[i], q[i - 1]
+        for row in q:
+            row[i - 1], row[i] = row[i], row[i - 1]
+        d, u = _cholesky(q)
+        i = max(i - 1, 1)
+    return d, u
+
+
+def _scaled_form(d, u):
+    """Integer branch-and-bound data for a positive definite form with factors (d, u).
 
     Rewrites scale*Q(x) = sum_i t_i * (m_i*x_i + sum_{j>i} n_ij*x_j)^2 with all
     of t_i, m_i, n_ij integers, so the enumeration runs on plain ints.
     """
-    d, u = _cholesky(q)
     n = len(d)
     mults = [lcm(1, *(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
     nums = [[int(u[i][j] * mults[i]) for j in range(n)] for i in range(n)]
@@ -91,142 +146,224 @@ def _scaled_form(q):
 
 
 def _solve_form(form, p) -> list[Fraction]:
-    """The c with Q c = p, from the factors scale*Q = M^T diag(t) M of `_scaled_form`.
+    """M*c for the c with Q c = p, from the factors scale*Q = M^T diag(t) M of `_scaled_form`.
 
     M is upper triangular with m_i on its diagonal and n_ij above it: a
-    forward substitution with M^T, a division by t, a back substitution with M.
+    forward substitution with M^T, then a division by t.
     """
     n, t, mults, nums, scale = form
     y: list[Fraction] = []
     for i in range(n):
         y.append(Fraction(scale * p[i] - sum(nums[j][i] * y[j] for j in range(i)), mults[i]))
-    c = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        c[i] = (y[i] / t[i] - sum(nums[i][j] * c[j] for j in range(i + 1, n))) / mults[i]
-    return c
+    return [yi / ti for yi, ti in zip(y, t)]
 
 
-def _shell(form, centre, den: int, lo: int, hi: int, stats: EnumerationStats | None, walls=()):
-    """All (x, v) with x integral and lo <= v <= hi, where v = scale*den^2*Q(x - centre/den).
+def _shell(form, den: int, lo: int, hi: int, outputs, levels, stats: EnumerationStats | None):
+    """All (values, v) with lo <= v <= hi, where v = scale*den^2*Q(x - c), x integral.
+
+    Every form is an int pair (a, b) meaning a.x + b.  `levels[i]` is
+    (base, clips) for coordinate i: base is den*(M c)_i - den*sum_{j>i}
+    n_ij*x_j, a form in the coordinates above i, and each clip (a, b) with
+    a_i != 0 keeps only the x_i with a.x + b >= 0.  The values returned are
+    those of `outputs` at x.
 
     Branch and bound from the last coordinate down.  With the coordinates
     above level i fixed, the budget left for level i bounds |y| for
-    y = step*x_i - base, an interval of x_i.  At level 0 what falls short of
-    lo is dropped.  Each wall (a, b) keeps only the x with a.x + b >= 0: its
-    partial sum b + sum_{l>i} a_l*x_l is carried down the levels, and at
-    level 0 it clips the interval of x_0 by exact floor and ceiling division.
+    y = step*x_i - base, an interval of x_i, and each clip narrows it by
+    exact floor and ceiling division.  At level 0 what falls short of lo
+    is dropped.  The forms' partial sums b + sum_{l>i} a_l*x_l are carried
+    down the levels; a level's own forms are dropped once it has read them.
     """
-    n, t, mults, nums, _ = form
+    n, t, mults, _, _ = form
     if hi < 0 or lo > hi:
         return []
     if n == 0:
-        return [((), 0)] if lo <= 0 and all(b >= 0 for _, b in walls) else []
+        return [(tuple(b for _, b in outputs), 0)] if lo <= 0 else []
+    # The carried forms: outputs, then level 0's base and clips, level 1's, ...
+    forms = list(outputs)
+    ends = []
+    for base, clips in levels:
+        ends.append(len(forms))
+        forms.append(base)
+        forms.extend(clips)
+    cols = [[a[i] for a, _ in forms[: ends[i]]] for i in range(n)]  # x_i's coefficients below i
+    clip_cols = [[a[i] for a, _ in clips] for i, (_, clips) in enumerate(levels)]
     out = []
     width = hi - lo
     steps = [m * den for m in mults]
-    cols = [[a[i] for a, _ in walls] for i in range(n)]  # the walls' x_i coefficients
-    x = [0] * n
-    z = [0] * n  # den*x - centre: the scaled offset from the centre
     nodes = 0
 
     def level(i: int, rem: int, sums: list[int]) -> None:
         nonlocal nodes
         nodes += 1
-        ti, row, step, col = t[i], nums[i], steps[i], cols[i]
-        base = mults[i] * centre[i] - sum(row[j] * z[j] for j in range(i + 1, n))
+        ti, step, col = t[i], steps[i], cols[i]
+        at = ends[i]
+        base = sums[at]
         r = isqrt(rem // ti)
         first = -((r - base) // step)
         last = (r + base) // step
-        if i:
-            for xi in range(first, last + 1):
-                y = step * xi - base
-                x[i] = xi
-                z[i] = den * xi - centre[i]
-                level(i - 1, rem - ti * y * y, [s + c * xi for s, c in zip(sums, col)])
-            return
-        for s, c in zip(sums, col):
+        for s, c in zip(sums[at + 1:], clip_cols[i]):
             if c > 0:
                 bound = -(s // c)  # ceil(-s/c)
                 if bound > first:
                     first = bound
-            elif c < 0:
+            else:
                 bound = s // -c
                 if bound < last:
                     last = bound
-            elif s < 0:
-                return
+        if i:
+            for xi in range(first, last + 1):
+                y = step * xi - base
+                level(i - 1, rem - ti * y * y, [s + c * xi for s, c in zip(sums, col)])
+            return
         for xi in range(first, last + 1):
             y = step * xi - base
             left = rem - ti * y * y
             if left <= width:
-                x[0] = xi
-                out.append((tuple(x), hi - left))
+                out.append((tuple([s + c * xi for s, c in zip(sums, col)]), hi - left))
 
-    level(n - 1, hi, [b for _, b in walls])
+    level(n - 1, hi, [b for _, b in forms])
     if stats is not None:
         stats.nodes += nodes
     return out
+
+
+class Walls:
+    """Wall rows compiled against one `DegreeCoset`: D.r >= 0, projected onto every level.
+
+    In h^perp coordinates a row r is the half-space a.x + m*c >= 0, with
+    a = B^T r, c = u.r and m = k/g: the coefficients do not depend on the
+    degree and the constant is linear in it, so the projection is computed
+    once here for every degree.  Level i scans x_i with x_0..x_{i-1} still
+    free, so it reads the system with those coordinates eliminated
+    (Fourier-Motzkin; Schrijver, Theory of Linear and Integer Programming,
+    12.2).  Each row, as given or combined, is divided by the content g of
+    its coefficients; its constant becomes floor(m*c/g) (Chvatal-Gomory),
+    which no integral x can tell apart, and rows with the same coefficients
+    keep the least c.  A row with a_i != 0 clips level i, one with a_i = 0
+    passes on to the next system, and one with no coefficients left needs
+    m*c >= 0.  Eliminating real variables never cuts an integral point, so
+    the projected rows only prune, and level 0 applies the rows themselves.
+    """
+
+    __slots__ = ("forms", "levels", "least")
+
+    def __init__(self, coset: DegreeCoset, rows):
+        # D.r = a.x + m*c for each row, carried to the last level for the re-check.
+        self.forms = [
+            (tuple(linalg.dot(b, r) for b in coset.basis), linalg.dot(coset.unit, r)) for r in rows
+        ]
+        self.least = 0  # the least c of a row with no coefficients
+        self.levels: list[list] = []
+        system: dict[Vector, Fraction] = {}
+
+        def add(a, c) -> None:
+            g = gcd(*a)
+            if g:
+                a, c = tuple(x // g for x in a), Fraction(c, g)
+                system[a] = min(system.get(a, c), c)
+            else:
+                self.least = min(self.least, c)
+
+        for a, c in self.forms:
+            add(a, c)
+        for i in range(len(coset.basis)):
+            pos, neg, prior = [], [], system
+            system = {}
+            for a, c in prior.items():
+                if a[i] > 0:
+                    pos.append((a, c))
+                elif a[i] < 0:
+                    neg.append((a, c))
+                else:
+                    system[a] = c
+            self.levels.append(pos + neg)
+            if len(pos) * len(neg) <= _MAX_WALL_PAIRS:
+                for ap, cp in pos:
+                    for aq, cq in neg:  # -aq_i * p + ap_i * q has no x_i
+                        a = [ap[i] * y - aq[i] * x for x, y in zip(ap, aq)]
+                        add(a, ap[i] * cq - aq[i] * cp)
+
+    def clips(self, m: int):
+        """Each level's clips (a, b) for m = k/g; None when a row with no coefficients fails."""
+        if m and self.least < 0:
+            return None
+        return [[(a, m * c.numerator // c.denominator) for a, c in level] for level in self.levels]
 
 
 class DegreeCoset:
     """The classes of each degree against one H of positive square, in the kernel's terms.
 
     Built once per (lattice, H), which is validated here: w = G.H, g = gcd(w)
-    with w.unit = g, a saturated basis of h^perp, the scaled opposite form on
-    it, and centre/den, the kernel centre of the coset H.D = g, so that the
-    centre of H.D = k is (k/g)*centre/den.
+    with w.unit = g, a saturated basis of h^perp, LLL-reduced under the
+    opposite form, the scaled opposite form on it, and each level's centre
+    form for the coset H.D = g; the centre of H.D = k is k/g times it.
     """
 
     def __init__(self, lat: GramLattice, h):
         self.h = h = lat.check_vector(h)
-        self.gram = gram = lat.gram
+        gram = lat.gram
         w = linalg.mat_vec(gram, h)
         self.h2 = linalg.dot(h, w)
         if self.h2 <= 0:
             raise ValueError("degree class must have positive square")
         d, u, v = linalg.smith_normal_form((w,))
-        cols = linalg.transpose(v)
-        self.w, self.g = w, d[0][0]
-        self.unit = tuple(u[0][0] * x for x in cols[0])  # u*w*v = d, with u = (+-1)
-        self.basis = basis = cols[1:]  # each a lattice vector orthogonal to h
+        unit, *basis = linalg.transpose(v)  # the basis: lattice vectors orthogonal to h
+        self.g = d[0][0]
+        self.unit = unit = tuple(u[0][0] * x for x in unit)  # u*w*v = d, with u = (+-1)
+        basis = [list(b) for b in basis]
         q = [[-linalg.dot(a, linalg.mat_vec(gram, b)) for b in basis] for a in basis]
-        self.form = _scaled_form(q)
-        p = [linalg.dot(a, linalg.mat_vec(gram, self.unit)) for a in basis]
-        c = _solve_form(self.form, p)
-        self.den = lcm(1, *(x.denominator for x in c))
-        self.centre = tuple(int(x * self.den) for x in c)
-        self.rows = [tuple(b[i] for b in basis) for i in range(lat.rank)]  # D = d0 + rows*x
+        self.form = form = _scaled_form(*_lll(basis, q))
+        self.basis = basis = [tuple(b) for b in basis]
+        gbasis, gunit = [linalg.mat_vec(gram, b) for b in basis], linalg.mat_vec(gram, unit)
+        # Level i's y = step*x_i - base is den*(M(x - c))_i, so base is the form
+        # den*(Mc)_i - den*sum_{j>i} n_ij*x_j in x, with den clearing (Mc)'s denominators.
+        mc = _solve_form(form, [linalg.dot(b, gunit) for b in basis])
+        self.den = den = lcm(1, *(x.denominator for x in mc))
+        self.bases = [(tuple(-den * x for x in row), int(den * y)) for row, y in zip(form[3], mc)]
+        # Each coordinate of D = d0 + sum x_i*b_i and of G.D, as a form in x.
+        coords = linalg.transpose([*basis, unit]) + linalg.transpose([*gbasis, gunit])
+        self.outputs = [(row[:-1], row[-1]) for row in coords]
 
     def classes(self, k: int, lo: int, hi: int, walls=(), stats=None) -> list[tuple[int, Vector]]:
         """All (D^2, D) with H.D = k, lo <= D^2 <= hi and D.r >= 0 for each wall row r.
 
-        The classes come in canonical order.  Each one's square and degree are
+        `walls` is a sequence of int rows, or `Walls(self, rows)` to compile
+        them once for many degrees.  The classes come in canonical order.
+        Each one's square, degree and pairing with every wall row are
         re-checked in plain integer arithmetic before it is returned.
         """
         if k < 0:
             raise ValueError("degree must be non-negative")
         if k % self.g:
             return []
+        if not isinstance(walls, Walls):
+            walls = Walls(self, walls)
+        m = k // self.g
+        clips = walls.clips(m)
+        if clips is None:
+            return []
         h2, den, form = self.h2, self.den, self.form
         # D^2 = k^2/H^2 - Q(x - c), and the kernel measures scale*den^2*Q.
         big = form[4] * den * den
         vhi = big * (k * k - lo * h2) // h2
         vlo = max(0, -(big * (hi * h2 - k * k) // h2))
-        m = k // self.g
-        kc = [m * c for c in self.centre]
-        d0 = [m * x for x in self.unit]
-        # D.r = d0.r + sum_i x_i (basis_i.r): a half-space in h^perp coordinates.
-        walls = [(tuple(linalg.dot(b, r) for b in self.basis), linalg.dot(d0, r)) for r in walls]
-        gram, w, rows = self.gram, self.w, self.rows
+        levels = [((a, m * b), level) for (a, b), level in zip(self.bases, clips)]
+        # D, G.D and D.r for each wall row r, carried as forms to the last level.
+        outputs = [(a, m * b) for a, b in self.outputs + walls.forms]
+        rank, h = len(self.h), self.h
         out = []
-        for x, v in _shell(form, kc, den, vlo, vhi, stats, walls):
-            cls = tuple(a + sum(map(mul, row, x)) for a, row in zip(d0, rows))
-            sq, deg = linalg.dot(cls, linalg.mat_vec(gram, cls)), linalg.dot(w, cls)
+        for values, v in _shell(form, den, vlo, vhi, outputs, levels, stats):
+            cls, gcls = values[:rank], values[rank: 2 * rank]
+            sq, deg = sum(map(mul, cls, gcls)), sum(map(mul, h, gcls))
             if deg != k or big * (k * k - sq * h2) != v * h2:
                 raise K3ScanError(
                     f"kernel class {cls} has H.D = {deg} and D^2 = {sq}, "
                     f"not degree {k} and the square of its kernel value {v}"
                 )
+            pairings = values[2 * rank:]
+            if pairings and min(pairings) < 0:
+                raise K3ScanError(f"kernel class {cls} meets a wall row negatively: {pairings}")
             out.append((sq, cls))
         if stats is not None:
             stats.lifts_tried += len(out)

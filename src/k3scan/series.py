@@ -7,8 +7,9 @@ H^2 * D^2 <= (H.D)^2.  So the big-and-nef classes with square in [lo, hi]
 are the nef classes found by one enumeration pass per degree
 k <= floor(sqrt(ell*H^2*hi)), each over the squares
 [max(lo, k^2/(ell*H^2)), min(hi, k^2/H^2)], bucketed by square.  The rows
-G.c of the curves are the kernel's walls, so a class that is not nef is never
-built; each class returned is still checked against every row.
+G.c of the curves are the kernel's walls, compiled once for every degree, so
+a class that is not nef is never built; the kernel still checks each class
+it returns against every row, on the pairings it carries down its levels.
 
 theta counts primitive classes only, xi counts all of them; the two are tied
 by xi(d) = sum over m^2 | d of theta(d/m^2).
@@ -22,8 +23,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .cone import CurveSystem
-from .enumeration import DegreeCoset
-from .errors import K3ScanError
+from .enumeration import DegreeCoset, Walls
 from .lattice import GramLattice, is_primitive, square
 from .linalg import Vector
 
@@ -86,13 +86,11 @@ def big_nef_classes_by_square(cs: CurveSystem, lo: int, hi: int) -> dict[int, li
     lat = cs.lattice
     coset = DegreeCoset(lat, cs.ample_seed)
     ell = cs.chamber.ell
-    rows = [linalg.mat_vec(lat.gram, c) for c in cs.curves]
+    walls = Walls(coset, [linalg.mat_vec(lat.gram, c) for c in cs.curves])
     out: dict[int, list[Vector]] = {}
     for k in range(1, degree_bound(lat, cs.ample_seed, ell, hi) + 1):
         least = max(lo, -(-k * k * ell.denominator // (ell.numerator * coset.h2)))
-        for d, cls in coset.classes(k, least, hi, rows):
-            if not all(linalg.dot(cls, row) >= 0 for row in rows):
-                raise K3ScanError(f"kernel class {cls} is not nef: it meets a curve negatively")
+        for d, cls in coset.classes(k, least, hi, walls):
             out.setdefault(d, []).append(cls)
     return out
 

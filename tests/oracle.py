@@ -95,6 +95,29 @@ def box_scan_classes(lat, h, d, k):
     return sorted(tuple(int(x) for x in row) for row in hits)
 
 
+def box_scan_classes_between(lat, h, lo, hi, k):
+    """All (D^2, D) with lo <= D^2 <= hi and H.D == k, by one box scan, sorted.
+
+    The box for the least square lo holds every class of a larger square.
+    """
+    gram = lat.gram
+    rho = lat.rank
+    g = np.array(gram, dtype=np.int64)
+    w = g @ np.array(h, dtype=np.int64)
+    h2 = int(np.array(h, dtype=np.int64) @ w)
+    value = 2 * k * k - lo * h2
+    if value < 0 or lo > hi:
+        return []
+    r_scaled = [[2 * int(w[i]) * int(w[j]) - h2 * gram[i][j] for j in range(rho)]
+                for i in range(rho)]
+    pts = _grid(_box_bounds(r_scaled, value))
+    squares = np.einsum("ij,jk,ik->i", pts, g, pts)
+    hits = (squares >= lo) & (squares <= hi) & (pts @ w == k)
+    return sorted(
+        (int(sq), tuple(int(x) for x in row)) for sq, row in zip(squares[hits], pts[hits])
+    )
+
+
 def box_scan_big_nef_count(lat, h, curves, ell, d, primitive_only):
     """Count big-and-nef classes of square d by per-degree box scans."""
     from math import gcd

@@ -16,7 +16,7 @@ import k3scan.lattice
 import k3scan.linalg
 from k3scan.classify import builtin_searches
 from k3scan.cli import run
-from k3scan.cone import chamber_vertices
+from k3scan.cone import _chamber_vertices
 from k3scan.errors import CostLimitError
 from k3scan.presets import sieve_presets
 
@@ -226,6 +226,10 @@ def test_exit_code_usage_errors(tmp_path):
     # An empty domain is no error: the search has nothing to visit.
     path.write_text(json.dumps({**good, "domains": {"a": [1, 0]}}))
     assert report("classify", "--custom", str(path))["solutions"] == []
+    # A document that is not UTF-8 used to end in a UnicodeDecodeError traceback.
+    path.write_bytes(b"\xff\xfe" + json.dumps(good).encode("utf-16-le"))
+    code, text = invoke("classify", "--custom", str(path))
+    assert code == 1 and text.startswith("error: cannot parse") and text.count("\n") == 1, text
 
 
 def test_exit_code_invalid_lattice(tmp_path):
@@ -233,6 +237,10 @@ def test_exit_code_invalid_lattice(tmp_path):
     bad.write_text("{ this is not json")
     code, text = invoke("curves", "--file", str(bad))
     assert code == 2 and "parse" in text
+    # A document that is not UTF-8 used to end in a UnicodeDecodeError traceback.
+    bad.write_bytes(b"\xff\xfe" + '{"rank": 1, "gram": [[2]]}'.encode("utf-16-le"))
+    code, text = invoke("disc", "--file", str(bad))
+    assert code == 2 and text.startswith("error: cannot parse") and text.count("\n") == 1, text
 
     odd = tmp_path / "odd.json"
     odd.write_text(json.dumps({"rank": 2, "gram": [[1, 0], [0, -2]], "ample": [1, 0]}))
@@ -325,9 +333,9 @@ def test_exit_code_cost_limit_chamber(presets, monkeypatch):
     curve = (0, 1, 0)
     monkeypatch.setattr(k3scan.linalg, "rank", _boom)
     with pytest.raises(CostLimitError, match="244650 subsets"):
-        chamber_vertices(s1.lattice, s1.ample, (curve,) * 700)
+        _chamber_vertices(s1.lattice, s1.ample, (curve,) * 700)
     monkeypatch.setattr(
-        k3scan.cone, "vinberg_sieve", lambda lat, h, kmax: chamber_vertices(lat, h, (curve,) * 700)
+        k3scan.cone, "vinberg_sieve", lambda lat, h, kmax: _chamber_vertices(lat, h, (curve,) * 700)
     )
     code, text = invoke("chamber", "--preset", "S1")
     assert code == 5 and text.startswith("error: ") and text.count("\n") == 1, text
@@ -341,9 +349,9 @@ def test_one_chamber_per_command(monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        return chamber_vertices(*args)
+        return _chamber_vertices(*args)
 
-    monkeypatch.setattr(k3scan.cone, "chamber_vertices", counting)
+    monkeypatch.setattr(k3scan.cone, "_chamber_vertices", counting)
     for name in sieve_presets():
         for argv in (
             ("curves", "--preset", name),

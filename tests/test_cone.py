@@ -14,7 +14,7 @@ from helpers import (
 )
 
 from k3scan.cone import (
-    chamber_vertices,
+    _chamber_vertices,
     hyperbolic_ell,
     is_ample,
     vinberg_sieve,
@@ -254,12 +254,12 @@ def test_chamber_vertices_validates_seed(curve_systems):
     cs = curve_systems["S1"]
     for bad in ((0, 1, 0), (0, 0, 0)):  # square -2, square 0
         with pytest.raises(ValueError, match="positive square"):
-            chamber_vertices(cs.lattice, bad, cs.curves)
+            _chamber_vertices(cs.lattice, bad, cs.curves)
     with pytest.raises(ValueError, match="length"):
-        chamber_vertices(cs.lattice, cs.ample_seed[:2], cs.curves)
+        _chamber_vertices(cs.lattice, cs.ample_seed[:2], cs.curves)
     with pytest.raises(TypeError):
-        chamber_vertices(cs.lattice, tuple(map(float, cs.ample_seed)), cs.curves)
-    assert chamber_vertices(cs.lattice, list(cs.ample_seed), cs.curves) == cs.chamber
+        _chamber_vertices(cs.lattice, tuple(map(float, cs.ample_seed)), cs.curves)
+    assert _chamber_vertices(cs.lattice, list(cs.ample_seed), cs.curves) == cs.chamber
 
 
 def test_sieve_stops_at_the_closure_degree(presets, monkeypatch):

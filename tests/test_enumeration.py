@@ -1,13 +1,19 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import unimodular_change
-from oracle import box_scan_classes, box_scan_vectors_of_norm
+from oracle import box_scan_classes, box_scan_classes_between, box_scan_vectors_of_norm
 
-from k3scan import linalg
-from k3scan.enumeration import DegreeCoset, EnumerationStats
+from k3scan import enumeration, linalg
+from k3scan.enumeration import DegreeCoset, EnumerationStats, Walls
+from k3scan.errors import K3ScanError
 from k3scan.lattice import GramLattice, bilinear, square
+from k3scan.presets import sieve_presets
+from k3scan.series import theta_series
 
 
 def vectors_of_norm(neg_def_gram, n):
@@ -218,3 +224,173 @@ def test_walls_clip_exactly_the_classes_they_exclude(case, data):
                 assert got == want, (k, lo, hi, rows)
                 assert stats.lifts_tried == len(got)
             assert coset.classes(k, lo, hi, [minus_w]) == ([] if k else full)
+
+
+def _gram_schmidt(q):
+    """(d, mu) of a positive definite Gram q by the textbook recurrence, in Fractions."""
+    n = len(q)
+    d: list[Fraction] = []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (q[i][j] - sum(mu[j][l] * mu[i][l] * d[l] for l in range(j))) / d[j]
+        d.append(Fraction(q[i][i]) - sum(mu[i][l] ** 2 * d[l] for l in range(i)))
+    return d, mu
+
+
+def assert_lll_reduced_basis(lat, h):
+    """The coset's h^perp basis: the Smith basis up to a unimodular change, LLL-reduced."""
+    coset = DegreeCoset(lat, h)
+    w = linalg.mat_vec(lat.gram, coset.h)
+    _, _, v = linalg.smith_normal_form((w,))
+    basis = coset.basis
+    assert len(basis) == lat.rank - 1
+    assert all(linalg.dot(w, b) == 0 for b in basis)
+    # Each b in the coordinates of V = [u | Smith basis]: (0, t) with t integral.
+    vinv = np.linalg.inv(np.array(v, dtype=float))
+    coords = [[int(round(x)) for x in vinv @ np.array(b, dtype=float)] for b in basis]
+    assert all(linalg.mat_vec(v, c) == b for c, b in zip(coords, basis))
+    assert all(c[0] == 0 for c in coords)
+    assert abs(linalg.det([c[1:] for c in coords])) == 1
+    q = [[-bilinear(lat, a, b) for b in basis] for a in basis]
+    d, mu = _gram_schmidt(q)
+    for i in range(len(basis)):
+        assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i)), (i, mu)
+        if i:
+            assert d[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * d[i - 1], (i, d, mu)
+
+
+def test_lll_reduced_basis_on_presets(presets):
+    for name in sieve_presets():
+        assert_lll_reduced_basis(presets[name].lattice, presets[name].ample)
+
+
+@st.composite
+def hyperbolic_lattice_rank_3_or_4(draw):
+    """<2a> + an even negative definite block of rank 2-3, in a scrambled basis, with H."""
+    a = draw(st.integers(1, 4))
+    size = draw(st.integers(2, 3))
+    block = [[0] * size for _ in range(size)]
+    for i in range(size):
+        block[i][i] = -2 * draw(st.integers(1, 3))
+        for j in range(i):
+            block[i][j] = block[j][i] = draw(st.integers(-1, 1))
+    minors = [linalg.det([row[:m] for row in block[:m]]) for m in range(1, size + 1)]
+    assume(all((-1) ** m * x > 0 for m, x in enumerate(minors, 1)))  # negative definite
+    n = size + 1
+    gram = [[0] * n for _ in range(n)]
+    gram[0][0] = 2 * a
+    for i, row in enumerate(block):
+        gram[i + 1][1:] = row
+    h0 = [draw(st.integers(1, 2))] + [draw(st.integers(-1, 1)) for _ in block]
+    assume(0 < linalg.dot(h0, linalg.mat_vec(gram, h0)) <= 24)
+    u, uinv = draw(unimodular_change(n))
+    new_gram = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u))
+    return GramLattice(rank=n, gram=new_gram), linalg.mat_vec(uinv, h0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(hyperbolic_lattice_and_class(), hyperbolic_lattice_rank_3_or_4()))
+def test_lll_reduced_basis_random_lattices(case):
+    # Ranks 2 to 4: h^perp of dimension 1 (nothing to reduce) up to 3.
+    assert_lll_reduced_basis(*case)
+
+
+def _row_of(coset, c, a):
+    """The lattice row r with u.r = c and b_i.r = a_i: the wall a.x + m*c >= 0."""
+    v = [coset.unit, *coset.basis]  # unimodular: u and a basis of h^perp
+    rhs = np.array([c, *a], dtype=float)
+    r = [int(round(x)) for x in np.linalg.solve(np.array(v, dtype=float), rhs)]
+    assert linalg.mat_vec(v, r) == (c, *a)
+    return tuple(r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyperbolic_lattice_rank_3_or_4(), st.data())
+def test_walls_match_oracle_at_every_level(case, data):
+    lat, h = case
+    coset = DegreeCoset(lat, h)
+    n = len(coset.basis)
+    e = linalg.identity(n)
+    c1, c2 = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+    # x_0 + x_1 and -x_0 + x_1 combine into 2*x_1 + m*(c1 + c2) >= 0, which clips level 1.
+    combined = [_row_of(coset, c1, [x + y for x, y in zip(e[0], e[1])]),
+                _row_of(coset, c2, [y - x for x, y in zip(e[0], e[1])])]
+    # x_0 >= m and x_0 <= 0: eliminating x_0 leaves -m >= 0, empty for m >= 1.
+    empty = [_row_of(coset, -1, e[0]), _row_of(coset, 0, [-x for x in e[0]])]
+    # 2*x_0 >= m and 2*x_0 <= m: empty over the integers for odd m, by the rounding.
+    rounded = [_row_of(coset, -1, [2 * x for x in e[0]]),
+               _row_of(coset, 1, [-2 * x for x in e[0]])]
+    random_rows = [
+        tuple(data.draw(st.integers(-3, 3)) for _ in range(lat.rank))
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    for rows in (combined, empty, rounded, random_rows, combined + random_rows):
+        walls = Walls(coset, rows)
+        for k in range(0, 4):
+            m, rem = divmod(k, coset.g)
+            if rem:
+                continue
+            clips = walls.clips(m)
+            if rows is combined:
+                assert clips is not None and clips[1], clips
+            if rows is empty and m:
+                assert clips is None
+            for lo, hi in ((-4, 2), (0, 8)):
+                stats = EnumerationStats()
+                got = coset.classes(k, lo, hi, walls, stats)
+                assert got == coset.classes(k, lo, hi, rows)
+                want = [
+                    (sq, c) for sq, c in box_scan_classes_between(lat, coset.h, lo, hi, k)
+                    if all(linalg.dot(c, r) >= 0 for r in rows)
+                ]
+                assert sorted(got) == want, (rows, k, lo, hi)
+                if clips is None:
+                    assert stats.nodes == 0 and got == []
+                if rows is rounded and m % 2:
+                    assert got == []
+
+
+def test_capped_wall_projection_stays_sound(curve_systems, monkeypatch):
+    # With no pairs allowed, every level keeps only the rows it inherits.
+    for name in ("S2", "L24", "L27"):
+        cs = curve_systems[name]
+        coset = DegreeCoset(cs.lattice, cs.ample_seed)
+        rows = [linalg.mat_vec(cs.lattice.gram, c) for c in cs.curves]
+        full = {k: coset.classes(k, 2, 60, rows) for k in range(1, 25)}
+        projected = sum(map(len, Walls(coset, rows).clips(1)))
+        monkeypatch.setattr(enumeration, "_MAX_WALL_PAIRS", 0)
+        assert sum(map(len, Walls(coset, rows).clips(1))) < projected
+        for k, want in full.items():
+            assert coset.classes(k, 2, 60, rows) == want, (name, k)
+        monkeypatch.undo()
+
+
+# Kernel nodes of one theta pass to square 100, as reached by the LLL-reduced
+# basis and the walls projected onto every level; the plain kernel, with the
+# walls at level 0 only, took 990 / 3,237 / 9,489.
+THETA_100_NODES = {"S2": 228, "L24": 1167, "L27": 2863}
+
+
+@pytest.mark.parametrize("name", sorted(THETA_100_NODES))
+def test_theta_pass_node_count_guard(curve_systems, monkeypatch, name):
+    stats = EnumerationStats()
+    classes = DegreeCoset.classes
+
+    def counted(self, k, lo, hi, walls=(), _stats=None):
+        return classes(self, k, lo, hi, walls, stats)
+
+    monkeypatch.setattr(DegreeCoset, "classes", counted)
+    theta_series(curve_systems[name], 100)
+    assert 0 < stats.nodes <= THETA_100_NODES[name], stats.nodes
+
+
+def test_kernel_rechecks_every_wall(curve_systems, monkeypatch):
+    cs = curve_systems["L27"]
+    coset = DegreeCoset(cs.lattice, cs.ample_seed)
+    rows = [linalg.mat_vec(cs.lattice.gram, c) for c in cs.curves]
+    k = next(k for k in range(1, 20) if coset.classes(k, 2, 40, rows) != coset.classes(k, 2, 40))
+    # Walls whose projection forgot every clip let non-nef classes through to the re-check.
+    monkeypatch.setattr(Walls, "clips", lambda self, m: [[] for _ in coset.basis])
+    with pytest.raises(K3ScanError, match="meets a wall row negatively"):
+        coset.classes(k, 2, 40, rows)

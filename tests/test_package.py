@@ -31,7 +31,7 @@ def test_public_names_are_pinned():
         "DiscriminantGroup", "EnumerationStats", "GramLattice", "IncompleteSieveError",
         "InvalidLatticeError", "K3ScanError", "MatrixTemplate", "NonCompactChamberError",
         "Preset", "SeriesTable", "TemplateSolution", "UsageError", "WallError",
-        "bilinear", "builtin_searches", "catalog", "chamber_vertices", "degree_bound",
+        "bilinear", "builtin_searches", "catalog", "degree_bound",
         "discriminant_group", "hyperbolic_ell", "identify_type", "is_ample",
         "is_primitive", "isometry_small", "isotropic_elements", "overlattice_from_isotropic",
         "search_template", "sieve_presets", "signature", "span_gram", "square",
