@@ -2,13 +2,14 @@
 
 Every caller shares one Fincke-Pohst kernel (Fincke & Pohst, Math. Comp. 44
 (1985); Cohen, A Course in Computational Algebraic Number Theory, 2.7).  It
-runs on plain ints: a positive definite rational form Q is rewritten as
+runs on plain ints: a positive definite integral form Q is rewritten as
 scale*Q(x) = sum_i t_i*(M x)_i^2 with M upper triangular, (M x)_i =
-m_i*x_i + sum_{j>i} n_ij*x_j, and t_i, m_i, n_ij integers; the kernel lists
-every integer x with lo <= scale*den^2*Q(x - c) <= hi, for a rational centre
-c with den*M*c integral.  Affine forms in x are carried down its levels as
-running sums, so each level reads its centre, its walls and, at the last
-level, the output coordinates without a matrix product.
+m_i*x_i + sum_{j>i} n_ij*x_j, and t_i, m_i, n_ij integers read off the
+fraction-free elimination of Q (`linalg.symmetric_elimination`).  The
+kernel lists every integer x with lo <= scale*den^2*Q(x - c) <= hi, for a
+rational centre c with den*M*c integral.  Affine forms in x are carried
+down its levels as running sums, so each level reads its centre, its walls
+and, at the last level, the output coordinates without a matrix product.
 
 `DegreeCoset` is built once per lattice and H of positive square.  Its
 `classes(k, lo, hi, walls)` finds every class D with H.D = k, D^2 in a
@@ -17,16 +18,17 @@ D0 + h^perp, where D0 = (k/g)*u for a point u with H.u = g, the gcd of the
 entries of G.H; when g does not divide k there are none.  Over a basis B of
 h^perp, D = D0 + B*x has D^2 = k^2/H^2 - Q(x - c), where Q is the opposite
 form on h^perp and B*c is minus the projection of D0 to h^perp.  B is
-LLL-reduced under Q (Lenstra, Lenstra & Lovasz, Math. Ann. 261 (1982)), so
-its Gram-Schmidt lengths fall off slowly and every level's range is short.
-The kernel walks the coset directly, so every solution is an integral class
-and none is thrown away.  A wall row r becomes the half-space
-(B^T r).x + D0.r >= 0.  Fourier-Motzkin elimination projects the walls onto
-every level (`Walls`), so each coordinate's range is clipped by what the
-walls leave for it, a class on the wrong side of a wall is never built, and
-a degree the walls rule out as a whole visits no node.  D, G.D and each D.r
-reach the last level as carried sums, and every class returned is
-re-checked there: its degree, its square and its pairing with every wall.
+LLL-reduced under Q (Lenstra, Lenstra & Lovasz, Math. Ann. 261 (1982)) on
+the same elimination's integers, so its Gram-Schmidt lengths fall off
+slowly and every level's range is short.  The kernel walks the coset
+directly, so every solution is an integral class and none is thrown away.
+A wall row r becomes the half-space (B^T r).x + D0.r >= 0.  Fourier-Motzkin
+elimination projects the walls onto every level (`Walls`), so each
+coordinate's range is clipped by what the walls leave for it, a class on
+the wrong side of a wall is never built, and a degree the walls rule out as
+a whole visits no node.  D, G.D and each D.r reach the last level as
+carried sums, and every class returned is re-checked there: its degree, its
+square and its pairing with every wall.
 """
 
 from __future__ import annotations
@@ -70,79 +72,56 @@ class EnumerationStats:
         return (self.lifts_tried, self.nodes) == (other.lifts_tried, other.nodes)
 
 
-def _cholesky(q):
-    """Decompose a positive definite rational matrix as sum d_i (x_i + sum u_ij x_j)^2.
+def _lll(basis, gram):
+    """LLL-reduce the list `basis` in place under x.gram.y, positive definite on its span.
 
-    Returns (d, u) with d a list of positive Fractions and u strictly upper
-    triangular.  Raises ValueError when the form is not positive definite.
+    Cohen's integral LLL (A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7) with delta = 3/4, on d_i = pivots[i] and lambda_ij =
+    d_j*mu_ij = rows[j][i] from `linalg.symmetric_elimination` of the basis'
+    Gram.  Each move is unimodular: b_i -= r*b_j with r = round(mu_ij), ties
+    to even, or a swap of neighbours, after which the elimination is re-run.
+    Returns it for the reduced basis: 2|lambda_ij| <= d_j for j < i and
+    4*d_i*d_{i-2} >= 3*d_{i-1}^2 - 4*lambda_{i,i-1}^2.
     """
-    n = len(q)
-    a = [[Fraction(q[i][j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise ValueError("form is not positive definite")
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / d[i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                a[k][l] -= d[i] * u[i][k] * u[i][l]
-    return d, u
 
+    def eliminate():
+        images = [linalg.mat_vec(gram, b) for b in basis]
+        return linalg.symmetric_elimination([[linalg.dot(a, g) for g in images] for a in basis])
 
-def _lll(basis, q):
-    """LLL-reduce `basis` under the positive definite int Gram q, with delta = 3/4.
-
-    Cohen, Alg. 2.6.3, on the Gram matrix, with the Gram-Schmidt data taken
-    from `_cholesky`: d_i = |b*_i|^2 and u[j][i] = mu_ij.  Every move is
-    b_i -= r*b_j or a swap of neighbours, so the change of basis is
-    unimodular.  Works in place on the lists `basis` and `q` and returns
-    (d, u) of the reduced basis: |u[j][i]| <= 1/2 for j < i, and
-    d_i >= (3/4 - u[i-1][i]^2) * d_{i-1}.
-    """
-    n = len(q)
-    d, u = _cholesky(q)
+    d, rows = eliminate()
     i = 1
-    while i < n:
+    while i < len(basis):
         for j in reversed(range(i)):  # size-reduce b_i, the nearest b_j first
-            r = round(u[j][i])
+            r, rem = divmod(rows[j][i], d[j])
+            if 2 * rem > d[j] or (2 * rem == d[j] and r % 2):
+                r += 1
             if r:
                 basis[i] = [a - r * b for a, b in zip(basis[i], basis[j])]
-                qi, qj = q[i], q[j]
-                ii = qi[i] - 2 * r * qi[j] + r * r * qj[j]
-                for l in range(n):
-                    qi[l] -= r * qj[l]
-                    q[l][i] = qi[l]
-                qi[i] = ii
-                for l in range(j):
-                    u[l][i] -= r * u[l][j]
-                u[j][i] -= r
-        if 4 * d[i] >= (3 - 4 * u[i - 1][i] ** 2) * d[i - 1]:  # the Lovasz condition
-            i += 1
+                for l in range(j + 1):  # rows[j][j] = d_j
+                    rows[l][i] -= r * rows[l][j]
+        if 4 * d[i] * (d[i - 2] if i > 1 else 1) >= 3 * d[i - 1] ** 2 - 4 * rows[i - 1][i] ** 2:
+            i += 1  # the Lovasz condition
             continue
         basis[i - 1], basis[i] = basis[i], basis[i - 1]
-        q[i - 1], q[i] = q[i], q[i - 1]
-        for row in q:
-            row[i - 1], row[i] = row[i], row[i - 1]
-        d, u = _cholesky(q)
+        d, rows = eliminate()
         i = max(i - 1, 1)
-    return d, u
+    return d, rows
 
 
-def _scaled_form(d, u):
-    """Integer branch-and-bound data for a positive definite form with factors (d, u).
+def _scaled_form(pivots, rows):
+    """Integer branch-and-bound data for a positive definite form from its elimination.
 
-    Rewrites scale*Q(x) = sum_i t_i * (m_i*x_i + sum_{j>i} n_ij*x_j)^2 with all
-    of t_i, m_i, n_ij integers, so the enumeration runs on plain ints.
+    Q(x) = sum_i (rows[i].x)^2 / (D_{i-1}*D_i), D_i = pivots[i], D_{-1} = 1.
+    Row i over its content g_i is m_i = D_i/g_i, then the n_ij: scale*Q(x) =
+    sum_i t_i*(m_i*x_i + sum_{j>i} n_ij*x_j)^2, t_i = scale*g_i^2/(D_{i-1}*D_i).
     """
-    n = len(d)
-    mults = [lcm(1, *(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    nums = [[int(u[i][j] * mults[i]) for j in range(n)] for i in range(n)]
-    scale = lcm(1, *(d[i].denominator * mults[i] * mults[i] for i in range(n)))
-    t = [int(d[i] * scale) // (mults[i] * mults[i]) for i in range(n)]
-    return n, t, mults, nums, scale
+    n = len(rows)
+    contents = [gcd(*row) for row in rows]
+    mults = [d // g for d, g in zip(pivots, contents)]
+    nums = [[0] * (i + 1) + [x // g for x in rows[i][i + 1:]] for i, g in enumerate(contents)]
+    ratios = [Fraction(g * g, a * b) for g, a, b in zip(contents, [1, *pivots], pivots)]
+    scale = lcm(*(r.denominator for r in ratios))
+    return n, [int(r * scale) for r in ratios], mults, nums, scale
 
 
 def _solve_form(form, p) -> list[Fraction]:
@@ -312,8 +291,7 @@ class DegreeCoset:
         self.g = d[0][0]
         self.unit = unit = tuple(u[0][0] * x for x in unit)  # u*w*v = d, with u = (+-1)
         basis = [list(b) for b in basis]
-        q = [[-linalg.dot(a, linalg.mat_vec(gram, b)) for b in basis] for a in basis]
-        self.form = form = _scaled_form(*_lll(basis, q))
+        self.form = form = _scaled_form(*_lll(basis, [[-x for x in row] for row in gram]))
         self.basis = basis = [tuple(b) for b in basis]
         gbasis, gunit = [linalg.mat_vec(gram, b) for b in basis], linalg.mat_vec(gram, unit)
         # Level i's y = step*x_i - base is den*(M(x - c))_i, so base is the form

@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import itertools
 from math import isqrt
+from typing import TYPE_CHECKING
 
 from . import linalg
-from .enumeration import DegreeCoset
 from .errors import InvalidLatticeError, K3ScanError
 from .lattice import GramLattice, bilinear, square
 from .linalg import Matrix, Vector, canonical_key, sign_normalize
+
+if TYPE_CHECKING:
+    from .enumeration import DegreeCoset
 
 _DEGREE_CAPS = (8, 16, 32, 64)
 
@@ -116,6 +119,7 @@ def isometry_small(l1: GramLattice, l2: GramLattice) -> Matrix | None:
         return None
     if l1.rank > 5:
         raise K3ScanError(f"isometry search supports rank at most 5, not {l1.rank}")
+    from .enumeration import DegreeCoset  # the invariants above decide most pairs without it
     g1r, _, t1inv = _greedy_reduce(l1.gram)
     g2r, t2, _ = _greedy_reduce(l2.gram)
     l2r = GramLattice(rank=l2.rank, gram=g2r)

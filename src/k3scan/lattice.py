@@ -3,7 +3,7 @@
 The central object is `GramLattice`: a fixed basis together with a symmetric
 integer Gram matrix with even diagonal, one positive and rho-1 negative
 eigenvalues.  Divisor classes are plain integer tuples in that basis.
-All arithmetic is exact (ints and Fractions).
+All arithmetic is exact; one fraction-free elimination finds the signature.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ class GramLattice(_LatticeFields):
             raise InvalidLatticeError("Gram matrix must be symmetric")
         if any(gram[i][i] % 2 != 0 for i in range(rank)):
             raise InvalidLatticeError("Gram matrix must have even diagonal")
-        if linalg.det(gram) == 0:
+        pos, neg, zero = signature(gram)
+        if zero:
             raise InvalidLatticeError("Gram matrix is singular")
         if not isinstance(basis_labels, (list, tuple)) or not all(
             isinstance(x, str) for x in basis_labels
@@ -56,11 +57,8 @@ class GramLattice(_LatticeFields):
             basis_labels = tuple(f"e{i + 1}" for i in range(rank))
         elif len(basis_labels) != rank:
             raise InvalidLatticeError("wrong number of basis labels")
-        pos, neg, zero = signature(gram)
-        if (pos, neg, zero) != (1, rank - 1, 0):
-            raise InvalidLatticeError(
-                f"signature is ({pos},{neg},{zero}), expected (1,{rank - 1},0)"
-            )
+        if pos != 1:
+            raise InvalidLatticeError(f"signature is ({pos},{neg},0), expected (1,{rank - 1},0)")
         return super().__new__(cls, rank, gram, tuple(basis_labels))
 
     @classmethod
@@ -95,46 +93,19 @@ def square(lat: GramLattice, v) -> int:
 
 
 def signature(lat_or_gram) -> tuple[int, int, int]:
-    """Counts (positive, negative, zero) of a symmetric matrix.
+    """Counts (positive, negative, zero) of a symmetric rational matrix.
 
-    Computed by exact rational congruence diagonalization; no eigenvalues.
+    The signs of the successive ratios of the non-zero pivots of
+    `linalg.symmetric_elimination`, whose zero pivots count the nullity;
+    exact integers, no eigenvalues.  Rational entries are first scaled by the
+    lcm of their denominators, a positive factor that keeps the signature.
     """
     gram = lat_or_gram.gram if isinstance(lat_or_gram, GramLattice) else lat_or_gram
-    n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    pos = neg = zero = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                # All remaining diagonal entries vanish; create a pivot from an
-                # off-diagonal entry via the congruence row_k += row_j.
-                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if j is None:
-                    zero += 1
-                    continue
-                a[k] = [x + y for x, y in zip(a[k], a[j])]
-                for row in a:
-                    row[k] = row[k] + row[j]
-        piv = a[k][k]
-        if piv > 0:
-            pos += 1
-        else:
-            neg += 1
-        # Row elimination below the pivot leaves the symmetric Schur complement
-        # in the trailing block; clearing row/column k completes the congruence.
-        for i in range(k + 1, n):
-            f = a[i][k] / piv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        for i in range(k + 1, n):
-            a[i][k] = Fraction(0)
-            a[k][i] = Fraction(0)
-    return pos, neg, zero
+    scale = lcm(*(x.as_integer_ratio()[1] for row in gram for x in row))
+    pivots, _ = linalg.symmetric_elimination([[int(x * scale) for x in row] for row in gram])
+    nonzero = [d for d in pivots if d]
+    pos = sum((d > 0) == (prev > 0) for prev, d in zip([1, *nonzero], nonzero))
+    return pos, len(nonzero) - pos, len(pivots) - len(nonzero)
 
 
 def is_primitive(v) -> bool:

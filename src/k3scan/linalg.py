@@ -94,6 +94,52 @@ def det(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def symmetric_elimination(m) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free LDL^T of a symmetric integer matrix: (pivots, rows).
+
+    Bareiss elimination (Math. Comp. 22, 1968) with no row exchange: step k
+    sets a_ij <- (a_kk*a_ij - a_ik*a_kj) / p for i, j > k, p the last
+    non-zero pivot.  By Sylvester's identity the numerator is D_k times the
+    bordered minor det(A[{1..k+1, i}, {1..k+1, j}]), with D_k the leading
+    k x k minor, which is p: the division is exact.  So pivots[k] =
+    rows[k][k] = D_{k+1}, and when no pivot is zero, x^T A x =
+    sum_k (rows[k].x)^2 / (D_k*D_{k+1}) with D_0 = 1.
+
+    A zero pivot is removed by a congruence of the trailing block, after
+    which the above holds for the moved matrix: a symmetric swap with a
+    later non-zero diagonal entry, or else row_k += row_j and col_k += col_j
+    for an a_kj != 0, which puts 2*a_kj on the diagonal.  A zero trailing
+    row k is skipped with pivot 0.  So the non-zero pivots' successive
+    ratios are a diagonal form congruent to A, the zero pivots count its
+    nullity, and a positive definite matrix is never moved.
+    """
+    if not is_symmetric(m):
+        raise ValueError("matrix must be square and symmetric")
+    n = len(m)
+    a = [list(row) for row in m]
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            s = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if s is not None:
+                a[k], a[s] = a[s], a[k]
+                for row in a:
+                    row[k], row[s] = row[s], row[k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if j is None:
+                    continue
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+                for row in a:
+                    row[k] += row[j]
+        piv, tail = a[k][k], a[k][k + 1:]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i][k:] = [0] + [(piv * x - f * y) // prev for x, y in zip(a[i][k + 1:], tail)]
+        prev = piv
+    return [a[k][k] for k in range(n)], a
+
+
 def rank(m) -> int:
     """Rank over the rationals by fraction-free Gaussian elimination."""
     if not m:

@@ -664,11 +664,13 @@ print(json.dumps({
 }))
 """
 CLI_MODULES = {"k3scan", "k3scan.cli", "k3scan.errors"}
-CORE_MODULES = CLI_MODULES | {"k3scan.linalg", "k3scan.lattice", "k3scan.enumeration", "k3scan.presets"}
+CORE_MODULES = CLI_MODULES | {"k3scan.linalg", "k3scan.lattice", "k3scan.presets"}
 COMMAND_MODULES = {
     ("disc", "--preset", "S2"): CORE_MODULES | {"k3scan.isometry"},
-    ("series", "--preset", "S1", "--max-square", "12"): CORE_MODULES | {"k3scan.cone", "k3scan.series"},
-    ("classify", "--template", "S5"): CORE_MODULES | {"k3scan.isometry", "k3scan.classify"},
+    ("series", "--preset", "S1", "--max-square", "12"): CORE_MODULES
+    | {"k3scan.enumeration", "k3scan.cone", "k3scan.series"},
+    ("classify", "--template", "S5"): CORE_MODULES
+    | {"k3scan.enumeration", "k3scan.isometry", "k3scan.classify"},
 }
 
 

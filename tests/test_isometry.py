@@ -1,6 +1,8 @@
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import unimodular_change
 
 from k3scan import linalg
 from k3scan.errors import K3ScanError
@@ -36,28 +38,23 @@ def test_distinct_presets_not_isometric(presets):
     assert isometry_small(presets["L24"].lattice, presets["L27"].lattice) is None
 
 
-def _random_unimodular(rng, n):
-    m = linalg.identity(n)
-    for _ in range(5):
-        i, j = rng.sample(range(n), 2)
-        c = rng.randint(-2, 2)
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-    return m
+def _rebased(gram, u):
+    """The Gram U^T G U of the same lattice in the basis given by the columns of U."""
+    return linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u))
 
 
-def test_finds_map_for_rebased_lattices(presets):
-    rng = random.Random(31)
+@settings(max_examples=3, deadline=None)
+@given(st.data())
+def test_finds_map_for_rebased_lattices(presets, data):
     for name in ("S1", "S3", "S5", "L24", "L27"):
         lat = presets[name].lattice
-        for _ in range(3):
-            t = _random_unimodular(rng, lat.rank)
-            conj = linalg.mat_mul(t, linalg.mat_mul(lat.gram, linalg.transpose(t)))
-            other = GramLattice(rank=lat.rank, gram=conj)
-            u = isometry_small(other, lat)
-            assert u is not None
-            check = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(lat.gram, u))
-            assert check == other.gram
+        moved = unimodular_change(lat.rank).filter(lambda c: _rebased(lat.gram, c[0]) != lat.gram)
+        t, _ = data.draw(moved)
+        other = GramLattice(rank=lat.rank, gram=_rebased(lat.gram, t))
+        u = isometry_small(other, lat)
+        assert u is not None
+        check = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(lat.gram, u))
+        assert check == other.gram
 
 
 def _diagonal(*entries):
@@ -65,27 +62,32 @@ def _diagonal(*entries):
     return GramLattice(n, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
-def test_rank_cap():
-    big = _diagonal(2, -2, -2, -2, -2, -2)
-    assert isometry_small(big, big) == linalg.freeze_matrix(linalg.identity(6))
+BIG = _diagonal(2, -2, -2, -2, -2, -2)
+
+
+@settings(max_examples=3, deadline=None)
+@given(unimodular_change(6).filter(lambda c: _rebased(BIG.gram, c[0]) != BIG.gram))
+def test_rank_cap(change):
+    assert isometry_small(BIG, BIG) == linalg.freeze_matrix(linalg.identity(6))
     # differing invariants decide "not isometric" at any rank
-    assert isometry_small(big, _diagonal(2, -2, -2, -2, -2, -4)) is None
-    assert isometry_small(big, _diagonal(2, -2, -2, -2, -2)) is None
+    assert isometry_small(BIG, _diagonal(2, -2, -2, -2, -2, -4)) is None
+    assert isometry_small(BIG, _diagonal(2, -2, -2, -2, -2)) is None
     # equal invariants and differing Grams: the search is refused above rank 5
-    t = _random_unimodular(random.Random(5), 6)
-    conj = GramLattice(6, linalg.mat_mul(t, linalg.mat_mul(big.gram, linalg.transpose(t))))
-    assert conj.gram != big.gram
+    conj = GramLattice(6, _rebased(BIG.gram, change[0]))
+    assert conj.gram != BIG.gram
     with pytest.raises(K3ScanError, match="rank at most 5"):
-        isometry_small(conj, big)
+        isometry_small(conj, BIG)
 
 
-def test_greedy_reduce_tracks_inverse(presets):
-    rng = random.Random(7)
+@settings(max_examples=2, deadline=None)
+@given(st.data())
+def test_greedy_reduce_tracks_inverse(presets, data):
     grams = [p.lattice.gram for p in presets.values()]
-    for gram in list(grams):
+    for gram in list(grams):  # two conjugates of each catalog lattice
+        moved = unimodular_change(len(gram)).filter(lambda c: _rebased(gram, c[0]) != gram)
         for _ in range(2):
-            t = _random_unimodular(rng, len(gram))
-            grams.append(linalg.mat_mul(t, linalg.mat_mul(gram, linalg.transpose(t))))
+            t, _ = data.draw(moved)
+            grams.append(_rebased(gram, t))
     for gram in grams:
         reduced, t, tinv = _greedy_reduce(gram)
         assert linalg.mat_mul(t, tinv) == linalg.freeze_matrix(linalg.identity(len(gram)))

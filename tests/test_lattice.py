@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -97,27 +98,62 @@ def test_signature_examples(presets):
     assert signature([[2]]) == (1, 0, 0)
     assert signature(presets["L27"].lattice) == (1, 3, 0)
     assert signature([[0, 1], [1, 0]]) == (1, 1, 0)  # zero diagonal path
+    assert signature([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == (2, 0, 0)
+    assert signature([[Fraction(-1, 2), Fraction(1, 3)], [Fraction(1, 3), 0]]) == (1, 1, 0)
 
 
-def _random_unimodular(rng, n):
-    m = linalg.identity(n)
-    for _ in range(6):
-        i, j = rng.sample(range(n), 2)
-        c = rng.randint(-2, 2)
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_signature_invariant_under_unimodular_change(presets, data):
+    for preset in presets.values():  # one conjugate of each catalog lattice
+        gram, n = preset.lattice.gram, preset.lattice.rank
+        u, _ = data.draw(unimodular_change(n).filter(lambda c: c[0] != linalg.identity(n)))
+        conj = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u))
+        assert signature(conj) == signature(gram)
+
+
+@st.composite
+def small_symmetric(draw):
+    """A symmetric matrix of size 1-6 with entries in [-3, 3].
+
+    Often its diagonal is zero, and often it is singular: coordinate j repeats coordinate i.
+    """
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    zero_diagonal = draw(st.booleans())
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = 0 if zero_diagonal else draw(entry)
+        for j in range(i):
+            a[i][j] = a[j][i] = draw(entry)
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
         for k in range(n):
-            m[i][k] += c * m[j][k]
-    return m
+            if k != j:
+                a[j][k] = a[k][j] = a[i][k]
+        a[j][j] = a[i][i]
+    return a
 
 
-def test_signature_invariant_under_unimodular_change(presets):
-    rng = random.Random(5)
-    for preset in presets.values():
-        gram = preset.lattice.gram
-        n = len(gram)
-        for _ in range(10):
-            u = _random_unimodular(rng, n)
-            conj = linalg.mat_mul(u, linalg.mat_mul(gram, linalg.transpose(u)))
-            assert signature(conj) == signature(gram)
+@settings(max_examples=300, deadline=None)
+@given(small_symmetric())
+def test_signature_matches_numpy_eigenvalues(a):
+    n = len(a)
+    pos, neg, zero = signature(a)
+    assert zero == n - linalg.rank(a)
+    # |eigenvalue| <= 18 by Gershgorin, and the non-zero ones multiply to a
+    # non-zero integer coefficient of the characteristic polynomial, so each
+    # non-zero one has magnitude at least 1/18^5: far above float error.
+    eig = np.linalg.eigvalsh(np.array(a, dtype=float))
+    tol = 0.5 / 18**5
+    assert (pos, neg) == (int((eig > tol).sum()), int((eig < -tol).sum())), eig
+    # Until a leading minor vanishes no move fires, and the pivots are the minors.
+    pivots, _ = linalg.symmetric_elimination(a)
+    for m in range(1, n + 1):
+        minor = linalg.det([row[:m] for row in a[:m]])
+        if minor == 0:
+            break
+        assert pivots[m - 1] == minor, (m, pivots)
 
 
 def test_discriminant_group_s2(presets):

@@ -100,3 +100,10 @@ def test_canonical_key_sign_normalization():
     assert ordered[0] == (0, 1, -2)
     assert ordered[1] == (0, -1, 2)
     assert ordered[2] == (1, 0, 0)
+
+
+def test_symmetric_elimination_refuses_non_symmetric():
+    for bad in ([[0, 1], [2, 0]], [[1, 2]], [[1, 0], [0]]):
+        with pytest.raises(ValueError, match="symmetric"):
+            linalg.symmetric_elimination(bad)
+    assert linalg.symmetric_elimination([]) == ([], [])

@@ -1,3 +1,4 @@
+import ast
 import importlib
 from pathlib import Path
 
@@ -123,3 +124,17 @@ def test_every_package_json_file_is_package_data():
     files = set(package.rglob("*.json"))
     assert package / "templates" / "S2.json" in files
     assert sorted(map(str, files - shipped)) == []
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips asserts, so every invariant check in the library must raise.
+    package = Path(__file__).resolve().parents[1] / "src" / "k3scan"
+    sources = sorted(package.glob("*.py"))
+    assert package / "linalg.py" in sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
