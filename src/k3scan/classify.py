@@ -415,7 +415,7 @@ def read_template(path) -> tuple[MatrixTemplate, int, dict]:
             doc = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"cannot parse {path}: {exc}") from exc
     return (*template_from_dict(doc), doc)
 

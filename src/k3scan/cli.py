@@ -52,7 +52,7 @@ def _load_input(args) -> tuple:
                 doc = json.load(fh)
         except OSError as exc:
             raise InvalidLatticeError(f"cannot read {args.file}: {exc}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidLatticeError(f"cannot parse {args.file}: {exc}") from exc
         try:
             rank = linalg.strict_int(doc["rank"])

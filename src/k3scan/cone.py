@@ -6,8 +6,9 @@ curve kept so far.  Once the resulting wall system closes up a compact
 chamber (all rays have positive square), no further (-2)-class can pass the
 filter, so the sieve stops after the first whole degree whose curves close
 it; the degree cap kmax only ends the inputs that never close.  That
-chamber is the certificate, and the sieve returns it with the curves: every
-`CurveSystem` carries its own `ChamberDescription`, computed once.
+chamber is the certificate, found in one pass over the lines orthogonal to
+rho-1 curves, and the sieve returns it with the curves: every `CurveSystem`
+carries its own `ChamberDescription`, computed once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import CostLimitError, IncompleteSieveError, NonCompactChamberError
 from .lattice import GramLattice, bilinear, square
 from .linalg import Matrix, Vector, canonical_key
 
-# _chamber_vertices tries every (rho-1)-subset of the curves; L27 has 56.
+# _chamber tries every (rho-1)-subset of the curves; L27 has 56.
 MAX_CURVE_SUBSETS = 200_000
 
 
@@ -81,12 +82,12 @@ def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
     degree kmax the test is made whatever the count, and its error is final.
 
     Stopping there is exact.  Let C = {x : x.c >= 0 for every accepted c}.
-    When the test passes, `_chamber_vertices` found at least rho >= 2
-    distinct rays, so the curves have rank rho (curves of lower rank cut out
-    at most one line) and C holds no line.  Each ray of C then lies on rho-1
-    independent walls, so it is one end of a line that `_verify_closure`
-    looks at from both ends: the ray has positive degree, so
-    `_chamber_vertices` saw it, and it has positive square.  C is the cone
+    When the test passes, `_chamber` found at least rho >= 2 distinct
+    vertices, so the curves have rank rho (curves of lower rank cut out at
+    most one line) and C holds no line.  Each ray of C then lies on rho-1
+    independent walls, so it is the nef end of a line that `_chamber` looks
+    at: the test passes only when that end has positive degree, so the ray
+    is a vertex, and a vertex has positive square.  C is the cone
     over its rays, so every non-zero class in C lies in the (convex)
     positive cone.  A class that passes the filter at a later degree lies in
     C, so it has positive square: no (-2)-class can, and running on to kmax
@@ -112,8 +113,7 @@ def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
             continue
         curves = tuple(accepted)
         try:
-            chamber = _chamber_vertices(lat, coset.h, curves)
-            _verify_closure(lat, coset.h, curves, chamber, k)
+            chamber = _chamber(lat, coset.h, curves, k)
         except (IncompleteSieveError, NonCompactChamberError, CostLimitError):
             if k == kmax:
                 raise
@@ -125,53 +125,17 @@ def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
     raise IncompleteSieveError(f"no (-2)-curves found up to degree {kmax}")
 
 
-def _verify_closure(lat: GramLattice, h, curves, chamber: ChamberDescription, k: int) -> None:
-    # A compact chamber of dimension rho-1 has at least rho vertices and every
-    # wall carries one.  `_chamber_vertices` orients each line by H.v > 0, so
-    # it cannot see a ray of the cone on the far side of h^perp: every line
-    # is looked at from both ends here, and a nef end of degree <= 0 means
-    # the cone is not inside the positive cone.
-    if len(chamber.vertices) < lat.rank:
-        raise IncompleteSieveError(
-            f"chamber did not close at degree {k}: "
-            f"only {len(chamber.vertices)} rays found"
-        )
-    missing = [
-        i for i, c in enumerate(curves)
-        if all(bilinear(lat, vertex.coords, c) for vertex in chamber.vertices)
-    ]
-    if missing:
-        raise IncompleteSieveError(
-            f"chamber did not close at degree {k}: "
-            f"curves {missing} support no vertex"
-        )
-    for v, pairings in _lines(lat, curves):
-        if min(pairings) < 0:
-            v = tuple(-x for x in v)
-            if max(pairings) > 0:
-                continue
-        deg = bilinear(lat, h, v)
-        if deg <= 0:
-            raise NonCompactChamberError(
-                f"nef ray {v} has degree {deg}; the chamber is not compact"
-            )
+def _chamber(lat: GramLattice, h, curves, k: int) -> ChamberDescription:
+    """The compact chamber of the curves, or the error that says why it is not closed.
 
-
-def _chamber_vertices(lat: GramLattice, h, curves) -> ChamberDescription:
-    """Rays of the nef cone: primitive nef generators orthogonal to rho-1 curves.
-
-    Every (rho-1)-subset of curves whose common orthogonal complement has rank
-    one contributes a candidate, oriented by H.v > 0; nef candidates must have
-    positive square or the chamber is not compact (NonCompactChamberError).
-    More than MAX_CURVE_SUBSETS subsets raise CostLimitError before any is tried;
-    an h of non-positive square raises ValueError.  It sees no ray on the far
-    side of h^perp, so it certifies nothing alone: only `vinberg_sieve`
-    calls it, and `_verify_closure` checks both ends of every line.
+    One pass over `_lines`.  A nef end of positive degree is a vertex (a line
+    orthogonal to every curve is nef at both ends), and a vertex of square
+    <= 0 raises NonCompactChamberError at once.  A compact chamber has at
+    least rho vertices and every wall carries one, else IncompleteSieveError
+    names degree k.  Last, a nef end of degree <= 0, taken as `_lines` gives
+    it, is a ray behind h^perp: NonCompactChamberError.  More than
+    MAX_CURVE_SUBSETS subsets raise CostLimitError before any is tried.
     """
-    h = lat.check_vector(h)
-    h2 = square(lat, h)
-    if h2 <= 0:
-        raise ValueError("degree class must have positive square")
     rho = lat.rank
     subsets = math.comb(len(curves), rho - 1)
     if subsets > MAX_CURVE_SUBSETS:
@@ -179,29 +143,45 @@ def _chamber_vertices(lat: GramLattice, h, curves) -> ChamberDescription:
             f"{len(curves)} curves in rank {rho} give {subsets} subsets to try "
             f"for chamber vertices, more than {MAX_CURVE_SUBSETS}"
         )
-    seen = set()
-    vertices = []
+    vertices = {}
+    supported = set()
+    behind = None
     for v, pairings in _lines(lat, curves):
-        deg = bilinear(lat, h, v)
-        if deg < 0:
-            v, deg, pairings = tuple(-x for x in v), -deg, [-x for x in pairings]
-        if deg == 0 or v in seen:
-            continue
-        seen.add(v)
         if min(pairings) < 0:
+            if max(pairings) > 0:
+                continue
+            v, pairings = tuple(-x for x in v), [-x for x in pairings]
+        deg = bilinear(lat, h, v)
+        if deg <= 0:
+            behind = behind or f"nef ray {v} has degree {deg}; the chamber is not compact"
+            if deg == 0 or any(pairings):
+                continue
+            v, deg = tuple(-x for x in v), -deg
+        if v in vertices:
             continue
         sq = square(lat, v)
         if sq <= 0:
             raise NonCompactChamberError(
                 f"nef ray {v} has square {sq}; the chamber is not compact"
             )
-        vertices.append(ChamberVertex(coords=v, square=sq, degree=deg))
-    vertices.sort(key=lambda vx: (vx.square, vx.degree, canonical_key(vx.coords)))
-    ell = max(
-        (Fraction(vx.degree ** 2, h2 * vx.square) for vx in vertices),
-        default=Fraction(1),
+        vertices[v] = ChamberVertex(coords=v, square=sq, degree=deg)
+        supported.update(i for i, x in enumerate(pairings) if x == 0)
+    if len(vertices) < rho:
+        raise IncompleteSieveError(
+            f"chamber did not close at degree {k}: only {len(vertices)} rays found"
+        )
+    missing = [i for i in range(len(curves)) if i not in supported]
+    if missing:
+        raise IncompleteSieveError(
+            f"chamber did not close at degree {k}: curves {missing} support no vertex"
+        )
+    if behind:
+        raise NonCompactChamberError(behind)
+    ordered = sorted(
+        vertices.values(), key=lambda vx: (vx.square, vx.degree, canonical_key(vx.coords))
     )
-    return ChamberDescription(vertices=tuple(vertices), ell=ell)
+    ell = max(Fraction(vx.degree ** 2, vx.square) for vx in ordered) / square(lat, h)
+    return ChamberDescription(vertices=tuple(ordered), ell=ell)
 
 
 def _lines(lat: GramLattice, curves):

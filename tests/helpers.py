@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from k3scan import linalg
 from k3scan.classify import AffineExpr
-from k3scan.cone import CurveSystem, _verify_closure, _chamber_vertices
+from k3scan.cone import CurveSystem, _chamber
 from k3scan.enumeration import DegreeCoset
 from k3scan.errors import IncompleteSieveError, InvalidLatticeError, WallError
 from k3scan.lattice import GramLattice, bilinear, square
@@ -258,8 +258,7 @@ def sieve_every_degree(lat, h, kmax):
     if not accepted:
         raise IncompleteSieveError(f"no (-2)-curves found up to degree {kmax}")
     curves = tuple(accepted)
-    chamber = _chamber_vertices(lat, coset.h, curves)
-    _verify_closure(lat, coset.h, curves, chamber, kmax)
+    chamber = _chamber(lat, coset.h, curves, kmax)
     gram = tuple(tuple(bilinear(lat, a, b) for b in curves) for a in curves)
     return CurveSystem(
         lattice=lat, ample_seed=coset.h, curves=curves, gram_of_curves=gram, chamber=chamber

@@ -16,7 +16,7 @@ import k3scan.lattice
 import k3scan.linalg
 from k3scan.classify import builtin_searches
 from k3scan.cli import run
-from k3scan.cone import _chamber_vertices
+from k3scan.cone import _chamber
 from k3scan.errors import CostLimitError
 from k3scan.presets import sieve_presets
 
@@ -181,6 +181,11 @@ def test_template_command_builds_one_template(monkeypatch):
     assert [doc["size"] for doc in built] == [4]
 
 
+# Documents that json.load refuses with something other than a JSONDecodeError:
+# nesting past the recursion limit, and an integer of more than 4,300 digits.
+UNPARSEABLE_JSON = ("[" * 100_000 + "]" * 100_000, '{"rank": ' + "9" * 5000 + "}")
+
+
 def test_exit_code_usage_errors(tmp_path):
     assert invoke("series", "--preset", "S1", "--max-square", "0")[0] == 1
     assert invoke("curves")[0] == 1
@@ -230,6 +235,12 @@ def test_exit_code_usage_errors(tmp_path):
     path.write_bytes(b"\xff\xfe" + json.dumps(good).encode("utf-16-le"))
     code, text = invoke("classify", "--custom", str(path))
     assert code == 1 and text.startswith("error: cannot parse") and text.count("\n") == 1, text
+    # A document nested too deep used to end in a RecursionError traceback, and
+    # an integer literal past Python's 4,300-digit limit in a bare ValueError.
+    for doc in UNPARSEABLE_JSON:
+        path.write_text(doc)
+        code, text = invoke("classify", "--custom", str(path))
+        assert code == 1 and text.startswith("error: cannot parse") and text.count("\n") == 1, text
 
 
 def test_exit_code_invalid_lattice(tmp_path):
@@ -241,6 +252,10 @@ def test_exit_code_invalid_lattice(tmp_path):
     bad.write_bytes(b"\xff\xfe" + '{"rank": 1, "gram": [[2]]}'.encode("utf-16-le"))
     code, text = invoke("disc", "--file", str(bad))
     assert code == 2 and text.startswith("error: cannot parse") and text.count("\n") == 1, text
+    for doc in UNPARSEABLE_JSON:
+        bad.write_text(doc)
+        code, text = invoke("disc", "--file", str(bad))
+        assert code == 2 and text.startswith("error: cannot parse") and text.count("\n") == 1, text
 
     odd = tmp_path / "odd.json"
     odd.write_text(json.dumps({"rank": 2, "gram": [[1, 0], [0, -2]], "ample": [1, 0]}))
@@ -333,9 +348,9 @@ def test_exit_code_cost_limit_chamber(presets, monkeypatch):
     curve = (0, 1, 0)
     monkeypatch.setattr(k3scan.linalg, "rank", _boom)
     with pytest.raises(CostLimitError, match="244650 subsets"):
-        _chamber_vertices(s1.lattice, s1.ample, (curve,) * 700)
+        _chamber(s1.lattice, s1.ample, (curve,) * 700, 10)
     monkeypatch.setattr(
-        k3scan.cone, "vinberg_sieve", lambda lat, h, kmax: _chamber_vertices(lat, h, (curve,) * 700)
+        k3scan.cone, "vinberg_sieve", lambda lat, h, kmax: _chamber(lat, h, (curve,) * 700, kmax)
     )
     code, text = invoke("chamber", "--preset", "S1")
     assert code == 5 and text.startswith("error: ") and text.count("\n") == 1, text
@@ -349,9 +364,9 @@ def test_one_chamber_per_command(monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        return _chamber_vertices(*args)
+        return _chamber(*args)
 
-    monkeypatch.setattr(k3scan.cone, "_chamber_vertices", counting)
+    monkeypatch.setattr(k3scan.cone, "_chamber", counting)
     for name in sieve_presets():
         for argv in (
             ("curves", "--preset", name),

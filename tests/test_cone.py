@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,7 +15,6 @@ from helpers import (
 )
 
 from k3scan.cone import (
-    _chamber_vertices,
     hyperbolic_ell,
     is_ample,
     vinberg_sieve,
@@ -245,21 +245,16 @@ def test_noncompact_chamber_detected(presets):
         vinberg_sieve(lat, (1, 1, 0), 6)
 
 
-def test_nonpositive_seed_rejected(presets):
-    with pytest.raises(ValueError):
-        vinberg_sieve(presets["S1"].lattice, (0, 1, 0), 4)
-
-
-def test_chamber_vertices_validates_seed(curve_systems):
-    cs = curve_systems["S1"]
+def test_nonpositive_seed_rejected(presets, curve_systems):
+    s1 = presets["S1"]
     for bad in ((0, 1, 0), (0, 0, 0)):  # square -2, square 0
         with pytest.raises(ValueError, match="positive square"):
-            _chamber_vertices(cs.lattice, bad, cs.curves)
+            vinberg_sieve(s1.lattice, bad, 4)
     with pytest.raises(ValueError, match="length"):
-        _chamber_vertices(cs.lattice, cs.ample_seed[:2], cs.curves)
+        vinberg_sieve(s1.lattice, s1.ample[:2], 4)
     with pytest.raises(TypeError):
-        _chamber_vertices(cs.lattice, tuple(map(float, cs.ample_seed)), cs.curves)
-    assert _chamber_vertices(cs.lattice, list(cs.ample_seed), cs.curves) == cs.chamber
+        vinberg_sieve(s1.lattice, tuple(map(float, s1.ample)), 4)
+    assert vinberg_sieve(s1.lattice, list(s1.ample), 10) == curve_systems["S1"]
 
 
 def test_sieve_stops_at_the_closure_degree(presets, monkeypatch):
@@ -287,6 +282,12 @@ def _outcome(sieve, lat, h, kmax):
         return type(exc), str(exc)
 
 
+# sha256 over the outcomes of `test_stop_rule_matches_the_sieve_over_every_degree`,
+# one line each: the curves, vertices and ell of a closed chamber, or the
+# error's type and message.  It pins the closure test's errors and their order.
+STOP_RULE_OUTCOMES_SHA256 = "d0daac31c487c26111fcf874f626dbd15ea1ca44d08d5a2dfb96aef4af9e29f3"
+
+
 def test_stop_rule_matches_the_sieve_over_every_degree(presets):
     cases = [
         (presets[name].lattice, presets[name].ample, kmax)
@@ -300,10 +301,18 @@ def test_stop_rule_matches_the_sieve_over_every_degree(presets):
         for kmax in (9, 10, 12, 16, 24)
     ]
     kinds = Counter()
+    digest = hashlib.sha256()
     for lat, h, kmax in cases:
-        got = _outcome(vinberg_sieve, lat, h, kmax)
+        kind, value = got = _outcome(vinberg_sieve, lat, h, kmax)
         assert got == _outcome(sieve_every_degree, lat, h, kmax), (lat.gram, h, kmax)
-        kinds[got[0]] += 1
+        kinds[kind] += 1
+        if kind == "closed":
+            line = repr((value.curves, value.chamber.vertices, value.chamber.ell))
+        else:
+            line = f"{kind.__name__}: {value}"
+        digest.update(line.encode() + b"\n")
+    assert len(cases) == 806
+    assert digest.hexdigest() == STOP_RULE_OUTCOMES_SHA256
     # The batch closes, and fails with every error of the sieve short of the cost limit.
     assert set(kinds) == {
         "closed", IncompleteSieveError, NonCompactChamberError, WallError

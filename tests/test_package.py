@@ -1,5 +1,6 @@
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,14 +128,21 @@ def test_every_package_json_file_is_package_data():
 
 
 def test_library_has_no_assert_statements():
-    # `python -O` strips asserts, so every invariant check in the library must raise.
+    # `python -O` strips asserts, so every invariant check in the library must
+    # raise.  The same walk keeps the library stdlib-only: numpy, hypothesis and
+    # jsonschema are installed for the tests, so an import of one would pass here.
     package = Path(__file__).resolve().parents[1] / "src" / "k3scan"
     sources = sorted(package.glob("*.py"))
     assert package / "linalg.py" in sources
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Assert)
-    ]
+    found, imported = [], set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
     assert found == []
+    assert "json" in imported
+    assert sorted(imported - sys.stdlib_module_names) == []
