@@ -28,13 +28,12 @@ _EXPORTS = {
         "CostLimitError", "IncompleteSieveError", "InvalidLatticeError",
         "K3ScanError", "NonCompactChamberError", "UsageError", "WallError",
     ),
-    "isometry": ("identify_type", "isometry_small"),
     "lattice": (
         "DiscriminantGroup", "GramLattice", "bilinear", "discriminant_group",
         "is_primitive", "isotropic_elements", "overlattice_from_isotropic",
         "signature", "square",
     ),
-    "presets": ("Preset", "catalog", "sieve_presets"),
+    "presets": ("Preset", "catalog", "identify_type", "sieve_presets"),
     "series": (
         "SeriesTable", "degree_bound", "theta_series", "xi_series",
     ),

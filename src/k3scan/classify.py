@@ -5,7 +5,7 @@ named integer parameters, together with finite domains and normalization
 constraints ("a<=2", "a1+b1+c1+d1==16").  search_template enumerates every
 assignment satisfying the constraints and reports those whose instantiated
 matrix has rank at most the target, each identified against the catalog by
-isometry.identify_type.
+genus (presets.identify_type).
 
 Templates are JSON documents, built by template_from_dict and read from a
 file by read_template alone.  The shipped searches are such documents,
@@ -43,8 +43,8 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import UsageError
-from .isometry import identify_type
 from .linalg import Matrix
+from .presets import identify_type
 
 _TEMPLATE_DIR = os.path.join(os.path.dirname(__file__), "templates")
 

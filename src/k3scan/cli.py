@@ -180,8 +180,8 @@ def cmd_series(args) -> dict:
 
 def cmd_disc(args) -> dict:
     from . import linalg
-    from .isometry import identify_type
     from .lattice import discriminant_group, isotropic_elements, overlattice_from_isotropic
+    from .presets import identify_type
 
     lat, _, name = _load_input(args)
     dg = discriminant_group(lat)

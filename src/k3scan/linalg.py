@@ -251,11 +251,6 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
     return freeze_matrix(a), freeze_matrix(u), freeze_matrix(v)
 
 
-def invariant_factors(m) -> tuple[int, ...]:
-    d, _, _ = smith_normal_form(m)
-    return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
-
-
 def hnf_row_basis(rows) -> tuple[Vector, ...]:
     """Echelon basis (over Z) of the row span of the given integer rows."""
     basis: list[list[int]] = []  # kept in echelon order by pivot column
@@ -303,21 +298,18 @@ def isqrt_fraction_floor(fr: Fraction) -> int:
     return isqrt(fr.numerator * fr.denominator) // fr.denominator
 
 
-def sign_normalize(v: Sequence[int]) -> Vector:
-    """Flip v so its first nonzero coordinate is positive."""
-    for x in v:
-        if x > 0:
-            return tuple(v)
-        if x < 0:
-            return tuple(-y for y in v)
-    return tuple(v)
-
-
 def canonical_key(v: Sequence[int]):
-    """Deterministic sort key: lexicographic after sign normalization."""
-    norm = sign_normalize(v)
-    flipped = 1 if norm != tuple(v) else 0
-    return (norm, flipped)
+    """Deterministic sort key: (v sign-normalized, 1 if that flipped v else 0).
+
+    Sign-normalized means the first nonzero coordinate is positive.
+    """
+    v = tuple(v)
+    for x in v:
+        if x:
+            if x < 0:
+                return tuple(-y for y in v), 1
+            break
+    return v, 0
 
 
 def primitive_part(v: Sequence[int]) -> Vector:

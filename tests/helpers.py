@@ -32,6 +32,12 @@ def unimodular_change(draw, n):
     return u, uinv
 
 
+def smith_diagonal(m):
+    """The diagonal of the Smith normal form of m: its invariant factors, 1s included."""
+    d, _, _ = linalg.smith_normal_form(m)
+    return tuple(d[i][i] for i in range(len(d)))
+
+
 def gram_permutation_equivalent(a, b):
     """A permutation p with a[p[i]][p[j]] == b[i][j], or None.
 

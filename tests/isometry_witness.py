@@ -1,4 +1,9 @@
-"""Isometry testing for small hyperbolic lattices.
+"""An isometry search for small hyperbolic lattices, kept as a test-side witness.
+
+The library identifies lattices by genus (`k3scan.presets.identify_type`).
+This module is the independent check on it: a search that returns an
+explicit basis map, so a name from `identify_type` can be backed by a map
+U with U^T G2 U == G1 found without any discriminant form.
 
 Cheap invariants (rank, determinant, Smith invariant factors) decide most
 non-isometric pairs outright; the signature needs no test, since every
@@ -12,23 +17,23 @@ scale of the built-in catalog (small determinants); a None after the
 invariants agree means no map was found within the search bound.  Above
 rank 5 the search is refused: a pair of equal Grams still gives the
 identity and differing invariants still give None, but any other pair
-raises K3ScanError.  identify_type names the catalog lattice, if any, that a
-given lattice is isometric to.
+raises K3ScanError.  `witness_type` names the catalog lattice, if any, that
+the search maps a given lattice to.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import isqrt
-from typing import TYPE_CHECKING
 
-from . import linalg
-from .errors import InvalidLatticeError, K3ScanError
-from .lattice import GramLattice, bilinear, square
-from .linalg import Matrix, Vector, canonical_key, sign_normalize
+from helpers import smith_diagonal
 
-if TYPE_CHECKING:
-    from .enumeration import DegreeCoset
+from k3scan import linalg
+from k3scan.enumeration import DegreeCoset
+from k3scan.errors import InvalidLatticeError, K3ScanError
+from k3scan.lattice import GramLattice, bilinear, square
+from k3scan.linalg import Matrix, Vector, canonical_key
+from k3scan.presets import catalog
 
 _DEGREE_CAPS = (8, 16, 32, 64)
 
@@ -115,11 +120,10 @@ def isometry_small(l1: GramLattice, l2: GramLattice) -> Matrix | None:
         return linalg.freeze_matrix(linalg.identity(l1.rank))
     if l1.rank != l2.rank or l1.det() != l2.det():
         return None
-    if linalg.invariant_factors(l1.gram) != linalg.invariant_factors(l2.gram):
+    if smith_diagonal(l1.gram) != smith_diagonal(l2.gram):
         return None
     if l1.rank > 5:
         raise K3ScanError(f"isometry search supports rank at most 5, not {l1.rank}")
-    from .enumeration import DegreeCoset  # the invariants above decide most pairs without it
     g1r, _, t1inv = _greedy_reduce(l1.gram)
     g2r, t2, _ = _greedy_reduce(l2.gram)
     l2r = GramLattice(rank=l2.rank, gram=g2r)
@@ -137,14 +141,12 @@ def isometry_small(l1: GramLattice, l2: GramLattice) -> Matrix | None:
     return None
 
 
-def identify_type(gram_or_lattice) -> str | None:
+def witness_type(gram_or_lattice) -> str | None:
     """Name from the built-in catalog realized by the given even lattice.
 
     Tries `isometry_small` against each catalog lattice in turn, which
     compares the invariants before it searches; None when nothing matches.
     """
-    from .presets import catalog
-
     if isinstance(gram_or_lattice, GramLattice):
         lat = gram_or_lattice
     else:
@@ -171,7 +173,7 @@ def _search(g1, l2: GramLattice, coset: DegreeCoset, cap: int) -> Matrix | None:
         if i == rho:
             return True
         for v in pools[g1[i][i]]:
-            if i == 0 and sign_normalize(v) != v:
+            if i == 0 and canonical_key(v)[1]:
                 continue  # composing with -1 makes the first image canonical
             if all(bilinear(l2, v, images[j]) == g1[i][j] for j in range(i)):
                 images.append(v)

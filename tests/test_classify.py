@@ -15,6 +15,7 @@ from helpers import (
     gram_permutation_equivalent,
     orbit,
 )
+from isometry_witness import isometry_small
 
 from k3scan import linalg
 from k3scan.classify import (
@@ -127,8 +128,6 @@ def test_l27_solution_isometry_classes():
         "second": [(2, 0, 4, 0, 2, 2), (0, 2, 4, 0, 2, 2), (0, 0, 2, 0, 2, 2),
                    (0, 2, 0, 0, 2, 0), (2, 0, 0, 0, 0, 2)],
     }
-    from k3scan.isometry import isometry_small
-
     for members in groups.values():
         lattices = [
             GramLattice(rank=4, gram=by_values[v].basis_gram) for v in members

@@ -681,11 +681,10 @@ print(json.dumps({
 CLI_MODULES = {"k3scan", "k3scan.cli", "k3scan.errors"}
 CORE_MODULES = CLI_MODULES | {"k3scan.linalg", "k3scan.lattice", "k3scan.presets"}
 COMMAND_MODULES = {
-    ("disc", "--preset", "S2"): CORE_MODULES | {"k3scan.isometry"},
+    ("disc", "--preset", "S2"): CORE_MODULES,
     ("series", "--preset", "S1", "--max-square", "12"): CORE_MODULES
     | {"k3scan.enumeration", "k3scan.cone", "k3scan.series"},
-    ("classify", "--template", "S5"): CORE_MODULES
-    | {"k3scan.enumeration", "k3scan.isometry", "k3scan.classify"},
+    ("classify", "--template", "S5"): CORE_MODULES | {"k3scan.classify"},
 }
 
 

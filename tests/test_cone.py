@@ -15,6 +15,7 @@ from helpers import (
 )
 
 from k3scan.cone import (
+    _chamber,
     hyperbolic_ell,
     is_ample,
     vinberg_sieve,
@@ -237,6 +238,14 @@ def test_incomplete_sieve_reported(presets):
     s6 = presets["S6"]
     with pytest.raises(IncompleteSieveError):
         vinberg_sieve(s6.lattice, s6.ample, 2)
+
+
+def test_chamber_names_a_curve_that_supports_no_vertex(presets):
+    # Four curves of S1 whose lines give three vertices; curve 1's wall carries none.
+    curves = ((0, -2, -1), (2, 1, 2), (-1, 1, -2), (1, 0, 2))
+    with pytest.raises(IncompleteSieveError) as err:
+        _chamber(presets["S1"].lattice, (1, -1, -1), curves, 7)
+    assert str(err.value) == "chamber did not close at degree 7: curves [1] support no vertex"
 
 
 def test_noncompact_chamber_detected(presets):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import isotropic_elements_whole_group, unimodular_change
+from helpers import isotropic_elements_whole_group, smith_diagonal, unimodular_change
 from oracle import scan_isotropic_dual_classes
 
 from k3scan import linalg
@@ -324,7 +324,7 @@ def test_snf_det_consistency_all_presets(presets):
     for preset in presets.values():
         gram = preset.lattice.gram
         product = 1
-        for f in linalg.invariant_factors(gram):
+        for f in smith_diagonal(gram):
             product *= f
         assert product == abs(preset.lattice.det())
 

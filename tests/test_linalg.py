@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import smith_diagonal
+
 from k3scan import linalg
 
 small_matrix = st.integers(1, 4).flatmap(
@@ -58,8 +60,8 @@ def test_smith_normal_form_examples():
     d, _, _ = linalg.smith_normal_form([[2, 0], [0, 2]])
     assert (d[0][0], d[1][1]) == (2, 2)
     # frozen from row/column reduction by hand; |det| = 108 is preserved
-    assert linalg.invariant_factors([[36, 0, 0], [0, -2, 1], [0, 1, -2]]) == (1, 3, 36)
-    assert linalg.invariant_factors(
+    assert smith_diagonal([[36, 0, 0], [0, -2, 1], [0, 1, -2]]) == (1, 3, 36)
+    assert smith_diagonal(
         [[-2, 3, 0, 0], [3, -2, 1, 1], [0, 1, -2, 1], [0, 1, 1, -2]]
     ) == (1, 1, 3, 9)
 
@@ -70,7 +72,7 @@ def test_determinant_matches_snf():
         n = rng.randint(1, 4)
         m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         product = 1
-        for f in linalg.invariant_factors(m):
+        for f in smith_diagonal(m):
             product *= f
         assert abs(linalg.det(m)) == product
 
@@ -100,6 +102,8 @@ def test_canonical_key_sign_normalization():
     assert ordered[0] == (0, 1, -2)
     assert ordered[1] == (0, -1, 2)
     assert ordered[2] == (1, 0, 0)
+    assert linalg.canonical_key([0, -3, 1]) == ((0, 3, -1), 1)
+    assert linalg.canonical_key((0, 0)) == ((0, 0), 0)
 
 
 def test_symmetric_elimination_refuses_non_symmetric():

@@ -7,7 +7,7 @@ import pytest
 
 import k3scan
 import k3scan.classify
-import k3scan.isometry
+import k3scan.presets
 from k3scan.classify import builtin_searches, search_template
 from k3scan.cone import vinberg_sieve
 from k3scan.enumeration import EnumerationStats
@@ -35,7 +35,7 @@ def test_public_names_are_pinned():
         "Preset", "SeriesTable", "TemplateSolution", "UsageError", "WallError",
         "bilinear", "builtin_searches", "catalog", "degree_bound",
         "discriminant_group", "hyperbolic_ell", "identify_type", "is_ample",
-        "is_primitive", "isometry_small", "isotropic_elements", "overlattice_from_isotropic",
+        "is_primitive", "isotropic_elements", "overlattice_from_isotropic",
         "search_template", "sieve_presets", "signature", "span_gram", "square",
         "theta_series", "vinberg_sieve", "xi_series",
     ]
@@ -51,10 +51,10 @@ def test_unknown_attribute_raises():
     assert not hasattr(k3scan, "theta")
 
 
-def test_identify_type_lives_in_isometry():
-    assert k3scan.classify.identify_type is k3scan.isometry.identify_type
-    assert k3scan.identify_type is k3scan.isometry.identify_type
-    assert k3scan.identify_type.__module__ == "k3scan.isometry"
+def test_identify_type_lives_in_presets():
+    assert k3scan.classify.identify_type is k3scan.presets.identify_type
+    assert k3scan.identify_type is k3scan.presets.identify_type
+    assert k3scan.identify_type.__module__ == "k3scan.presets"
 
 
 def _records():
