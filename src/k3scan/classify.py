@@ -30,6 +30,19 @@ so nothing is lost once a block is fully set, and the final rank computation
 decides every leaf.  A minor is scheduled at the depth of the last parameter
 with a nonzero coefficient in its entries and memoized on the values of those
 parameters.
+
+Replay: when the bounds and minors tested at depths s..e-1 (e > s+1) read only
+parameters s..e-1, the value tuples of s..e-1 that reach depth e are the same
+under every prefix of values for 0..s-1, since no test on the way can see the
+prefix.  So such a block is searched once, under the first prefix that reaches
+it, and its surviving tuples are replayed in the same order under every later
+prefix, each with the entries of s..e-1 filled again from that prefix.  In S2
+the second conic pair (a2, b2, c2, d2) is such a block.
+
+Budget: a search that enters more than MAX_SEARCH_NODES nodes (every call of
+the descent, replayed or searched) or finds more than MAX_SEARCH_HITS
+solutions raises CostLimitError.  It cannot be refused up front: S2's raw
+domain product is 5.8 * 10^14, while its search enters 1,282 nodes.
 """
 
 from __future__ import annotations
@@ -42,11 +55,16 @@ import re
 from typing import NamedTuple
 
 from . import linalg
-from .errors import UsageError
+from .errors import CostLimitError, UsageError
 from .linalg import Matrix
 from .presets import identify_type
 
 _TEMPLATE_DIR = os.path.join(os.path.dirname(__file__), "templates")
+
+# Work limits of one search, counted, not timed.  The shipped templates enter
+# at most 1,282 nodes (S2) and find at most 10 solutions (L27).
+MAX_SEARCH_NODES = 100_000
+MAX_SEARCH_HITS = 1_000
 
 _TERM = re.compile(
     r"\s*([+-])?\s*(?:(\d+)\s*\*\s*([A-Za-z]\w*)|(\d+)|([A-Za-z]\w*))"
@@ -94,9 +112,6 @@ class AffineExpr(NamedTuple):
 
     def params(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.coeffs)
-
-    def evaluate(self, assignment) -> int:
-        return self.const + sum(c * assignment[name] for name, c in self.coeffs)
 
 
 class Constraint(NamedTuple):
@@ -155,12 +170,6 @@ class MatrixTemplate(_TemplateFields):
         """Validated like the constructor; `_replace` builds through here."""
         return cls(*iterable)
 
-    def instantiate(self, values) -> Matrix:
-        assignment = dict(zip(self.parameters, values))
-        return tuple(
-            tuple(e.evaluate(assignment) for e in row) for row in self.entries
-        )
-
 
 class TemplateSolution(NamedTuple):
     values: tuple[int, ...]
@@ -204,7 +213,7 @@ def _int_row(pairs, order) -> tuple[int, tuple[tuple[int, int], ...]]:
     return const, tuple((k, c) for k, c in enumerate(coeffs) if c)
 
 
-def _search_sequential(template: MatrixTemplate, target_rank: int, first_values=None):
+def _search_sequential(template: MatrixTemplate, target_rank: int):
     nparams = len(template.parameters)
     n = template.size
     order = {p: k for k, p in enumerate(template.parameters)}
@@ -259,13 +268,62 @@ def _search_sequential(template: MatrixTemplate, target_rank: int, first_values=
     if not all(minor_ok(*m) for m in minors.get(-1, ())):
         return []
 
+    # Replay blocks (see the module docstring), taken greedily from the left,
+    # each as long as it goes.
+    reach = list(range(nparams))  # the earliest parameter a test at depth d reads
+    for d in range(nparams):
+        for _, _, terms, _, _ in bounds[d]:
+            if terms:  # ascending, so terms[0] is the earliest
+                reach[d] = min(reach[d], terms[0][0])
+        for _, dep in minors.get(d, ()):
+            reach[d] = min(reach[d], dep[0])
+    blocks: dict[int, tuple[int, list]] = {}  # s -> (e, the fills of s..e-1)
+    s = 1
+    while s < nparams:
+        e = s
+        while e < nparams and reach[e] >= s:
+            e += 1
+        if e > s + 1:
+            blocks[s] = (e, [f for d in range(s, e) for f in fills[d]])
+            s = e
+        else:
+            s += 1
+    passed: dict[int, list] = {}  # s -> the tuples of s..e-1 that reached e
+    recording: dict[int, tuple[int, list]] = {}  # e -> (s, tuples so far)
+    nodes = 0
+
     def descend(depth: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise CostLimitError(
+                f"the search entered more than {MAX_SEARCH_NODES} nodes; "
+                "narrow the domains or add normalize constraints"
+            )
+        if depth in recording:
+            start, tuples = recording[depth]
+            tuples.append(tuple(values[start:depth]))
         if depth == nparams:
             matrix = tuple(map(tuple, cur))
             r = linalg.rank(matrix)
             if r <= target_rank:
                 hits.append((tuple(values), r, matrix))
+                if len(hits) > MAX_SEARCH_HITS:
+                    raise CostLimitError(
+                        f"the search found more than {MAX_SEARCH_HITS} solutions; "
+                        "narrow the domains or add normalize constraints"
+                    )
             return
+        end, block_fills = blocks.get(depth, (None, None))
+        if depth in passed:
+            for block_values in passed[depth]:
+                values[depth:end] = block_values
+                for i, j, const, terms in block_fills:
+                    cur[i][j] = cur[j][i] = const + sum(c * values[k] for k, c in terms)
+                descend(end)
+            return
+        if end is not None:
+            recording[end] = (depth, [])
         lo, hi = template.domains[depth]
         for lead, const, terms, below, above in bounds[depth]:
             # rest + lead*x + (later terms, in [below, above]) <= 0, or == 0;
@@ -283,55 +341,33 @@ def _search_sequential(template: MatrixTemplate, target_rank: int, first_values=
                     lo = max(lo, -(-bottom // lead))
                 else:
                     hi = min(hi, bottom // lead)
-        candidates = range(lo, hi + 1)
-        if first_values is not None and depth == 0:
-            candidates = [v for v in first_values if lo <= v <= hi]
-        for value in candidates:
+        for value in range(lo, hi + 1):
             values[depth] = value
             for i, j, const, terms in fills[depth]:
                 cur[i][j] = cur[j][i] = const + sum(c * values[k] for k, c in terms)
             if all(minor_ok(*m) for m in minors.get(depth, ())):
                 descend(depth + 1)
+        if end is not None:
+            passed[depth] = recording.pop(end)[1]
 
     descend(0)
     return hits
-
-
-def _worker(args):
-    template, target_rank, chunk = args
-    return _search_sequential(template, target_rank, first_values=chunk)
 
 
 def search_template(
     template: MatrixTemplate,
     target_rank: int,
     name: str = "custom",
-    jobs: int = 1,
 ) -> ClassificationResult:
     """Exhaustive search for assignments of rank <= target_rank.
 
-    With jobs > 1 the domain of the first parameter is partitioned across a
-    process pool of at most os.cpu_count() workers; results are merged in
-    canonical parameter order, so the outcome is independent of the worker
-    count.
+    Solutions come in lexicographic order of their parameter values.  A
+    search that enters more than MAX_SEARCH_NODES nodes or finds more than
+    MAX_SEARCH_HITS solutions raises CostLimitError.
     """
     if target_rank < 0:
         raise UsageError(f"target_rank must be non-negative, got {target_rank}")
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1 and template.parameters:
-        import multiprocessing
-
-        lo, hi = template.domains[0]
-        values = list(range(lo, hi + 1))
-        chunks = [values[i::jobs] for i in range(jobs) if values[i::jobs]]
-        with multiprocessing.Pool(processes=len(chunks)) as pool:
-            parts = pool.map(
-                _worker, [(template, target_rank, chunk) for chunk in chunks]
-            )
-        hits = [h for part in parts for h in part]
-        hits.sort(key=lambda h: h[0])
-    else:
-        hits = _search_sequential(template, target_rank)
+    hits = _search_sequential(template, target_rank)
     solutions = []
     for values, r, matrix in hits:
         gram = span_gram(matrix)

@@ -2,12 +2,14 @@
 
 Subcommands: curves, chamber, series, disc, classify.  Input is a preset name
 or a lattice JSON file {"rank": n, "gram": [[..]], "labels": [..],
-"ample": [..]}.  Output is deterministic: repeated runs, and for classify
-different --jobs settings, produce byte-identical bytes.
+"ample": [..]}.  Output is deterministic: repeated runs produce
+byte-identical bytes.  classify still accepts --jobs N (N >= 1), which has no
+effect: the search runs in this process.
 
 Exit codes: 0 success, 1 usage, 2 invalid lattice, 3 incomplete sieve,
 4 non-compact chamber, 5 cost limit (an input whose work would explode is
-refused before any of it is done).
+refused before any of it is done, or, for a classify search, stopped once it
+has entered more nodes or found more solutions than a fixed limit).
 """
 
 from __future__ import annotations
@@ -227,7 +229,7 @@ def cmd_classify(args) -> dict:
     else:
         path = name = args.custom
     template, target_rank, _ = read_template(path)
-    result = search_template(template, target_rank, name=name, jobs=args.jobs)
+    result = search_template(template, target_rank, name=name)
     return {
         "command": "classify",
         "template": name,
@@ -341,7 +343,8 @@ def build_parser() -> _Parser:
     p.add_argument("--template", help="name of a built-in search")
     p.add_argument("--custom", help="path to a template JSON document")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and has no effect (N >= 1)")
     p.set_defaults(func=cmd_classify)
 
     return parser

@@ -40,6 +40,10 @@ class NonCompactChamberError(K3ScanError):
 
 
 class CostLimitError(K3ScanError):
-    """The input would cost more than a fixed work limit, so it is refused before any work."""
+    """The input would cost more than a fixed work limit.
+
+    It is refused before any work, except a template search, which is
+    stopped when its count of nodes or solutions passes its limit.
+    """
 
     exit_code = 5

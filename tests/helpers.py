@@ -210,6 +210,17 @@ TEMPLATE_SYMMETRIES = {
 }
 
 
+def evaluate(expr, assignment) -> int:
+    """The value of an AffineExpr at an assignment {name: int}."""
+    return expr.const + sum(c * assignment[name] for name, c in expr.coeffs)
+
+
+def instantiate(template, values):
+    """The matrix of a MatrixTemplate at a tuple of parameter values."""
+    assignment = dict(zip(template.parameters, values))
+    return tuple(tuple(evaluate(e, assignment) for e in row) for row in template.entries)
+
+
 def orbit(parameters, symmetries, values):
     """Closure of a parameter tuple under swap symmetries (maps parameter -> expression)."""
     maps = [{p: AffineExpr.parse(e) for p, e in sym.items()} for sym in symmetries]
@@ -219,7 +230,7 @@ def orbit(parameters, symmetries, values):
         assignment = dict(zip(parameters, queue.pop()))
         for mapping in maps:
             image = tuple(
-                mapping[p].evaluate(assignment) if p in mapping else assignment[p]
+                evaluate(mapping[p], assignment) if p in mapping else assignment[p]
                 for p in parameters
             )
             if image not in seen:

@@ -1,6 +1,4 @@
 import itertools
-import multiprocessing
-import os
 import pickle
 import random
 import sys
@@ -12,12 +10,14 @@ from hypothesis import strategies as st
 from helpers import (
     PUBLISHED_CURVE_GRAMS,
     TEMPLATE_SYMMETRIES,
+    evaluate,
     gram_permutation_equivalent,
+    instantiate,
     orbit,
 )
 from isometry_witness import isometry_small
 
-from k3scan import linalg
+from k3scan import classify, linalg
 from k3scan.classify import (
     AffineExpr,
     Constraint,
@@ -29,7 +29,7 @@ from k3scan.classify import (
     span_gram,
     template_from_dict,
 )
-from k3scan.errors import UsageError
+from k3scan.errors import CostLimitError, UsageError
 from k3scan.lattice import GramLattice
 
 
@@ -43,14 +43,14 @@ def test_rank_examples():
 
 def test_affine_expression_parsing():
     e = AffineExpr.parse("4-a")
-    assert e.evaluate({"a": 1}) == 3
+    assert evaluate(e, {"a": 1}) == 3
     e = AffineExpr.parse("16-a1-b1-c1")
-    assert e.evaluate({"a1": 1, "b1": 7, "c1": 7}) == 1
-    assert AffineExpr.parse("-2").evaluate({}) == -2
-    assert AffineExpr.parse("2*u").evaluate({"u": 3}) == 6
+    assert evaluate(e, {"a1": 1, "b1": 7, "c1": 7}) == 1
+    assert evaluate(AffineExpr.parse("-2"), {}) == -2
+    assert evaluate(AffineExpr.parse("2*u"), {"u": 3}) == 6
     with pytest.raises(UsageError):
         AffineExpr.parse("a*b")
-    assert AffineExpr.parse(-2).evaluate({}) == -2
+    assert evaluate(AffineExpr.parse(-2), {}) == -2
     for bad in (True, False, None, 2.0):  # JSON true/false/null/2.0 are not expressions
         with pytest.raises(UsageError, match="expected an integer"):
             AffineExpr.parse(bad)
@@ -167,14 +167,14 @@ def test_random_non_solutions_have_larger_rank():
         if values in solutions:
             continue
         tried += 1
-        assert linalg.rank(bs.template.instantiate(values)) > bs.target_rank
+        assert linalg.rank(instantiate(bs.template, values)) > bs.target_rank
 
 
 def test_span_gram_uses_all_generators():
     # the S1 solution matrix spans a lattice of determinant 24 even though the
     # first three generators alone only span an index-2 sublattice
     bs = builtin_searches()["S1"]
-    matrix = bs.template.instantiate((0, 0, 4))
+    matrix = instantiate(bs.template, (0, 0, 4))
     gram = span_gram(matrix)
     from k3scan import linalg
 
@@ -210,49 +210,10 @@ def test_custom_template_roundtrip(tmp_path):
 
 
 def test_template_pickles_by_value():
-    # --jobs sends the template to its pool workers; unpickling re-validates it.
+    # A template is a value: it pickles, and unpickling re-validates it.
     for bs in builtin_searches().values():
         copy = pickle.loads(pickle.dumps(bs.template))
         assert copy == bs.template and type(copy) is MatrixTemplate
-
-
-def test_jobs_do_not_change_results():
-    bs = builtin_searches()["S6"]
-    seq = search_template(bs.template, bs.target_rank, name="S6", jobs=1)
-    par = search_template(bs.template, bs.target_rank, name="S6", jobs=3)
-    assert seq.value_tuples() == par.value_tuples()
-    assert [s.basis_gram for s in seq.solutions] == [s.basis_gram for s in par.solutions]
-
-
-def test_pool_is_capped_at_the_cpu_count(monkeypatch):
-    # The pool used to get min(jobs, |first domain|) workers: 10,000 here.
-    # A fake pool records its size and maps in this process, so none starts.
-    pools = []
-
-    class FakePool:
-        def __init__(self, processes):
-            pools.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    template, target_rank = template_from_dict(
-        {"size": 1, "entries": [["a"]], "domains": {"a": [0, 20000]}, "target_rank": 0}
-    )
-    sequential = search_template(template, target_rank, jobs=1)
-    assert sequential.value_tuples() == ((0,),) and pools == []
-    for cpus, sizes in ((3, [3]), (None, [])):  # cpu_count() may be unknown
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        pools.clear()
-        assert search_template(template, target_rank, jobs=10_000) == sequential
-        assert pools == sizes, cpus
 
 
 NAMES = ("p0", "p1", "p2")
@@ -305,7 +266,7 @@ def small_templates(draw):
 
 
 def _holds(c, assignment):
-    a, b = c.lhs.evaluate(assignment), c.rhs.evaluate(assignment)
+    a, b = evaluate(c.lhs, assignment), evaluate(c.rhs, assignment)
     return a <= b if c.op == "<=" else a == b
 
 
@@ -313,30 +274,29 @@ def _brute_force(template, target_rank):
     hits = []
     for values in itertools.product(*(range(lo, hi + 1) for lo, hi in template.domains)):
         assignment = dict(zip(template.parameters, values))
-        matrix = template.instantiate(values)
+        matrix = instantiate(template, values)
         r = linalg.rank(matrix)
         if r <= target_rank and all(_holds(c, assignment) for c in template.constraints):
             hits.append((values, r, matrix))
     return hits
 
 
-# 1 <= 2*p0 needs the ceiling of 1/2, and 2*p1 == p0 the divisibility test.
-PINNED = MatrixTemplate(
-    size=2,
-    entries=tuple(tuple(AffineExpr.parse(c) for c in row) for row in (("-2", "p0"), ("p0", "p1"))),
-    parameters=("p0", "p1"),
-    domains=((-3, 3), (-3, 3)),
-    constraints=(Constraint.parse("1<=2*p0"), Constraint.parse("2*p1==p0")),
-)
-
-
+def _template(rows, parameters, domains, *constraints):
+    return MatrixTemplate(
+        size=len(rows),
+        entries=tuple(tuple(AffineExpr.parse(c) for c in row) for row in rows),
+        parameters=parameters,
+        domains=domains,
+        constraints=tuple(map(Constraint.parse, constraints)),
+    )
 
 
 def _pinned(domains, *constraints):
-    return MatrixTemplate(
-        size=2, entries=PINNED.entries, parameters=PINNED.parameters, domains=domains,
-        constraints=tuple(map(Constraint.parse, constraints)),
-    )
+    return _template((("-2", "p0"), ("p0", "p1")), ("p0", "p1"), domains, *constraints)
+
+
+# 1 <= 2*p0 needs the ceiling of 1/2, and 2*p1 == p0 the divisibility test.
+PINNED = _pinned(((-3, 3), (-3, 3)), "1<=2*p0", "2*p1==p0")
 
 
 # Rows whose later terms clip an earlier parameter: p1 in [0, 1] leaves p0 only
@@ -350,23 +310,45 @@ CLIPPING_PINS = (
 )
 
 
+# Templates with a block of parameters whose bounds and minors never read the
+# parameters before it, so the search replays the block for every prefix but
+# the first.  Two constant 2x2 pairs are joined by four parameters under their
+# own == constraint, as in S2.  The cell d+p is filled at the block's depths
+# but reads the prefix p; a last parameter q keeps the minors of d+p at d's
+# depth (the last parameter's are left to the rank test), where they end the
+# block before d.  Three pairs: the joins (a2, b2) form the block
+# after the prefix (a1, b1), and q joins the second and third pairs.
+BLOCK_PINS = (
+    _template(
+        (("-2", "-3", "a", "b", "0"), ("-3", "-2", "c", "d+p", "0"),
+         ("a", "c", "-2", "-3", "0"), ("b", "d+p", "-3", "-2", "0"), ("0", "0", "0", "0", "q-2")),
+        ("p", "a", "b", "c", "d", "q"), ((-1, 1),) + ((0, 3),) * 4 + ((1, 2),), "a+b+c+d==10",
+    ),
+    _template(
+        (("-2", "-3", "a1", "b1", "a2", "b2"), ("-3", "-2", "b1", "a1", "b2", "a2"),
+         ("a1", "b1", "-2", "-3", "q", "-5-q"), ("b1", "a1", "-3", "-2", "-5-q", "q"),
+         ("a2", "b2", "q", "-5-q", "-2", "-3"), ("b2", "a2", "-5-q", "q", "-3", "-2")),
+        ("a1", "b1", "a2", "b2", "q"), ((1, 4),) * 4 + ((-3, 0),), "a1+b1==5", "a2+b2==5",
+    ),
+)
+
+
 @given(small_templates())
 @example((PINNED, 1))
 @example((CLIPPING_PINS[0], 1))
 @example((CLIPPING_PINS[1], 1))
 @example((CLIPPING_PINS[2], 1))
 @example((CLIPPING_PINS[3], 1))
+@example((BLOCK_PINS[0], 2))
+@example((BLOCK_PINS[0], 3))
+@example((BLOCK_PINS[1], 2))
+@example((BLOCK_PINS[1], 3))
 @settings(max_examples=300, deadline=None)
 def test_compiled_search_matches_brute_force(case):
     template, target_rank = case
     # At the full size no minor prunes, so only the constraint bounds act.
     for rank in (target_rank, template.size):
-        expected = _brute_force(template, rank)
-        assert _search_sequential(template, rank) == expected
-        lo, hi = template.domains[0]
-        evens = [v for v in range(lo, hi + 1) if v % 2 == 0]
-        part = _search_sequential(template, rank, first_values=evens)
-        assert part == [h for h in expected if h[0][0] % 2 == 0]
+        assert _search_sequential(template, rank) == _brute_force(template, rank)
 
 
 def test_rows_clip_earlier_parameters():
@@ -385,3 +367,42 @@ def test_rows_clip_earlier_parameters():
         finally:
             sys.setprofile(None)
         assert entered == sorted({h[0][0] for h in hits}), template.constraints
+
+
+def test_s2_searches_its_second_pair_once():
+    # The second pair's parameters a2, b2, c2, d2 (depths 4-7) are bounded by
+    # their own sum and a2<=b2, and the one minor at those depths reads only
+    # them: the pair is searched under the first surviving (a1, b1, c1, d1) and
+    # replayed under the other four, not searched five times (2,625 entries).
+    bs = builtin_searches()["S2"]
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "descend" and frame.f_locals["depth"] == 7:
+            entered.append(frame.f_locals["values"][:4])
+
+    sys.setprofile(profile)
+    try:
+        hits = _search_sequential(bs.template, bs.target_rank)
+    finally:
+        sys.setprofile(None)
+    assert [h[0] for h in hits] == list(bs.expected)
+    assert len(entered) <= 525
+
+
+def test_search_budget_counts_nodes_and_solutions(monkeypatch):
+    # S2 enters 1,282 nodes, the replayed ones included; L27 finds 10 solutions.
+    searches = builtin_searches()
+    s2, l27 = searches["S2"], searches["L27"]
+    monkeypatch.setattr(classify, "MAX_SEARCH_NODES", 1282)
+    assert search_template(s2.template, s2.target_rank).value_tuples() == s2.expected
+    monkeypatch.setattr(classify, "MAX_SEARCH_NODES", 1281)
+    with pytest.raises(CostLimitError, match="more than 1281 nodes"):
+        search_template(s2.template, s2.target_rank)
+    monkeypatch.setattr(classify, "MAX_SEARCH_NODES", 1282)
+    monkeypatch.setattr(classify, "MAX_SEARCH_HITS", 10)
+    found = search_template(l27.template, l27.target_rank).value_tuples()
+    assert set(found) == set(l27.expected) and len(found) == 10
+    monkeypatch.setattr(classify, "MAX_SEARCH_HITS", 9)
+    with pytest.raises(CostLimitError, match="more than 9 solutions"):
+        search_template(l27.template, l27.target_rank)

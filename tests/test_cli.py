@@ -14,7 +14,7 @@ import k3scan
 import k3scan.cone
 import k3scan.lattice
 import k3scan.linalg
-from k3scan.classify import builtin_searches
+from k3scan.classify import builtin_searches, builtin_template
 from k3scan.cli import run
 from k3scan.cone import _chamber
 from k3scan.errors import CostLimitError
@@ -193,6 +193,8 @@ def test_exit_code_usage_errors(tmp_path):
     assert invoke("classify")[0] == 1
     assert invoke("curves", "--preset", "L25")[0] == 1  # no seed on reference lattices
     assert invoke("series", "--preset", "S1", "--jobs", "2")[0] == 1  # classify only
+    code, text = invoke("classify", "--template", "S5", "--jobs", "0")
+    assert code == 1 and text.startswith("error: ") and text.count("\n") == 1, text
     for kmax in ("0", "-1"):
         code, text = invoke("curves", "--preset", "S1", "--kmax", kmax)
         assert code == 1 and "--kmax" in text
@@ -414,6 +416,23 @@ def test_exit_code_cost_limit_disc(tmp_path, monkeypatch):
         k3scan.lattice.isotropic_elements(dg)
     code, text = invoke("disc", "--file", str(path))
     assert code == 5 and text.startswith("error: ") and text.count("\n") == 1, text
+
+
+def test_exit_code_cost_limit_classify(tmp_path):
+    # Both searches used to run on without bound: all their assignments are solutions.
+    # The 2x2 has 10^18 of them; S5 at target rank 3 over s in [-10^6, 10^6],
+    # where its 4x4 determinant vanishes identically, has 2,000,001.
+    s5 = json.loads(Path(builtin_template("S5")).read_text())
+    for doc in (
+        {"size": 2, "entries": [["-2", "a"], ["a", "b"]],
+         "domains": {"a": [0, 10**9], "b": [0, 10**9]}, "target_rank": 2},
+        {"size": 4, "entries": s5["entries"], "domains": {"s": [-10**6, 10**6]}, "target_rank": 3},
+    ):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, text = invoke("classify", "--custom", str(path))
+        assert code == 5 and text.count("\n") == 1, text
+        assert text.startswith("error: the search found more than 1000 solutions"), text
 
 
 # sha256 of `disc --file big.json --format F` for <2> + <-999998>, whose group
@@ -685,6 +704,7 @@ COMMAND_MODULES = {
     ("series", "--preset", "S1", "--max-square", "12"): CORE_MODULES
     | {"k3scan.enumeration", "k3scan.cone", "k3scan.series"},
     ("classify", "--template", "S5"): CORE_MODULES | {"k3scan.classify"},
+    ("classify", "--template", "S2", "--jobs", "2"): CORE_MODULES | {"k3scan.classify"},
 }
 
 
