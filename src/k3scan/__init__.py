@@ -20,8 +20,7 @@ _EXPORTS = {
         "span_gram",
     ),
     "cone": (
-        "ChamberDescription", "ChamberVertex", "CurveSystem",
-        "hyperbolic_ell", "is_ample", "vinberg_sieve",
+        "ChamberDescription", "ChamberVertex", "CurveSystem", "is_ample", "vinberg_sieve",
     ),
     "enumeration": ("EnumerationStats",),
     "errors": (
@@ -33,7 +32,7 @@ _EXPORTS = {
         "is_primitive", "isotropic_elements", "overlattice_from_isotropic",
         "signature", "square",
     ),
-    "presets": ("Preset", "catalog", "identify_type", "sieve_presets"),
+    "presets": ("Preset", "catalog", "identify_type"),
     "series": (
         "SeriesTable", "degree_bound", "theta_series", "xi_series",
     ),

@@ -39,10 +39,12 @@ it, and its surviving tuples are replayed in the same order under every later
 prefix, each with the entries of s..e-1 filled again from that prefix.  In S2
 the second conic pair (a2, b2, c2, d2) is such a block.
 
-Budget: a search that enters more than MAX_SEARCH_NODES nodes (every call of
-the descent, replayed or searched) or finds more than MAX_SEARCH_HITS
-solutions raises CostLimitError.  It cannot be refused up front: S2's raw
-domain product is 5.8 * 10^14, while its search enters 1,282 nodes.
+Budget: a template whose principal minors of order r+1 and r+2 number more
+than MAX_SCHEDULED_MINORS is refused before any is listed.  A search that
+enters more than MAX_SEARCH_NODES nodes (every call of the descent, replayed
+or searched) or finds more than MAX_SEARCH_HITS solutions raises
+CostLimitError.  The search cannot be refused up front: S2's raw domain
+product is 5.8 * 10^14, while its search enters 1,282 nodes.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import os
 import re
 from typing import NamedTuple
@@ -61,8 +64,10 @@ from .presets import identify_type
 
 _TEMPLATE_DIR = os.path.join(os.path.dirname(__file__), "templates")
 
-# Work limits of one search, counted, not timed.  The shipped templates enter
-# at most 1,282 nodes (S2) and find at most 10 solutions (L27).
+# Work limits of one search, counted, not timed.  The shipped templates
+# schedule at most 84 minors (L27), enter at most 1,282 nodes (S2) and find at
+# most 10 solutions (L27).  Scheduling costs about 5 us a minor.
+MAX_SCHEDULED_MINORS = 20_000
 MAX_SEARCH_NODES = 100_000
 MAX_SEARCH_HITS = 1_000
 
@@ -79,8 +84,6 @@ class AffineExpr(NamedTuple):
 
     @staticmethod
     def parse(text) -> "AffineExpr":
-        if isinstance(text, AffineExpr):
-            return text
         if isinstance(text, bool) or not isinstance(text, (int, str)):
             raise UsageError(f"expected an integer or an expression string, got {text!r}")
         if isinstance(text, int):
@@ -105,8 +108,6 @@ class AffineExpr(NamedTuple):
                 coeffs[m.group(5)] = coeffs.get(m.group(5), 0) + sign
             pos = m.end()
             first = False
-        if s[:pos].strip() != s:
-            raise UsageError(f"cannot parse expression {text!r}")
         items = tuple(sorted((k, v) for k, v in coeffs.items() if v != 0))
         return AffineExpr(const=const, coeffs=items)
 
@@ -216,6 +217,12 @@ def _int_row(pairs, order) -> tuple[int, tuple[tuple[int, int], ...]]:
 def _search_sequential(template: MatrixTemplate, target_rank: int):
     nparams = len(template.parameters)
     n = template.size
+    scheduled = math.comb(n, target_rank + 1) + math.comb(n, target_rank + 2)
+    if scheduled > MAX_SCHEDULED_MINORS:
+        raise CostLimitError(
+            f"the template has {scheduled} principal minors of order {target_rank + 1} "
+            f"and {target_rank + 2} to test, more than {MAX_SCHEDULED_MINORS}"
+        )
     order = {p: k for k, p in enumerate(template.parameters)}
     # Compile: a constraint is the row lhs - rhs, applied as a bound on each
     # parameter it touches, at that parameter's depth: the earlier terms are
@@ -362,8 +369,9 @@ def search_template(
     """Exhaustive search for assignments of rank <= target_rank.
 
     Solutions come in lexicographic order of their parameter values.  A
+    template with more than MAX_SCHEDULED_MINORS principal minors to test, or a
     search that enters more than MAX_SEARCH_NODES nodes or finds more than
-    MAX_SEARCH_HITS solutions raises CostLimitError.
+    MAX_SEARCH_HITS solutions, raises CostLimitError.
     """
     if target_rank < 0:
         raise UsageError(f"target_rank must be non-negative, got {target_rank}")

@@ -38,12 +38,12 @@ def _load_input(args) -> tuple:
     if args.preset and args.file:
         raise UsageError("give either --preset or --file, not both")
     if args.preset:
-        from . import presets
+        from .presets import catalog
 
-        try:
-            p = presets.get(args.preset)
-        except KeyError as exc:
-            raise UsageError(str(exc)) from exc
+        p = catalog().get(args.preset)
+        if p is None:
+            names = ", ".join(sorted(catalog()))
+            raise UsageError(f"unknown preset {args.preset!r}; choose from {names}")
         return p.lattice, p.ample, p.name
     if args.file:
         from . import linalg
@@ -57,8 +57,7 @@ def _load_input(args) -> tuple:
         except (ValueError, RecursionError) as exc:
             raise InvalidLatticeError(f"cannot parse {args.file}: {exc}") from exc
         try:
-            rank = linalg.strict_int(doc["rank"])
-            gram = tuple(tuple(linalg.strict_int(x) for x in row) for row in doc["gram"])
+            rank, gram = doc["rank"], doc["gram"]
             labels = doc.get("labels", [])
             ample = doc.get("ample")
             if ample is not None:
@@ -91,10 +90,10 @@ def _sieve(args):
     return cs, name
 
 
-def _minimal_polarization(cs, limit: int = 12):
+def _minimal_polarization(cs):
     from .series import big_nef_classes_by_square
 
-    classes = big_nef_classes_by_square(cs, 2, limit)
+    classes = big_nef_classes_by_square(cs, 2, 12)
     if not classes:
         return None
     d = min(classes)
@@ -249,10 +248,10 @@ def cmd_classify(args) -> dict:
     }
 
 
-def _format_matrix(rows, indent="  "):
+def _format_matrix(rows):
     widths = [max(len(str(r[j])) for r in rows) for j in range(len(rows[0]))]
     return "\n".join(
-        indent + " ".join(str(x).rjust(w) for x, w in zip(row, widths)) for row in rows
+        "  " + " ".join(str(x).rjust(w) for x, w in zip(row, widths)) for row in rows
     )
 
 

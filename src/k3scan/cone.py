@@ -55,15 +55,6 @@ class ChamberDescription(NamedTuple):
         return math.acosh(math.sqrt(self.ell))
 
 
-def hyperbolic_ell(lat: GramLattice, d, d2) -> Fraction:
-    """ell(D, D') = (D.D')^2 / (D^2 D'^2), exactly; >= 1 by the Hodge index."""
-    a = square(lat, d)
-    b = square(lat, d2)
-    if a <= 0 or b <= 0:
-        raise ValueError("both classes must have positive square")
-    return Fraction(bilinear(lat, d, d2) ** 2, a * b)
-
-
 def is_ample(cs: CurveSystem, d) -> bool:
     """Positive square and strictly positive degree on every curve."""
     return square(cs.lattice, d) > 0 and all(

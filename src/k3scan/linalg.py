@@ -252,7 +252,11 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def hnf_row_basis(rows) -> tuple[Vector, ...]:
-    """Echelon basis (over Z) of the row span of the given integer rows."""
+    """An echelon basis (over Z) of the row span of the given integer rows.
+
+    Not the Hermite normal form: the entries above each positive pivot are
+    reduced from the last pivot up, and a later step can move one out of [0, pivot).
+    """
     basis: list[list[int]] = []  # kept in echelon order by pivot column
     pivot_col: list[int] = []
     for row in rows:

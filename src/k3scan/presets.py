@@ -98,20 +98,6 @@ def catalog() -> dict[str, Preset]:
     return {p.name: p for p in _PRESETS}
 
 
-def get(name: str) -> Preset:
-    try:
-        return catalog()[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown preset {name!r}; choose from {', '.join(sorted(catalog()))}"
-        ) from None
-
-
-def sieve_presets() -> tuple[str, ...]:
-    """Names of the presets that carry an ample seed."""
-    return tuple(p.name for p in _PRESETS if p.ample is not None)
-
-
 def identify_type(gram_or_lattice) -> str | None:
     """Name of the catalog lattice isometric to the given even lattice, or None.
 

@@ -36,16 +36,16 @@ class SeriesTable(NamedTuple):
     def coefficient(self, d: int) -> int:
         return self.coefficients.get(d, 0)
 
-    def as_polynomial(self, var: str = "T") -> str:
+    def as_polynomial(self) -> str:
         terms = []
         for d in sorted(self.coefficients):
             c = self.coefficients[d]
             if c == 0:
                 continue
-            terms.append(f"{var}^{d}" if c == 1 else f"{c}{var}^{d}")
+            terms.append(f"T^{d}" if c == 1 else f"{c}T^{d}")
         return " + ".join(terms) if terms else "0"
 
-    def factored_polynomial(self, var: str = "T") -> str | None:
+    def factored_polynomial(self) -> str | None:
         """The display form 'T^a + g(...)' when the tail has a common factor g > 1."""
         nonzero = [(d, c) for d, c in sorted(self.coefficients.items()) if c]
         if len(nonzero) < 2 or nonzero[0][1] != 1:
@@ -58,8 +58,8 @@ class SeriesTable(NamedTuple):
         tail = []
         for d, c in nonzero[1:]:
             q = c // g
-            tail.append(f"{var}^{d}" if q == 1 else f"{q}{var}^{d}")
-        return f"{var}^{nonzero[0][0]} + {g}(" + " + ".join(tail) + ")"
+            tail.append(f"T^{d}" if q == 1 else f"{q}T^{d}")
+        return f"T^{nonzero[0][0]} + {g}(" + " + ".join(tail) + ")"
 
 
 def degree_bound(lat: GramLattice, h, ell: Fraction, d: int) -> int:

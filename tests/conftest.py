@@ -3,8 +3,10 @@ from importlib import resources
 
 import pytest
 
+from helpers import sieve_presets
+
 from k3scan.cone import vinberg_sieve
-from k3scan.presets import catalog, sieve_presets
+from k3scan.presets import catalog
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -12,6 +13,21 @@ from k3scan.cone import CurveSystem, _chamber
 from k3scan.enumeration import DegreeCoset
 from k3scan.errors import IncompleteSieveError, InvalidLatticeError, WallError
 from k3scan.lattice import GramLattice, bilinear, square
+from k3scan.presets import catalog
+
+
+def sieve_presets():
+    """Names of the presets that carry an ample seed."""
+    return tuple(name for name, p in catalog().items() if p.ample is not None)
+
+
+def hyperbolic_ell(lat, d, d2):
+    """ell(D, D') = (D.D')^2 / (D^2 D'^2), exactly; >= 1 by the Hodge index."""
+    a = square(lat, d)
+    b = square(lat, d2)
+    if a <= 0 or b <= 0:
+        raise ValueError("both classes must have positive square")
+    return Fraction(bilinear(lat, d, d2) ** 2, a * b)
 
 
 @st.composite

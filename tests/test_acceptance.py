@@ -19,13 +19,13 @@ from helpers import (
     PUBLISHED_VERTEX_STATS,
     PUBLISHED_VERTICES,
     gram_permutation_equivalent,
+    hyperbolic_ell,
 )
 from isometry_witness import isometry_small
 from oracle import box_scan_big_nef_count, box_scan_classes, scan_isotropic_dual_classes
 
 from k3scan.classify import builtin_searches, search_template
 from k3scan.cli import run as cli_run
-from k3scan.cone import hyperbolic_ell
 from k3scan.enumeration import DegreeCoset
 from k3scan.lattice import (
     GramLattice,

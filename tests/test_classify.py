@@ -185,6 +185,7 @@ def test_span_gram_uses_all_generators():
 def test_identify_type_negative():
     assert identify_type(((10, 0, 0), (0, -100, 0), (0, 0, -2))) is None
     assert identify_type(((2, 1), (1, -2))) is None  # rank 2: not in the catalog
+    assert identify_type(((2, 0), (0, 2))) is None  # signature (2, 0): no GramLattice
 
 
 def test_custom_template_roundtrip(tmp_path):

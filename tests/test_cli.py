@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import jsonschema
 import pytest
 
 from conftest import load_package_json
+from helpers import sieve_presets
 
 import k3scan
 import k3scan.cone
@@ -18,7 +20,6 @@ from k3scan.classify import builtin_searches, builtin_template
 from k3scan.cli import run
 from k3scan.cone import _chamber
 from k3scan.errors import CostLimitError
-from k3scan.presets import sieve_presets
 
 # Child interpreters import the same k3scan as this process.
 CHILD_ENV = {
@@ -189,7 +190,9 @@ UNPARSEABLE_JSON = ("[" * 100_000 + "]" * 100_000, '{"rank": ' + "9" * 5000 + "}
 def test_exit_code_usage_errors(tmp_path):
     assert invoke("series", "--preset", "S1", "--max-square", "0")[0] == 1
     assert invoke("curves")[0] == 1
-    assert invoke("curves", "--preset", "NOPE")[0] == 1
+    assert invoke("curves", "--preset", "S9") == (
+        1, "error: unknown preset 'S9'; choose from L24, L25, L27, S1, S113, S114, S2, S3, S4, S5, S6\n"
+    )
     assert invoke("classify")[0] == 1
     assert invoke("curves", "--preset", "L25")[0] == 1  # no seed on reference lattices
     assert invoke("series", "--preset", "S1", "--jobs", "2")[0] == 1  # classify only
@@ -198,6 +201,12 @@ def test_exit_code_usage_errors(tmp_path):
     for kmax in ("0", "-1"):
         code, text = invoke("curves", "--preset", "S1", "--kmax", kmax)
         assert code == 1 and "--kmax" in text
+    for argv, why in (
+        (("curves", "--preset", "S1", "--file", str(tmp_path / "S1.json")), "give either --preset or --file"),
+        (("classify", "--custom", str(tmp_path / "missing.json")), "cannot read"),
+    ):
+        code, text = invoke(*argv)
+        assert code == 1 and text.startswith("error: " + why) and text.count("\n") == 1, text
 
     # A template name is looked up among the shipped files, never joined into a path.
     for name in ("NOPE", "../errata", "S2.json"):
@@ -226,10 +235,13 @@ def test_exit_code_usage_errors(tmp_path):
         ({"parameters": ["a"], "domains": {"a": [0, 1], "b": [0, 1]}}, "not listed: ['b']"),
         # A string row used to be read character by character, as the cells a and b.
         ({"entries": [["-2", "a"], "ab"]}, "entries must be a list of rows"),
+        ({"entries": [["-2", "a"], ["a"]]}, "entries must form a square matrix"),
+        ({"entries": [["-2", ""], ["", "-2"]]}, "empty expression"),
     ):
         path.write_text(json.dumps({**good, **change}))
         code, text = invoke("classify", "--custom", str(path))
         assert code == 1 and text.startswith("error:") and why in text, (change, text)
+        assert text.count("\n") == 1, (change, text)
     # An empty domain is no error: the search has nothing to visit.
     path.write_text(json.dumps({**good, "domains": {"a": [1, 0]}}))
     assert report("classify", "--custom", str(path))["solutions"] == []
@@ -259,6 +271,12 @@ def test_exit_code_invalid_lattice(tmp_path):
         code, text = invoke("disc", "--file", str(bad))
         assert code == 2 and text.startswith("error: cannot parse") and text.count("\n") == 1, text
 
+    code, text = invoke("curves", "--file", str(tmp_path / "missing.json"))
+    assert code == 2 and text.startswith("error: cannot read") and text.count("\n") == 1, text
+    bad.write_text(json.dumps({"rank": 3, "gram": [[2, 1], [1, -2]]}))
+    code, text = invoke("disc", "--file", str(bad))
+    assert code == 2 and text == "error: rank does not match the Gram matrix size\n", text
+
     odd = tmp_path / "odd.json"
     odd.write_text(json.dumps({"rank": 2, "gram": [[1, 0], [0, -2]], "ample": [1, 0]}))
     assert invoke("curves", "--file", str(odd))[0] == 2
@@ -286,12 +304,16 @@ def test_exit_code_invalid_lattice(tmp_path):
 
     # Labels used to be read character by character ("LAB" printed as L, A, B)
     # and other entries coerced with str().
-    for labels in ("LAB", ["L", 1, "B"]):
+    for labels, why in (
+        ("LAB", "labels must be a list of strings"),
+        (["L", 1, "B"], "labels must be a list of strings"),
+        (["a"], "wrong number of basis labels"),
+    ):
         path = tmp_path / "labels.json"
         path.write_text(json.dumps({**doc, "labels": labels}))
         code, text = invoke("disc", "--file", str(path))
         assert code == 2 and text.startswith("error: ") and text.count("\n") == 1, text
-        assert "labels must be a list of strings" in text, text
+        assert why in text, text
 
     template = (
         '{"size": 2, "entries": [["-2", "a"], ["a", "-2"]], '
@@ -418,7 +440,7 @@ def test_exit_code_cost_limit_disc(tmp_path, monkeypatch):
     assert code == 5 and text.startswith("error: ") and text.count("\n") == 1, text
 
 
-def test_exit_code_cost_limit_classify(tmp_path):
+def test_exit_code_cost_limit_classify(tmp_path, monkeypatch):
     # Both searches used to run on without bound: all their assignments are solutions.
     # The 2x2 has 10^18 of them; S5 at target rank 3 over s in [-10^6, 10^6],
     # where its 4x4 determinant vanishes identically, has 2,000,001.
@@ -433,6 +455,16 @@ def test_exit_code_cost_limit_classify(tmp_path):
         code, text = invoke("classify", "--custom", str(path))
         assert code == 5 and text.count("\n") == 1, text
         assert text.startswith("error: the search found more than 1000 solutions"), text
+    # The 40x40 zero template at target rank 10 has C(40, 11) + C(40, 12)
+    # principal minors to test; listing them used to run for hours.
+    path.write_text(json.dumps(
+        {"size": 40, "entries": [[0] * 40] * 40, "domains": {"a": [0, 1]}, "target_rank": 10}
+    ))
+    monkeypatch.setattr(itertools, "combinations", _boom)
+    assert invoke("classify", "--custom", str(path)) == (
+        5, "error: the template has 7898654920 principal minors of order 11 and 12 "
+        "to test, more than 20000\n"
+    )
 
 
 # sha256 of `disc --file big.json --format F` for <2> + <-999998>, whose group

@@ -10,13 +10,14 @@ from helpers import (
     PUBLISHED_VERTEX_STATS,
     PUBLISHED_VERTICES,
     gram_permutation_equivalent,
+    hyperbolic_ell,
     random_seeded_lattices,
     sieve_every_degree,
+    sieve_presets,
 )
 
 from k3scan.cone import (
     _chamber,
-    hyperbolic_ell,
     is_ample,
     vinberg_sieve,
 )
@@ -25,7 +26,6 @@ from k3scan.errors import (
     IncompleteSieveError, K3ScanError, NonCompactChamberError, WallError,
 )
 from k3scan.lattice import GramLattice, bilinear, is_primitive, square
-from k3scan.presets import sieve_presets
 
 EXPECTED_COUNTS = {"S1": 6, "S2": 6, "S3": 4, "S4": 4, "S5": 4, "S6": 6, "L24": 6, "L27": 8}
 EXPECTED_ELL = {

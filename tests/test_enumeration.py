@@ -5,14 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import unimodular_change
+from helpers import sieve_presets, unimodular_change
 from oracle import box_scan_classes, box_scan_classes_between, box_scan_vectors_of_norm
 
 from k3scan import enumeration, linalg
 from k3scan.enumeration import DegreeCoset, EnumerationStats, Walls
 from k3scan.errors import K3ScanError
 from k3scan.lattice import GramLattice, bilinear, square
-from k3scan.presets import sieve_presets
 from k3scan.series import theta_series
 
 

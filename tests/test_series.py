@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import unimodular_change
+from helpers import sieve_presets, unimodular_change
 from oracle import box_scan_big_nef_count
 
 from k3scan import linalg
 from k3scan.cone import is_ample, vinberg_sieve
 from k3scan.lattice import GramLattice, bilinear, square
-from k3scan.presets import sieve_presets
 from k3scan.series import big_nef_classes_by_square, degree_bound, theta_series, xi_series
 
 
