@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "lattice": (
         "DiscriminantGroup", "GramLattice", "bilinear", "discriminant_group",
-        "is_primitive", "isotropic_elements", "overlattice_from_isotropic",
+        "isotropic_elements", "overlattice_from_isotropic",
         "signature", "square",
     ),
     "presets": ("Preset", "catalog", "identify_type"),

@@ -91,13 +91,17 @@ def _sieve(args):
 
 
 def _minimal_polarization(cs):
+    from .lattice import bilinear
+    from .linalg import canonical_key
     from .series import big_nef_classes_by_square
 
     classes = big_nef_classes_by_square(cs, 2, 12)
     if not classes:
         return None
     d = min(classes)
-    return {"square": d, "classes": [list(c) for c in classes[d]]}
+    lat, h = cs.lattice, cs.ample_seed
+    ordered = sorted(classes[d], key=lambda c: (bilinear(lat, h, c), canonical_key(c)))
+    return {"square": d, "classes": [list(c) for c in ordered]}
 
 
 def _pair_relations(cs):
@@ -111,13 +115,10 @@ def _pair_relations(cs):
     for i in range(n):
         for j in range(i, n):
             total = [a + b for a, b in zip(cs.curves[i], cs.curves[j])]
-            multiple = None
             for m in range(1, 7):
                 if all(t == m * b for t, b in zip(total, base)):
-                    multiple = m
+                    relations.append({"i": i, "j": j, "multiple": m})
                     break
-            if multiple is not None:
-                relations.append({"i": i, "j": j, "multiple": multiple})
     return minimal, relations
 
 

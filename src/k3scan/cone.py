@@ -65,8 +65,14 @@ def is_ample(cs: CurveSystem, d) -> bool:
 def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
     """Sort the (-2)-curves among the (-2)-classes, stopping where their chamber closes.
 
-    Classes are processed in ascending degree (canonical order within a
-    degree); r is accepted iff r.c >= 0 for every curve accepted before it.
+    Classes are processed in ascending degree, sorted canonically within a
+    degree to fix the order of the curves; r is accepted iff r.c >= 0 for
+    every curve accepted before it.  The set accepted does not depend on that
+    order: distinct (-2)-classes r1, r2 of equal degree pair to >= 0, as
+    r1 - r2 lies in the negative definite h^perp.  r1.r2 = -1 makes r1 - r2
+    a degree-0 (-2)-class, refused by WallError first; r1.r2 <= -2 gives
+    (r1 - r2)^2 = -4 - 2*r1.r2 >= 0, so r1 = r2.
+
     After a degree that added a curve and left at least rho of them (a
     compact chamber has at least rho walls), the curves are tested for a
     closed chamber, and the first one found is returned with them.  At
@@ -91,13 +97,13 @@ def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
     chamber has not closed by degree kmax.
     """
     coset = DegreeCoset(lat, h)  # refuses a seed of non-positive square
-    walls = coset.classes(0, -2, -2)
+    walls = [r for _, r in coset.classes(0, -2, -2)]
     if walls:
-        raise WallError(walls[0][1])
+        raise WallError(min(walls, key=canonical_key))
     accepted: list[Vector] = []
     for k in range(1, kmax + 1):
         before = len(accepted)
-        for _, r in coset.classes(k, -2, -2):
+        for r in sorted((r for _, r in coset.classes(k, -2, -2)), key=canonical_key):
             if all(bilinear(lat, r, c) >= 0 for c in accepted):
                 accepted.append(r)
         if not accepted or (k < kmax and (len(accepted) == before or len(accepted) < lat.rank)):

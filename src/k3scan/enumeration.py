@@ -40,7 +40,7 @@ from operator import mul
 from . import linalg
 from .errors import K3ScanError
 from .lattice import GramLattice
-from .linalg import Vector, canonical_key
+from .linalg import Vector
 
 # Fourier-Motzkin pairs each row of one sign with each of the other, so a
 # level can hold the square of the rows of the level before it.  Past this
@@ -307,8 +307,9 @@ class DegreeCoset:
         """All (D^2, D) with H.D = k, lo <= D^2 <= hi and D.r >= 0 for each wall row r.
 
         `walls` is a sequence of int rows, or `Walls(self, rows)` to compile
-        them once for many degrees.  The classes come in canonical order.
-        Each one's square, degree and pairing with every wall row are
+        them once for many degrees.  The classes come in the kernel's order,
+        deterministic but unsorted: a caller that prints their order sorts
+        them.  Each one's square, degree and pairing with every wall row are
         re-checked in plain integer arithmetic before it is returned.
         """
         if k < 0:
@@ -345,5 +346,4 @@ class DegreeCoset:
             out.append((sq, cls))
         if stats is not None:
             stats.lifts_tried += len(out)
-        out.sort(key=lambda item: canonical_key(item[1]))
         return out

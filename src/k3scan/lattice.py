@@ -37,6 +37,10 @@ class GramLattice(_LatticeFields):
     def __new__(cls, rank: int, gram, basis_labels=()):
         try:
             linalg.strict_int(rank)
+            if not isinstance(gram, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) for row in gram
+            ):
+                raise TypeError("gram must be a list of rows of integers")
             gram = freeze_matrix(gram)
         except TypeError as exc:
             raise InvalidLatticeError(str(exc)) from exc
@@ -106,14 +110,6 @@ def signature(lat_or_gram) -> tuple[int, int, int]:
     nonzero = [d for d in pivots if d]
     pos = sum((d > 0) == (prev > 0) for prev, d in zip([1, *nonzero], nonzero))
     return pos, len(nonzero) - pos, len(pivots) - len(nonzero)
-
-
-def is_primitive(v) -> bool:
-    """True when the gcd of the coordinates is 1."""
-    g = gcd(*v)
-    if g == 0:
-        raise ValueError("zero vector")
-    return g == 1
 
 
 class DiscriminantGroup(NamedTuple):
@@ -274,7 +270,7 @@ def overlattice_from_isotropic(dg: DiscriminantGroup, element) -> GramLattice:
     den = lcm(*(x.denominator for x in g))
     rows = [[den if i == j else 0 for j in range(rho)] for i in range(rho)]
     rows.append([int(x * den) for x in g])
-    basis = linalg.hnf_row_basis(rows)
+    basis = linalg.echelon_row_basis(rows)
     if len(basis) != rho:
         raise ValueError("saturation is not of full rank")
     # Basis of the overlattice is basis/den; its Gram must be integral and even.

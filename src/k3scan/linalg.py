@@ -251,7 +251,7 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
     return freeze_matrix(a), freeze_matrix(u), freeze_matrix(v)
 
 
-def hnf_row_basis(rows) -> tuple[Vector, ...]:
+def echelon_row_basis(rows) -> tuple[Vector, ...]:
     """An echelon basis (over Z) of the row span of the given integer rows.
 
     Not the Hermite normal form: the entries above each positive pivot are

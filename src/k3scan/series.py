@@ -11,20 +11,21 @@ G.c of the curves are the kernel's walls, compiled once for every degree, so
 a class that is not nef is never built; the kernel still checks each class
 it returns against every row, on the pairings it carries down its levels.
 
-theta counts primitive classes only, xi counts all of them; the two are tied
-by xi(d) = sum over m^2 | d of theta(d/m^2).
+xi counts these classes; theta counts the primitive ones, derived from xi
+by Moebius inversion (Hardy & Wright, ch. 16): every nef class is m*D' with
+D' primitive and nef, so xi(d) = sum over m^2 | d of theta(d/m^2).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from . import linalg
 from .cone import CurveSystem
 from .enumeration import DegreeCoset, Walls
-from .lattice import GramLattice, is_primitive, square
+from .lattice import GramLattice, square
 from .linalg import Vector
 
 
@@ -37,29 +38,23 @@ class SeriesTable(NamedTuple):
         return self.coefficients.get(d, 0)
 
     def as_polynomial(self) -> str:
-        terms = []
-        for d in sorted(self.coefficients):
-            c = self.coefficients[d]
-            if c == 0:
-                continue
-            terms.append(f"T^{d}" if c == 1 else f"{c}T^{d}")
-        return " + ".join(terms) if terms else "0"
+        terms = [_term(d, c) for d, c in sorted(self.coefficients.items()) if c]
+        return " + ".join(terms) or "0"
 
     def factored_polynomial(self) -> str | None:
         """The display form 'T^a + g(...)' when the tail has a common factor g > 1."""
         nonzero = [(d, c) for d, c in sorted(self.coefficients.items()) if c]
         if len(nonzero) < 2 or nonzero[0][1] != 1:
             return None
-        g = 0
-        for _, c in nonzero[1:]:
-            g = gcd(g, c)
+        g = gcd(*(c for _, c in nonzero[1:]))
         if g <= 1:
             return None
-        tail = []
-        for d, c in nonzero[1:]:
-            q = c // g
-            tail.append(f"T^{d}" if q == 1 else f"{q}T^{d}")
-        return f"T^{nonzero[0][0]} + {g}(" + " + ".join(tail) + ")"
+        tail = " + ".join(_term(d, c // g) for d, c in nonzero[1:])
+        return f"T^{nonzero[0][0]} + {g}({tail})"
+
+
+def _term(d: int, c: int) -> str:
+    return f"T^{d}" if c == 1 else f"{c}T^{d}"
 
 
 def degree_bound(lat: GramLattice, h, ell: Fraction, d: int) -> int:
@@ -78,8 +73,9 @@ def degree_bound(lat: GramLattice, h, ell: Fraction, d: int) -> int:
 def big_nef_classes_by_square(cs: CurveSystem, lo: int, hi: int) -> dict[int, list[Vector]]:
     """Big-and-nef classes with square in [lo, hi], keyed by square.
 
-    Only squares that have classes appear; each list is in (degree,
-    canonical) order.  Complete by the chamber radius bound.
+    Only squares that have classes appear; each list is in ascending degree,
+    and within a degree in the kernel's order, which is deterministic but
+    unsorted.  Complete by the chamber radius bound.
     """
     if lo <= 0:
         raise ValueError("squares of big classes must be positive")
@@ -96,24 +92,24 @@ def big_nef_classes_by_square(cs: CurveSystem, lo: int, hi: int) -> dict[int, li
 
 
 def theta_series(cs: CurveSystem, max_square: int) -> SeriesTable:
-    """Counts of primitive big-and-nef classes for each even square up to max_square."""
-    _check_max_square(max_square)
-    classes = big_nef_classes_by_square(cs, 2, max_square)
-    coeffs = {
-        d: sum(1 for c in classes.get(d, ()) if is_primitive(c))
-        for d in range(2, max_square + 1, 2)
-    }
-    return SeriesTable(kind="theta", max_square=max_square, coefficients=coeffs)
+    """Counts of primitive big-and-nef classes for each even square up to max_square.
+
+    Derived from `xi_series` in ascending d: theta(d) = xi(d) minus each
+    theta(d/m^2), m >= 2, m^2 | d; an odd d/m^2 counts 0 (the lattice is even).
+    """
+    xi = xi_series(cs, max_square).coefficients
+    theta: dict[int, int] = {}
+    for d in range(2, max_square + 1, 2):
+        theta[d] = xi[d] - sum(
+            theta.get(d // (m * m), 0) for m in range(2, isqrt(d) + 1) if d % (m * m) == 0
+        )
+    return SeriesTable(kind="theta", max_square=max_square, coefficients=theta)
 
 
 def xi_series(cs: CurveSystem, max_square: int) -> SeriesTable:
     """Counts of all big-and-nef classes for each even square up to max_square."""
-    _check_max_square(max_square)
+    if max_square < 2 or max_square % 2 != 0:
+        raise ValueError("max_square must be an even integer >= 2")
     classes = big_nef_classes_by_square(cs, 2, max_square)
     coeffs = {d: len(classes.get(d, ())) for d in range(2, max_square + 1, 2)}
     return SeriesTable(kind="xi", max_square=max_square, coefficients=coeffs)
-
-
-def _check_max_square(max_square: int) -> None:
-    if max_square < 2 or max_square % 2 != 0:
-        raise ValueError("max_square must be an even integer >= 2")

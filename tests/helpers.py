@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 from hypothesis import strategies as st
 
@@ -14,11 +15,35 @@ from k3scan.enumeration import DegreeCoset
 from k3scan.errors import IncompleteSieveError, InvalidLatticeError, WallError
 from k3scan.lattice import GramLattice, bilinear, square
 from k3scan.presets import catalog
+from k3scan.series import big_nef_classes_by_square
 
 
 def sieve_presets():
     """Names of the presets that carry an ample seed."""
     return tuple(name for name, p in catalog().items() if p.ample is not None)
+
+
+def is_primitive(v) -> bool:
+    """True when the gcd of the coordinates is 1."""
+    g = gcd(*v)
+    if g == 0:
+        raise ValueError("zero vector")
+    return g == 1
+
+
+def primitive_counts(cs, max_square):
+    """theta counted class by class: {d: primitive big-and-nef classes of square d}.
+
+    The library derives theta from xi; this count is the independent check
+    that ties the two series to the kernel's classes.
+    """
+    classes = big_nef_classes_by_square(cs, 2, max_square)
+    return {d: sum(map(is_primitive, classes.get(d, ()))) for d in range(2, max_square + 1, 2)}
+
+
+def convolution(theta, d):
+    """sum over m^2 | d of theta(d/m^2), for theta a dict {square: count}."""
+    return sum(theta.get(d // (m * m), 0) for m in range(1, isqrt(d) + 1) if d % (m * m) == 0)
 
 
 def hyperbolic_ell(lat, d, d2):
@@ -280,12 +305,12 @@ def sieve_every_degree(lat, h, kmax):
     makes the sieve's own closure test once, at kmax.
     """
     coset = DegreeCoset(lat, h)
-    walls = coset.classes(0, -2, -2)
+    walls = [r for _, r in coset.classes(0, -2, -2)]
     if walls:
-        raise WallError(walls[0][1])
+        raise WallError(min(walls, key=linalg.canonical_key))
     accepted = []
     for k in range(1, kmax + 1):
-        for _, r in coset.classes(k, -2, -2):
+        for r in sorted((r for _, r in coset.classes(k, -2, -2)), key=linalg.canonical_key):
             if all(bilinear(lat, r, c) >= 0 for c in accepted):
                 accepted.append(r)
     if not accepted:

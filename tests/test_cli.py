@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ import k3scan.linalg
 from k3scan.classify import builtin_searches, builtin_template
 from k3scan.cli import run
 from k3scan.cone import _chamber
+from k3scan.enumeration import DegreeCoset
 from k3scan.errors import CostLimitError
 
 # Child interpreters import the same k3scan as this process.
@@ -301,6 +303,18 @@ def test_exit_code_invalid_lattice(tmp_path):
         path.write_text("{" + body + "}")
         code, text = invoke("curves", "--file", str(path))
         assert code == 2 and "expected an integer" in text, (body, text)
+
+    # A gram that is not a list of rows used to print Python's "'int' object
+    # is not iterable"; the message names the field, and a bad entry still
+    # names the entry.
+    for gram, line in (
+        (5, "error: gram must be a list of rows of integers\n"),
+        ([3, [1, 2]], "error: gram must be a list of rows of integers\n"),
+        ([[2.5, 1], [1, -2]], "error: expected an integer, got 2.5\n"),
+    ):
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps({"rank": 3 if gram == 5 else 2, "gram": gram}))
+        assert invoke("disc", "--file", str(path)) == (2, line)
 
     # Labels used to be read character by character ("LAB" printed as L, A, B)
     # and other entries coerced with str().
@@ -686,6 +700,28 @@ def test_series_square_200_bytes_pinned():
         )
         assert code == 0, text
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (kind, name, fmt)
+
+
+def test_bytes_do_not_depend_on_the_kernel_order(presets, tmp_path, monkeypatch):
+    # The kernel returns each degree's classes unsorted; every reader whose
+    # output shows an order sorts them, so reordering them changes no byte.
+    wall = tmp_path / "wall.json"
+    s1 = presets["S1"].lattice
+    wall.write_text(json.dumps({"rank": 3, "gram": s1.gram, "ample": [1, 0, 0]}))
+    argvs = [("curves", "--file", str(wall))]
+    for name in sieve_presets():
+        argvs += [("curves", "--preset", name), ("chamber", "--preset", name)]
+        argvs += [("series", "--preset", name, "--kind", kind, "--max-square", "100")
+                  for kind in ("theta", "xi")]
+    want = [invoke(*argv) for argv in argvs]
+    assert want[0] == (2, "error: seed is orthogonal to the (-2)-class (0, 0, 1)\n")
+    classes = DegreeCoset.classes
+    rng = random.Random(23)
+    for reorder in (lambda out: out[::-1], lambda out: rng.sample(out, len(out))):
+        monkeypatch.setattr(
+            DegreeCoset, "classes", lambda *args, **kwargs: reorder(classes(*args, **kwargs))
+        )
+        assert [invoke(*argv) for argv in argvs] == want
 
 
 def test_console_entry_point_subprocess():

@@ -11,6 +11,7 @@ from helpers import (
     PUBLISHED_VERTICES,
     gram_permutation_equivalent,
     hyperbolic_ell,
+    is_primitive,
     random_seeded_lattices,
     sieve_every_degree,
     sieve_presets,
@@ -25,7 +26,7 @@ from k3scan.enumeration import DegreeCoset
 from k3scan.errors import (
     IncompleteSieveError, K3ScanError, NonCompactChamberError, WallError,
 )
-from k3scan.lattice import GramLattice, bilinear, is_primitive, square
+from k3scan.lattice import GramLattice, bilinear, square
 
 EXPECTED_COUNTS = {"S1": 6, "S2": 6, "S3": 4, "S4": 4, "S5": 4, "S6": 6, "L24": 6, "L27": 8}
 EXPECTED_ELL = {

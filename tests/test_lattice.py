@@ -8,7 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import isotropic_elements_whole_group, smith_diagonal, unimodular_change
+from helpers import (
+    is_primitive,
+    isotropic_elements_whole_group,
+    smith_diagonal,
+    unimodular_change,
+)
 from oracle import scan_isotropic_dual_classes
 
 from k3scan import linalg
@@ -17,7 +22,6 @@ from k3scan.lattice import (
     GramLattice,
     bilinear,
     discriminant_group,
-    is_primitive,
     isotropic_elements,
     overlattice_from_isotropic,
     signature,

@@ -77,9 +77,9 @@ def test_determinant_matches_snf():
         assert abs(linalg.det(m)) == product
 
 
-def test_hnf_row_basis():
+def test_echelon_row_basis():
     rows = [[2, 0], [0, 2], [1, 1]]
-    basis = linalg.hnf_row_basis(rows)
+    basis = linalg.echelon_row_basis(rows)
     assert len(basis) == 2
     assert abs(linalg.det(basis)) == 2  # index 2 in Z^2
 

@@ -36,7 +36,7 @@ def test_public_names_are_pinned():
         "Preset", "SeriesTable", "TemplateSolution", "UsageError", "WallError",
         "bilinear", "builtin_searches", "catalog", "degree_bound",
         "discriminant_group", "identify_type", "is_ample",
-        "is_primitive", "isotropic_elements", "overlattice_from_isotropic",
+        "isotropic_elements", "overlattice_from_isotropic",
         "search_template", "signature", "span_gram", "square",
         "theta_series", "vinberg_sieve", "xi_series",
     ]
