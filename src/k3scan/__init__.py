@@ -15,9 +15,8 @@ import importlib
 
 _EXPORTS = {
     "classify": (
-        "AffineExpr", "BuiltinSearch", "ClassificationResult", "Constraint",
-        "MatrixTemplate", "TemplateSolution", "builtin_searches", "search_template",
-        "span_gram",
+        "AffineExpr", "BuiltinSearch", "Constraint", "MatrixTemplate",
+        "TemplateSolution", "builtin_searches", "search_template", "span_gram",
     ),
     "cone": (
         "ChamberDescription", "ChamberVertex", "CurveSystem", "is_ample", "vinberg_sieve",
@@ -33,9 +32,7 @@ _EXPORTS = {
         "signature", "square",
     ),
     "presets": ("Preset", "catalog", "identify_type"),
-    "series": (
-        "SeriesTable", "degree_bound", "theta_series", "xi_series",
-    ),
+    "series": ("degree_bound", "theta_series", "xi_series"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -3,9 +3,9 @@
 A MatrixTemplate is a symmetric matrix whose cells are affine expressions in
 named integer parameters, together with finite domains and normalization
 constraints ("a<=2", "a1+b1+c1+d1==16").  search_template enumerates every
-assignment satisfying the constraints and reports those whose instantiated
-matrix has rank at most the target, each identified against the catalog by
-genus (presets.identify_type).
+assignment satisfying the constraints and returns, as a tuple of
+TemplateSolution, those whose instantiated matrix has rank at most the
+target, each identified against the catalog by genus (presets.identify_type).
 
 Templates are JSON documents, built by template_from_dict and read from a
 file by read_template alone.  The shipped searches are such documents,
@@ -180,16 +180,6 @@ class TemplateSolution(NamedTuple):
     identified: str | None
 
 
-class ClassificationResult(NamedTuple):
-    name: str
-    target_rank: int
-    parameters: tuple[str, ...]
-    solutions: tuple[TemplateSolution, ...]
-
-    def value_tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(s.values for s in self.solutions)
-
-
 def span_gram(m) -> Matrix:
     """Gram matrix of the lattice generated by all rows of a symmetric matrix.
 
@@ -361,12 +351,8 @@ def _search_sequential(template: MatrixTemplate, target_rank: int):
     return hits
 
 
-def search_template(
-    template: MatrixTemplate,
-    target_rank: int,
-    name: str = "custom",
-) -> ClassificationResult:
-    """Exhaustive search for assignments of rank <= target_rank.
+def search_template(template: MatrixTemplate, target_rank: int) -> tuple[TemplateSolution, ...]:
+    """Exhaustive search for assignments of rank <= target_rank: their solutions.
 
     Solutions come in lexicographic order of their parameter values.  A
     template with more than MAX_SCHEDULED_MINORS principal minors to test, or a
@@ -375,9 +361,8 @@ def search_template(
     """
     if target_rank < 0:
         raise UsageError(f"target_rank must be non-negative, got {target_rank}")
-    hits = _search_sequential(template, target_rank)
     solutions = []
-    for values, r, matrix in hits:
+    for values, r, matrix in _search_sequential(template, target_rank):
         gram = span_gram(matrix)
         solutions.append(
             TemplateSolution(
@@ -388,12 +373,7 @@ def search_template(
                 identified=identify_type(gram),
             )
         )
-    return ClassificationResult(
-        name=name,
-        target_rank=target_rank,
-        parameters=template.parameters,
-        solutions=tuple(solutions),
-    )
+    return tuple(solutions)
 
 
 def template_from_dict(data) -> tuple[MatrixTemplate, int]:
@@ -402,6 +382,8 @@ def template_from_dict(data) -> tuple[MatrixTemplate, int]:
     The sign of target_rank is left to search_template, which refuses a
     negative one.
     """
+    if not isinstance(data, dict):
+        raise UsageError("bad template document: the top level is not a JSON object")
     try:
         size = linalg.strict_int(data["size"])
         rows = data["entries"]
@@ -422,6 +404,9 @@ def template_from_dict(data) -> tuple[MatrixTemplate, int]:
         unlisted = set(domains_map) - set(parameters)
         if unlisted:
             raise UsageError(f"domains name parameters that are not listed: {sorted(unlisted)}")
+        undefined = [p for p in parameters if p not in domains_map]
+        if undefined:
+            raise UsageError(f"listed parameters have no domain: {undefined}")
         domains = tuple(domains_map[p] for p in parameters)
         normalize = data.get("normalize", [])
         if not isinstance(normalize, list) or not all(isinstance(c, str) for c in normalize):
@@ -429,7 +414,8 @@ def template_from_dict(data) -> tuple[MatrixTemplate, int]:
         constraints = tuple(Constraint.parse(c) for c in normalize)
         target_rank = linalg.strict_int(data["target_rank"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad template document: {exc}") from exc
+        why = f"missing required key {exc}" if isinstance(exc, KeyError) else exc
+        raise UsageError(f"bad template document: {why}") from exc
     return (
         MatrixTemplate(
             size=size,

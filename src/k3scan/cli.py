@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import gcd
 
 from .errors import InvalidLatticeError, K3ScanError, UsageError
 
@@ -56,6 +57,8 @@ def _load_input(args) -> tuple:
             raise InvalidLatticeError(f"cannot read {args.file}: {exc}") from exc
         except (ValueError, RecursionError) as exc:
             raise InvalidLatticeError(f"cannot parse {args.file}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise InvalidLatticeError("bad lattice document: the top level is not a JSON object")
         try:
             rank, gram = doc["rank"], doc["gram"]
             labels = doc.get("labels", [])
@@ -63,7 +66,8 @@ def _load_input(args) -> tuple:
             if ample is not None:
                 ample = tuple(linalg.strict_int(x) for x in ample)
         except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidLatticeError(f"bad lattice document: {exc}") from exc
+            why = f"missing required key {exc}" if isinstance(exc, KeyError) else exc
+            raise InvalidLatticeError(f"bad lattice document: {why}") from exc
         lat = GramLattice(rank=rank, gram=gram, basis_labels=labels)
         if ample is not None:
             if len(ample) != rank:
@@ -168,16 +172,31 @@ def cmd_series(args) -> dict:
         raise UsageError("--max-square must be an even integer >= 2")
     cs, name = _sieve(args)
     fn = theta_series if args.kind == "theta" else xi_series
-    table = fn(cs, args.max_square)
+    terms = [(d, c) for d, c in sorted(fn(cs, args.max_square).items()) if c]
     return {
         "command": "series",
         "input": name,
-        "kind": table.kind,
-        "max_square": table.max_square,
-        "coefficients": {str(d): c for d, c in sorted(table.coefficients.items()) if c},
-        "polynomial": table.as_polynomial(),
-        "factored": table.factored_polynomial(),
+        "kind": args.kind,
+        "max_square": args.max_square,
+        "coefficients": {str(d): c for d, c in terms},
+        "polynomial": _polynomial(terms),
+        "factored": _factored(terms),
     }
+
+
+def _polynomial(terms) -> str:
+    """The sorted non-zero (square, count) terms as 'T^a + cT^b + ...'."""
+    return " + ".join(f"T^{d}" if c == 1 else f"{c}T^{d}" for d, c in terms) or "0"
+
+
+def _factored(terms) -> str | None:
+    """The display form 'T^a + g(...)' when the tail has a common factor g > 1."""
+    if len(terms) < 2 or terms[0][1] != 1:
+        return None
+    g = gcd(*(c for _, c in terms[1:]))
+    if g <= 1:
+        return None
+    return f"T^{terms[0][0]} + {g}({_polynomial([(d, c // g) for d, c in terms[1:]])})"
 
 
 def cmd_disc(args) -> dict:
@@ -229,7 +248,7 @@ def cmd_classify(args) -> dict:
     else:
         path = name = args.custom
     template, target_rank, _ = read_template(path)
-    result = search_template(template, target_rank, name=name)
+    solutions = search_template(template, target_rank)
     return {
         "command": "classify",
         "template": name,
@@ -244,7 +263,7 @@ def cmd_classify(args) -> dict:
                 "basis_gram": [list(r) for r in s.basis_gram],
                 "identified": s.identified,
             }
-            for s in result.solutions
+            for s in solutions
         ],
     }
 

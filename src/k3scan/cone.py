@@ -67,11 +67,12 @@ def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
 
     Classes are processed in ascending degree, sorted canonically within a
     degree to fix the order of the curves; r is accepted iff r.c >= 0 for
-    every curve accepted before it.  The set accepted does not depend on that
-    order: distinct (-2)-classes r1, r2 of equal degree pair to >= 0, as
-    r1 - r2 lies in the negative definite h^perp.  r1.r2 = -1 makes r1 - r2
-    a degree-0 (-2)-class, refused by WallError first; r1.r2 <= -2 gives
-    (r1 - r2)^2 = -4 - 2*r1.r2 >= 0, so r1 = r2.
+    every curve accepted before it.  The curves of lower degree suffice, so
+    their rows G.c are the kernel's walls and every class it returns for a
+    degree is accepted: distinct (-2)-classes r1, r2 of equal degree pair to
+    >= 0, as r1 - r2 lies in the negative definite h^perp.  r1.r2 = -1 makes
+    r1 - r2 a degree-0 (-2)-class, refused by WallError first; r1.r2 <= -2
+    gives (r1 - r2)^2 = -4 - 2*r1.r2 >= 0, so r1 = r2.
 
     After a degree that added a curve and left at least rho of them (a
     compact chamber has at least rho walls), the curves are tested for a
@@ -103,9 +104,8 @@ def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
     accepted: list[Vector] = []
     for k in range(1, kmax + 1):
         before = len(accepted)
-        for r in sorted((r for _, r in coset.classes(k, -2, -2)), key=canonical_key):
-            if all(bilinear(lat, r, c) >= 0 for c in accepted):
-                accepted.append(r)
+        rows = [linalg.mat_vec(lat.gram, c) for c in accepted]  # the curves of lower degree
+        accepted += sorted((r for _, r in coset.classes(k, -2, -2, rows)), key=canonical_key)
         if not accepted or (k < kmax and (len(accepted) == before or len(accepted) < lat.rank)):
             continue
         curves = tuple(accepted)

@@ -96,17 +96,14 @@ def square(lat: GramLattice, v) -> int:
     return bilinear(lat, v, v)
 
 
-def signature(lat_or_gram) -> tuple[int, int, int]:
-    """Counts (positive, negative, zero) of a symmetric rational matrix.
+def signature(gram) -> tuple[int, int, int]:
+    """Counts (positive, negative, zero) of a symmetric integer matrix.
 
     The signs of the successive ratios of the non-zero pivots of
     `linalg.symmetric_elimination`, whose zero pivots count the nullity;
-    exact integers, no eigenvalues.  Rational entries are first scaled by the
-    lcm of their denominators, a positive factor that keeps the signature.
+    exact integers, no eigenvalues.
     """
-    gram = lat_or_gram.gram if isinstance(lat_or_gram, GramLattice) else lat_or_gram
-    scale = lcm(*(x.as_integer_ratio()[1] for row in gram for x in row))
-    pivots, _ = linalg.symmetric_elimination([[int(x * scale) for x in row] for row in gram])
+    pivots, _ = linalg.symmetric_elimination(gram)
     nonzero = [d for d in pivots if d]
     pos = sum((d > 0) == (prev > 0) for prev, d in zip([1, *nonzero], nonzero))
     return pos, len(nonzero) - pos, len(pivots) - len(nonzero)

@@ -13,48 +13,21 @@ it returns against every row, on the pairings it carries down its levels.
 
 xi counts these classes; theta counts the primitive ones, derived from xi
 by Moebius inversion (Hardy & Wright, ch. 16): every nef class is m*D' with
-D' primitive and nef, so xi(d) = sum over m^2 | d of theta(d/m^2).
+D' primitive and nef, so xi(d) = sum over m^2 | d of theta(d/m^2).  Both
+return a plain {square: count} dict over every even square up to the bound,
+zeros included; the CLI formats what it prints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import NamedTuple
+from math import isqrt
 
 from . import linalg
 from .cone import CurveSystem
 from .enumeration import DegreeCoset, Walls
 from .lattice import GramLattice, square
 from .linalg import Vector
-
-
-class SeriesTable(NamedTuple):
-    kind: str  # "theta" or "xi"
-    max_square: int
-    coefficients: dict[int, int]
-
-    def coefficient(self, d: int) -> int:
-        return self.coefficients.get(d, 0)
-
-    def as_polynomial(self) -> str:
-        terms = [_term(d, c) for d, c in sorted(self.coefficients.items()) if c]
-        return " + ".join(terms) or "0"
-
-    def factored_polynomial(self) -> str | None:
-        """The display form 'T^a + g(...)' when the tail has a common factor g > 1."""
-        nonzero = [(d, c) for d, c in sorted(self.coefficients.items()) if c]
-        if len(nonzero) < 2 or nonzero[0][1] != 1:
-            return None
-        g = gcd(*(c for _, c in nonzero[1:]))
-        if g <= 1:
-            return None
-        tail = " + ".join(_term(d, c // g) for d, c in nonzero[1:])
-        return f"T^{nonzero[0][0]} + {g}({tail})"
-
-
-def _term(d: int, c: int) -> str:
-    return f"T^{d}" if c == 1 else f"{c}T^{d}"
 
 
 def degree_bound(lat: GramLattice, h, ell: Fraction, d: int) -> int:
@@ -91,25 +64,24 @@ def big_nef_classes_by_square(cs: CurveSystem, lo: int, hi: int) -> dict[int, li
     return out
 
 
-def theta_series(cs: CurveSystem, max_square: int) -> SeriesTable:
-    """Counts of primitive big-and-nef classes for each even square up to max_square.
+def theta_series(cs: CurveSystem, max_square: int) -> dict[int, int]:
+    """{d: count} of primitive big-and-nef classes for each even square d up to max_square.
 
     Derived from `xi_series` in ascending d: theta(d) = xi(d) minus each
     theta(d/m^2), m >= 2, m^2 | d; an odd d/m^2 counts 0 (the lattice is even).
     """
-    xi = xi_series(cs, max_square).coefficients
+    xi = xi_series(cs, max_square)
     theta: dict[int, int] = {}
     for d in range(2, max_square + 1, 2):
         theta[d] = xi[d] - sum(
             theta.get(d // (m * m), 0) for m in range(2, isqrt(d) + 1) if d % (m * m) == 0
         )
-    return SeriesTable(kind="theta", max_square=max_square, coefficients=theta)
+    return theta
 
 
-def xi_series(cs: CurveSystem, max_square: int) -> SeriesTable:
-    """Counts of all big-and-nef classes for each even square up to max_square."""
+def xi_series(cs: CurveSystem, max_square: int) -> dict[int, int]:
+    """{d: count} of all big-and-nef classes for each even square d up to max_square."""
     if max_square < 2 or max_square % 2 != 0:
         raise ValueError("max_square must be an even integer >= 2")
     classes = big_nef_classes_by_square(cs, 2, max_square)
-    coeffs = {d: len(classes.get(d, ())) for d in range(2, max_square + 1, 2)}
-    return SeriesTable(kind="xi", max_square=max_square, coefficients=coeffs)
+    return {d: len(classes.get(d, ())) for d in range(2, max_square + 1, 2)}

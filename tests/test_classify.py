@@ -103,9 +103,9 @@ def test_builtin_searches_return_published_solutions(curve_systems):
     searches = builtin_searches()
     assert set(searches) == {"S1", "S2", "S3", "S4", "S5", "S6", "L24", "L27"}
     for name, bs in searches.items():
-        result = search_template(bs.template, bs.target_rank, name=name)
-        assert set(result.value_tuples()) == set(bs.expected), name
-        for sol in result.solutions:
+        solutions = search_template(bs.template, bs.target_rank)
+        assert {s.values for s in solutions} == set(bs.expected), name
+        for sol in solutions:
             assert sol.rank == bs.target_rank
             expected_type = EXPECTED_IDENTIFICATIONS.get(name, {}).get(sol.values)
             if expected_type is not None:
@@ -114,15 +114,14 @@ def test_builtin_searches_return_published_solutions(curve_systems):
         # matrix of exactly one solution, and that solution is named after it.
         gram = curve_systems[name].gram_of_curves
         matches = [
-            s for s in result.solutions if gram_permutation_equivalent(s.matrix, gram) is not None
+            s for s in solutions if gram_permutation_equivalent(s.matrix, gram) is not None
         ]
         assert [s.identified for s in matches] == [name], (name, [s.values for s in matches])
 
 
 def test_l27_solution_isometry_classes():
     bs = builtin_searches()["L27"]
-    result = search_template(bs.template, bs.target_rank, name="L27")
-    by_values = {s.values: s for s in result.solutions}
+    by_values = {s.values: s for s in search_template(bs.template, bs.target_rank)}
     groups = {
         "first": [(0, 0, 4, 0, 1, 0), (0, 0, 4, 1, 2, 0), (0, 0, 4, 1, 0, 2), (0, 0, 4, 0, 0, 1)],
         "second": [(2, 0, 4, 0, 2, 2), (0, 2, 4, 0, 2, 2), (0, 0, 2, 0, 2, 2),
@@ -154,7 +153,7 @@ def test_orbit_property_without_normalizations():
         expected = set()
         for sol in bs.expected:
             expected |= orbit(t.parameters, symmetries, sol)
-        assert set(search_template(free, bs.target_rank).value_tuples()) == expected, name
+        assert {s.values for s in search_template(free, bs.target_rank)} == expected, name
 
 
 def test_random_non_solutions_have_larger_rank():
@@ -202,8 +201,7 @@ def test_custom_template_roundtrip(tmp_path):
         "target_rank": 3,
     }
     template, target = template_from_dict(doc)
-    result = search_template(template, target)
-    assert set(result.value_tuples()) == {(0,), (1,)}
+    assert {s.values for s in search_template(template, target)} == {(0,), (1,)}
     # A string row used to be read character by character, as the cells a and b.
     for entries in ([["-2", "a"], "ab"], "ab", [["-2"], 3], {"0": ["-2"]}):
         with pytest.raises(UsageError, match="entries must be a list of rows"):
@@ -396,13 +394,13 @@ def test_search_budget_counts_nodes_and_solutions(monkeypatch):
     searches = builtin_searches()
     s2, l27 = searches["S2"], searches["L27"]
     monkeypatch.setattr(classify, "MAX_SEARCH_NODES", 1282)
-    assert search_template(s2.template, s2.target_rank).value_tuples() == s2.expected
+    assert tuple(s.values for s in search_template(s2.template, s2.target_rank)) == s2.expected
     monkeypatch.setattr(classify, "MAX_SEARCH_NODES", 1281)
     with pytest.raises(CostLimitError, match="more than 1281 nodes"):
         search_template(s2.template, s2.target_rank)
     monkeypatch.setattr(classify, "MAX_SEARCH_NODES", 1282)
     monkeypatch.setattr(classify, "MAX_SEARCH_HITS", 10)
-    found = search_template(l27.template, l27.target_rank).value_tuples()
+    found = [s.values for s in search_template(l27.template, l27.target_rank)]
     assert set(found) == set(l27.expected) and len(found) == 10
     monkeypatch.setattr(classify, "MAX_SEARCH_HITS", 9)
     with pytest.raises(CostLimitError, match="more than 9 solutions"):

@@ -244,6 +244,19 @@ def test_exit_code_usage_errors(tmp_path):
         code, text = invoke("classify", "--custom", str(path))
         assert code == 1 and text.startswith("error:") and why in text, (change, text)
         assert text.count("\n") == 1, (change, text)
+    # Python's own text used to leak through: "list indices must be integers or
+    # slices, not str" for an array, and "'a'" for a listed parameter with no domain.
+    for doc, line in (
+        ([good], "error: bad template document: the top level is not a JSON object\n"),
+        ("S2", "error: bad template document: the top level is not a JSON object\n"),
+        ({k: v for k, v in good.items() if k != "target_rank"},
+         "error: bad template document: missing required key 'target_rank'\n"),
+        ({k: v for k, v in good.items() if k != "size"},
+         "error: bad template document: missing required key 'size'\n"),
+        ({**good, "parameters": ["a", "b"]}, "error: listed parameters have no domain: ['b']\n"),
+    ):
+        path.write_text(json.dumps(doc))
+        assert invoke("classify", "--custom", str(path)) == (1, line), doc
     # An empty domain is no error: the search has nothing to visit.
     path.write_text(json.dumps({**good, "domains": {"a": [1, 0]}}))
     assert report("classify", "--custom", str(path))["solutions"] == []
@@ -275,6 +288,18 @@ def test_exit_code_invalid_lattice(tmp_path):
 
     code, text = invoke("curves", "--file", str(tmp_path / "missing.json"))
     assert code == 2 and text.startswith("error: cannot read") and text.count("\n") == 1, text
+    # Python's own text used to leak through for these: "list indices must be
+    # integers or slices, not str" for an array, and "'rank'" for a missing key.
+    not_object = "error: bad lattice document: the top level is not a JSON object\n"
+    for doc, line in (
+        ([{"rank": 1, "gram": [[2]]}], not_object),
+        (7, not_object),
+        ({"gram": [[2]]}, "error: bad lattice document: missing required key 'rank'\n"),
+        ({"rank": 1}, "error: bad lattice document: missing required key 'gram'\n"),
+    ):
+        bad.write_text(json.dumps(doc))
+        for command in ("curves", "disc"):
+            assert invoke(command, "--file", str(bad)) == (2, line), doc
     bad.write_text(json.dumps({"rank": 3, "gram": [[2, 1], [1, -2]]}))
     code, text = invoke("disc", "--file", str(bad))
     assert code == 2 and text == "error: rank does not match the Gram matrix size\n", text

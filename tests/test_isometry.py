@@ -140,9 +140,8 @@ def test_identify_type_refuses_a_catalog_genus_without_the_hypothesis(presets, m
 def _catalog_derived_grams(presets):
     """Every built-in classify solution and every isotropic overlattice of the catalog."""
     grams = []
-    for name, bs in builtin_searches().items():
-        result = search_template(bs.template, bs.target_rank, name=name)
-        grams += [s.basis_gram for s in result.solutions]
+    for bs in builtin_searches().values():
+        grams += [s.basis_gram for s in search_template(bs.template, bs.target_rank)]
     for p in presets.values():
         dg = discriminant_group(p.lattice)
         grams += [overlattice_from_isotropic(dg, c).gram for c in isotropic_elements(dg)]

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from helpers import convolution, primitive_counts, sieve_presets, unimodular_cha
 from oracle import box_scan_big_nef_count
 
 from k3scan import linalg
+from k3scan.cli import run
 from k3scan.cone import is_ample, vinberg_sieve
 from k3scan.lattice import GramLattice, bilinear, square
 from k3scan.series import big_nef_classes_by_square, degree_bound, theta_series, xi_series
@@ -82,8 +84,8 @@ def test_theta_matches_golden_modulo_errata(curve_systems, golden_series, errata
         table = theta_series(cs, through)
         mismatches = {}
         for d in range(2, through + 1, 2):
-            if table.coefficient(d) != printed.get(d, 0):
-                mismatches[d] = (printed.get(d, 0), table.coefficient(d))
+            if table[d] != printed.get(d, 0):
+                mismatches[d] = (printed.get(d, 0), table[d])
         expected_mismatches = {
             exp: (entry["published"], entry["computed"])
             for (preset, _, exp), entry in known.items()
@@ -104,7 +106,7 @@ def test_xi_s2_matches_golden(curve_systems, golden_series):
     printed = {int(k): v for k, v in doc["coefficients"].items()}
     table = xi_series(curve_systems["S2"], doc["printed_through"])
     for d in range(2, doc["printed_through"] + 1, 2):
-        assert table.coefficient(d) == printed.get(d, 0), f"xi({d})"
+        assert table[d] == printed.get(d, 0), f"xi({d})"
 
 
 def test_convolution_identity(curve_systems):
@@ -112,10 +114,10 @@ def test_convolution_identity(curve_systems):
     # the primitive classes are counted here to make it a check on the kernel.
     for name, cs in curve_systems.items():
         counted = primitive_counts(cs, 100)
-        assert theta_series(cs, 100).coefficients == counted, name
+        assert theta_series(cs, 100) == counted, name
         xi = xi_series(cs, 100)
         for d in range(2, 101, 2):
-            assert xi.coefficient(d) == convolution(counted, d), f"{name}: square {d}"
+            assert xi[d] == convolution(counted, d), f"{name}: square {d}"
 
 
 @settings(max_examples=24, deadline=None)
@@ -130,11 +132,11 @@ def test_convolution_identity_in_random_bases(presets, curve_systems, name, data
     cs = vinberg_sieve(lat, linalg.mat_vec(uinv, p.ample), 10)
     counted = primitive_counts(cs, 40)
     theta = theta_series(cs, 40)
-    assert theta.coefficients == counted, name
+    assert theta == counted, name
     xi = xi_series(cs, 40)
     for d in range(2, 41, 2):
-        assert xi.coefficient(d) == convolution(counted, d), f"{name}: square {d}"
-    assert theta.coefficients == theta_series(curve_systems[name], 40).coefficients
+        assert xi[d] == convolution(counted, d), f"{name}: square {d}"
+    assert theta == theta_series(curve_systems[name], 40)
 
 
 def test_series_counts_match_oracle_small(curve_systems):
@@ -144,10 +146,10 @@ def test_series_counts_match_oracle_small(curve_systems):
         theta = theta_series(cs, 12)
         xi = xi_series(cs, 12)
         for d in range(2, 13, 2):
-            assert theta.coefficient(d) == box_scan_big_nef_count(
+            assert theta[d] == box_scan_big_nef_count(
                 cs.lattice, cs.ample_seed, cs.curves, ell, d, primitive_only=True
             )
-            assert xi.coefficient(d) == box_scan_big_nef_count(
+            assert xi[d] == box_scan_big_nef_count(
                 cs.lattice, cs.ample_seed, cs.curves, ell, d, primitive_only=False
             )
 
@@ -169,8 +171,8 @@ def test_series_independent_of_ample_seed(curve_systems):
         kmax2 = 2 * max(bilinear(cs.lattice, h2, c) for c in cs.curves)
         cs2 = vinberg_sieve(cs.lattice, h2, kmax2)
         assert set(cs2.curves) == set(cs.curves)
-        base = theta_series(cs, 40).coefficients
-        moved = theta_series(cs2, 40).coefficients
+        base = theta_series(cs, 40)
+        moved = theta_series(cs2, 40)
         assert base == moved
 
 
@@ -184,7 +186,10 @@ def test_series_validation(curve_systems):
         big_nef_classes_by_square(cs, -2, -2)
 
 
-def test_factored_display(curve_systems):
-    table = theta_series(curve_systems["S1"], 8)
-    assert table.factored_polynomial() == "T^2 + 6(T^4 + T^6)"
-    assert table.as_polynomial() == "T^2 + 6T^4 + 6T^6"
+def test_factored_display():
+    # The series are plain counts; the command line formats them.
+    code, text = run(["series", "--preset", "S1", "--max-square", "8"])
+    assert code == 0, text
+    shown = json.loads(text)
+    assert shown["factored"] == "T^2 + 6(T^4 + T^6)"
+    assert shown["polynomial"] == "T^2 + 6T^4 + 6T^6"
