@@ -19,7 +19,7 @@ _EXPORTS = {
         "TemplateSolution", "builtin_searches", "search_template", "span_gram",
     ),
     "cone": (
-        "ChamberDescription", "ChamberVertex", "CurveSystem", "is_ample", "vinberg_sieve",
+        "ChamberDescription", "ChamberVertex", "CurveSystem", "vinberg_sieve",
     ),
     "enumeration": ("EnumerationStats",),
     "errors": (
@@ -32,7 +32,7 @@ _EXPORTS = {
         "signature", "square",
     ),
     "presets": ("Preset", "catalog", "identify_type"),
-    "series": ("degree_bound", "theta_series", "xi_series"),
+    "series": ("theta_series", "xi_series"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -7,11 +7,11 @@ assignment satisfying the constraints and returns, as a tuple of
 TemplateSolution, those whose instantiated matrix has rank at most the
 target, each identified against the catalog by genus (presets.identify_type).
 
-Templates are JSON documents, built by template_from_dict and read from a
-file by read_template alone.  The shipped searches are such documents,
-templates/<NAME>.json, each with the extra key "expected" (the published
-solution set); builtin_searches reads them all and builtin_template resolves
-one shipped name to its file.
+Templates are JSON documents, built by template_from_dict; the CLI reads a
+user's file.  The shipped searches are such documents, templates/<NAME>.json,
+each with the extra key "expected" (the published solution set);
+builtin_searches reads them all and builtin_template resolves one shipped
+name to its file.
 
 The search first compiles the template into int rows const + sum c_k x_k
 over the parameter order.  A constraint is the row lhs - rhs; it bounds every
@@ -434,22 +434,6 @@ class BuiltinSearch(NamedTuple):
     expected: tuple[tuple[int, ...], ...]
 
 
-def read_template(path) -> tuple[MatrixTemplate, int, dict]:
-    """Open and parse the template document at path: (template, target_rank, document).
-
-    The one reader of template files, for --template, --custom and
-    builtin_searches alike; a file that cannot be read or parsed is a UsageError.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        raise UsageError(f"cannot parse {path}: {exc}") from exc
-    return (*template_from_dict(doc), doc)
-
-
 def _builtin_names() -> list[str]:
     return sorted(f[: -len(".json")] for f in os.listdir(_TEMPLATE_DIR) if f.endswith(".json"))
 
@@ -474,7 +458,9 @@ def builtin_searches() -> dict[str, BuiltinSearch]:
     """
     searches = {}
     for name in _builtin_names():
-        template, target_rank, doc = read_template(builtin_template(name))
+        with open(builtin_template(name), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        template, target_rank = template_from_dict(doc)
         expected = tuple(tuple(values) for values in doc["expected"])
         searches[name] = BuiltinSearch(template, target_rank, expected)
     return searches

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import gcd
+from math import acosh, gcd, sqrt
 
 from .errors import InvalidLatticeError, K3ScanError, UsageError
 
@@ -32,6 +32,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _frac(f) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+
+
+def _read_json(path, error):
+    """The JSON document at path; a file that cannot be read or parsed raises error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"cannot parse {path}: {exc}") from exc
 
 
 def _load_input(args) -> tuple:
@@ -50,13 +61,7 @@ def _load_input(args) -> tuple:
         from . import linalg
         from .lattice import GramLattice, square
 
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise InvalidLatticeError(f"cannot read {args.file}: {exc}") from exc
-        except (ValueError, RecursionError) as exc:
-            raise InvalidLatticeError(f"cannot parse {args.file}: {exc}") from exc
+        doc = _read_json(args.file, InvalidLatticeError)
         if not isinstance(doc, dict):
             raise InvalidLatticeError("bad lattice document: the top level is not a JSON object")
         try:
@@ -64,6 +69,8 @@ def _load_input(args) -> tuple:
             labels = doc.get("labels", [])
             ample = doc.get("ample")
             if ample is not None:
+                if not isinstance(ample, list):
+                    raise TypeError(f"ample must be a list of integers, got {ample!r}")
                 ample = tuple(linalg.strict_int(x) for x in ample)
         except (KeyError, TypeError, ValueError) as exc:
             why = f"missing required key {exc}" if isinstance(exc, KeyError) else exc
@@ -127,11 +134,10 @@ def _pair_relations(cs):
 
 
 def cmd_curves(args) -> dict:
-    from .cone import is_ample
-
     cs, name = _sieve(args)
     minimal, relations = _pair_relations(cs)
     lat = cs.lattice
+    degrees = cs.degrees()
     return {
         "command": "curves",
         "input": name,
@@ -139,10 +145,11 @@ def cmd_curves(args) -> dict:
         "labels": list(lat.basis_labels),
         "gram": [list(r) for r in lat.gram],
         "ample_seed": list(cs.ample_seed),
-        "ample_seed_is_ample": is_ample(cs, cs.ample_seed),
+        # DegreeCoset refused a seed of square <= 0; so the seed is ample iff no degree is <= 0.
+        "ample_seed_is_ample": min(degrees) > 0,
         "curve_count": len(cs.curves),
         "curves": [list(c) for c in cs.curves],
-        "degrees": list(cs.degrees()),
+        "degrees": list(degrees),
         "curve_gram": [list(r) for r in cs.gram_of_curves],
         "minimal_polarization": minimal,
         "relations": relations,
@@ -161,7 +168,7 @@ def cmd_chamber(args) -> dict:
             for v in ch.vertices
         ],
         "ell": _frac(ch.ell),
-        "dmax": ch.dmax_display,
+        "dmax": acosh(sqrt(ch.ell)),
     }
 
 
@@ -237,7 +244,7 @@ def cmd_disc(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
-    from .classify import builtin_template, read_template, search_template
+    from .classify import builtin_template, search_template, template_from_dict
 
     if args.jobs < 1:
         raise UsageError("--jobs must be a positive integer")
@@ -247,7 +254,7 @@ def cmd_classify(args) -> dict:
         path, name = builtin_template(args.template), args.template
     else:
         path = name = args.custom
-    template, target_rank, _ = read_template(path)
+    template, target_rank = template_from_dict(_read_json(path, UsageError))
     solutions = search_template(template, target_rank)
     return {
         "command": "classify",

@@ -1,4 +1,4 @@
-"""From (-2)-classes to (-2)-curves, nef tests, and the compact chamber.
+"""From (-2)-classes to (-2)-curves, and the compact chamber that certifies them.
 
 The sieve walks the (-2)-classes in ascending degree against an interior
 ample seed and keeps a class exactly when it pairs non-negatively with every
@@ -48,18 +48,6 @@ class ChamberVertex(NamedTuple):
 class ChamberDescription(NamedTuple):
     vertices: tuple[ChamberVertex, ...]
     ell: Fraction
-
-    @property
-    def dmax_display(self) -> float:
-        """arccosh(sqrt(ell)); for display only, never used in logic."""
-        return math.acosh(math.sqrt(self.ell))
-
-
-def is_ample(cs: CurveSystem, d) -> bool:
-    """Positive square and strictly positive degree on every curve."""
-    return square(cs.lattice, d) > 0 and all(
-        bilinear(cs.lattice, d, c) > 0 for c in cs.curves
-    )
 
 
 def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:

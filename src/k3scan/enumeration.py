@@ -312,6 +312,7 @@ class DegreeCoset:
         them.  Each one's square, degree and pairing with every wall row are
         re-checked in plain integer arithmetic before it is returned.
         """
+        # Walls' least constants and clips(m) hold only for m = k/g >= 0: k < 0 could lose classes.
         if k < 0:
             raise ValueError("degree must be non-negative")
         if k % self.g:

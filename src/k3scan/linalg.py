@@ -7,8 +7,7 @@ numbers.  Functions return tuples so results can be hashed and cached.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -293,13 +292,6 @@ def echelon_row_basis(rows) -> tuple[Vector, ...]:
             if q:
                 basis[i] = [x - q * y for x, y in zip(basis[i], basis[k])]
     return freeze_matrix(basis)
-
-
-def isqrt_fraction_floor(fr: Fraction) -> int:
-    """floor(sqrt(p/q)) for a non-negative rational p/q."""
-    if fr < 0:
-        raise ValueError("negative radicand")
-    return isqrt(fr.numerator * fr.denominator) // fr.denominator
 
 
 def canonical_key(v: Sequence[int]):

@@ -23,6 +23,11 @@ def sieve_presets():
     return tuple(name for name, p in catalog().items() if p.ample is not None)
 
 
+def is_ample(cs, d) -> bool:
+    """Positive square and strictly positive degree on every curve."""
+    return square(cs.lattice, d) > 0 and all(bilinear(cs.lattice, d, c) > 0 for c in cs.curves)
+
+
 def is_primitive(v) -> bool:
     """True when the gcd of the coordinates is 1."""
     g = gcd(*v)

@@ -314,6 +314,14 @@ def test_exit_code_invalid_lattice(tmp_path):
         path.write_text(json.dumps({**doc, "ample": ample}))
         code, text = invoke("curves", "--file", str(path))
         assert code == 2 and why in text, text
+    # An ample that is not a list used to print Python's "'int' object is not
+    # iterable", and an object was read key by key ("expected an integer, got 'a'").
+    for ample, shown in (
+        (5, "5"), (1.5, "1.5"), (True, "True"), ("1 0 0", "'1 0 0'"), ({"a": 1}, "{'a': 1}"),
+    ):
+        path.write_text(json.dumps({**doc, "ample": ample}))
+        line = f"error: bad lattice document: ample must be a list of integers, got {shown}\n"
+        assert invoke("curves", "--file", str(path)) == (2, line), ample
 
     # JSON numbers must be ints: no truncation, no bools or strings, no overflow.
     s113 = '"gram": [[-2, 4, 0], [4, -2, 2], [0, 2, -2]]'

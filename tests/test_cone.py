@@ -11,17 +11,14 @@ from helpers import (
     PUBLISHED_VERTICES,
     gram_permutation_equivalent,
     hyperbolic_ell,
+    is_ample,
     is_primitive,
     random_seeded_lattices,
     sieve_every_degree,
     sieve_presets,
 )
 
-from k3scan.cone import (
-    _chamber,
-    is_ample,
-    vinberg_sieve,
-)
+from k3scan.cone import _chamber, vinberg_sieve
 from k3scan.enumeration import DegreeCoset
 from k3scan.errors import (
     IncompleteSieveError, K3ScanError, NonCompactChamberError, WallError,

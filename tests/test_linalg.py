@@ -91,11 +91,6 @@ def test_freeze_matrix_refuses_non_ints():
             linalg.freeze_matrix([[1, bad]])
 
 
-def test_exact_sqrt_bounds():
-    assert linalg.isqrt_fraction_floor(Fraction(30)) == 5
-    assert linalg.isqrt_fraction_floor(Fraction(49, 4)) == 3  # sqrt = 3.5
-
-
 def test_canonical_key_sign_normalization():
     vs = [(0, -1, 2), (0, 1, -2), (1, 0, 0)]
     ordered = sorted(vs, key=linalg.canonical_key)

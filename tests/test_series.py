@@ -6,29 +6,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import convolution, primitive_counts, sieve_presets, unimodular_change
+from helpers import convolution, is_ample, primitive_counts, sieve_presets, unimodular_change
 from oracle import box_scan_big_nef_count
 
 from k3scan import linalg
 from k3scan.cli import run
-from k3scan.cone import is_ample, vinberg_sieve
+from k3scan.cone import vinberg_sieve
+from k3scan.enumeration import DegreeCoset
 from k3scan.lattice import GramLattice, bilinear, square
-from k3scan.series import big_nef_classes_by_square, degree_bound, theta_series, xi_series
+from k3scan.series import big_nef_classes_by_square, theta_series, xi_series
 
 
 def big_nef_of_square(cs, d):
     return big_nef_classes_by_square(cs, d, d).get(d, [])
 
 
-def test_degree_bound_examples(presets):
-    s2 = presets["S2"]
-    assert degree_bound(s2.lattice, s2.ample, Fraction(9), 4) == 12
-    l27 = presets["L27"]
-    assert degree_bound(l27.lattice, l27.ample, Fraction(15, 2), 2) == 5  # floor sqrt(30)
-    s5 = presets["S5"]
-    assert degree_bound(s5.lattice, s5.ample, Fraction(1), 2) == 2
-    with pytest.raises(ValueError):
-        degree_bound(s2.lattice, s2.ample, Fraction(9), 0)
+def test_series_degree_range(curve_systems, monkeypatch):
+    # The series asks the kernel for exactly the degrees 1..K, where K is the
+    # largest k with k^2 <= ell * H^2 * max_square.
+    classes = DegreeCoset.classes
+    asked = []
+
+    def recording(coset, k, *args, **kwargs):
+        asked.append(k)
+        return classes(coset, k, *args, **kwargs)
+
+    monkeypatch.setattr(DegreeCoset, "classes", recording)
+    for name, max_square, ell, h2, top in (
+        ("S2", 4, 9, 4, 12),  # k^2 <= 144 = 12^2: the bound itself is reached
+        ("L27", 2, Fraction(15, 2), 2, 5),  # k^2 <= 30
+        ("S5", 2, 2, 2, 2),  # k^2 <= 8
+    ):
+        cs = curve_systems[name]
+        assert (cs.chamber.ell, square(cs.lattice, cs.ample_seed)) == (ell, h2)
+        asked.clear()
+        xi_series(cs, max_square)
+        assert asked == list(range(1, top + 1)), name
 
 
 def test_big_nef_examples(curve_systems):
@@ -182,8 +195,6 @@ def test_series_validation(curve_systems):
         theta_series(cs, 0)
     with pytest.raises(ValueError):
         xi_series(cs, 7)
-    with pytest.raises(ValueError):
-        big_nef_classes_by_square(cs, -2, -2)
 
 
 def test_factored_display():
