@@ -31,6 +31,22 @@ decides every leaf.  A minor is scheduled at the depth of the last parameter
 with a nonzero coefficient in its entries and memoized on the values of those
 parameters.
 
+Row relations: a line or conic totally tangent to the branch sextic pulls
+back to two (-2)-curves C + C' whose sum is the pulled-back class, so the
+rows of a template come in pairs with a common sum, for every parameter value
+(in L27, rows 0+1 = rows 2+3 = rows 4+5 = 2*(rows 6+7)).  The search reads
+each row as the vector of its entries' (const, coeff_1..coeff_m) and keeps
+it exactly when it is independent of the rows kept before it, by one
+incremental elimination.  If each dropped row is row_i = sum_{j in keep}
+a_ij row_j for every assignment, then by symmetry the same holds for the
+columns, so U M U^T = diag(M[keep, keep], 0) for the invertible U whose rows
+are e_j (j in keep) and e_i - sum_j a_ij e_j (i dropped), and rank M =
+rank M[keep, keep] at every assignment.  The argument above then applies to
+M[keep, keep] unchanged: the minors are scheduled over the rows in keep, and
+each leaf takes the rank of M[keep, keep].  The matrix a solution reports is
+still the full M.  L27 keeps 5 of its 8 rows, and its 5x5 leaves leave no
+minor to test; a template without relations, such as S2, keeps every row.
+
 Replay: when the bounds and minors tested at depths s..e-1 (e > s+1) read only
 parameters s..e-1, the value tuples of s..e-1 that reach depth e are the same
 under every prefix of values for 0..s-1, since no test on the way can see the
@@ -40,7 +56,8 @@ prefix, each with the entries of s..e-1 filled again from that prefix.  In S2
 the second conic pair (a2, b2, c2, d2) is such a block.
 
 Budget: a template whose principal minors of order r+1 and r+2 number more
-than MAX_SCHEDULED_MINORS is refused before any is listed.  A search that
+than MAX_SCHEDULED_MINORS is refused before any is listed, counted over all
+its rows before the row relations are looked for.  A search that
 enters more than MAX_SEARCH_NODES nodes (every call of the descent, replayed
 or searched) or finds more than MAX_SEARCH_HITS solutions raises
 CostLimitError.  The search cannot be refused up front: S2's raw domain
@@ -65,8 +82,10 @@ from .presets import identify_type
 _TEMPLATE_DIR = os.path.join(os.path.dirname(__file__), "templates")
 
 # Work limits of one search, counted, not timed.  The shipped templates
-# schedule at most 84 minors (L27), enter at most 1,282 nodes (S2) and find at
-# most 10 solutions (L27).  Scheduling costs about 5 us a minor.
+# count at most 84 minors against the limit (L27, all 8 rows), list at most 21
+# over the rows they keep (S2) and evaluate at most 1,507 determinants (S2),
+# enter at most 1,282 nodes (S2) and find at most 10 solutions (L27).
+# Scheduling costs about 5 us a minor.
 MAX_SCHEDULED_MINORS = 20_000
 MAX_SEARCH_NODES = 100_000
 MAX_SEARCH_HITS = 1_000
@@ -204,6 +223,32 @@ def _int_row(pairs, order) -> tuple[int, tuple[tuple[int, int], ...]]:
     return const, tuple((k, c) for k, c in enumerate(coeffs) if c)
 
 
+def _independent_rows(rows: list[dict]) -> list[int]:
+    """The indices of the sparse rows that are independent of the rows kept before them.
+
+    One fraction-free elimination over the rationals: each row is reduced,
+    in order, against the reduced rows kept so far, each of which vanishes at
+    the pivots of those before it; it is kept when something is left, and
+    what is left, divided by its content, joins them with its first key as
+    pivot.
+    """
+    basis: list[tuple] = []  # (pivot, reduced row)
+    keep = []
+    for i, v in enumerate(rows):
+        for p, b in basis:
+            c = v.get(p)
+            if c:
+                w = {key: b[p] * x for key, x in v.items()}
+                for key, y in b.items():
+                    w[key] = w.get(key, 0) - c * y
+                v = {key: x for key, x in w.items() if x}
+        if v:
+            g = math.gcd(*v.values())
+            basis.append((next(iter(v)), {key: x // g for key, x in v.items()}))
+            keep.append(i)
+    return keep
+
+
 def _search_sequential(template: MatrixTemplate, target_rank: int):
     nparams = len(template.parameters)
     n = template.size
@@ -233,6 +278,7 @@ def _search_sequential(template: MatrixTemplate, target_rank: int):
     cur = [[0] * n for _ in range(n)]
     masks = [[0] * n for _ in range(n)]
     fills: list[list] = [[] for _ in range(nparams)]
+    rows: list[dict] = [{} for _ in range(n)]  # {(column, k): c_k}, k = -1 the constant
     for i in range(n):
         for j in range(i, n):
             const, terms = _int_row(((1, template.entries[i][j]),), order)
@@ -240,6 +286,10 @@ def _search_sequential(template: MatrixTemplate, target_rank: int):
             masks[i][j] = masks[j][i] = sum(1 << k for k, _ in terms)
             if terms:
                 fills[terms[-1][0]].append((i, j, const, terms))
+            for k, c in ((-1, const), *terms):
+                if c:
+                    rows[i][j, k] = rows[j][i, k] = c
+    keep = _independent_rows(rows)  # see "Row relations" in the module docstring
     values = [0] * nparams
     minor_cache: dict = {}
     hits = []
@@ -257,7 +307,7 @@ def _search_sequential(template: MatrixTemplate, target_rank: int):
     # minors of the last parameter are left to the final rank computation.
     minors: dict[int, list] = {}
     for size in (target_rank + 1, target_rank + 2):
-        for idx in itertools.combinations(range(n), size):
+        for idx in itertools.combinations(keep, size):
             mask = functools.reduce(int.__or__, (masks[i][j] for i in idx for j in idx), 0)
             if mask.bit_length() < nparams:
                 dep = tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
@@ -301,10 +351,9 @@ def _search_sequential(template: MatrixTemplate, target_rank: int):
             start, tuples = recording[depth]
             tuples.append(tuple(values[start:depth]))
         if depth == nparams:
-            matrix = tuple(map(tuple, cur))
-            r = linalg.rank(matrix)
+            r = linalg.rank([[cur[i][j] for j in keep] for i in keep])
             if r <= target_rank:
-                hits.append((tuple(values), r, matrix))
+                hits.append((tuple(values), r, tuple(map(tuple, cur))))
                 if len(hits) > MAX_SEARCH_HITS:
                     raise CostLimitError(
                         f"the search found more than {MAX_SEARCH_HITS} solutions; "

@@ -264,6 +264,62 @@ def small_templates(draw):
     return template, draw(st.integers(0, size))
 
 
+def _planted(base, combos, domains, *constraints):
+    """The template A B A^T, B the symmetric base of (const, coeffs) cells, A the rows combos.
+
+    Row a of A B A^T is sum_s a_s * (row s of B A^T) for every assignment:
+    the rows satisfy the relations that combos plants among them.
+    """
+    k, nparams = len(base), len(domains)
+
+    def cell(a, b):
+        pairs = [(a[s] * b[t], base[s][t]) for s in range(k) for t in range(k)]
+        return _expr(sum(w * const for w, (const, _) in pairs),
+                     [sum(w * coeffs[q] for w, (_, coeffs) in pairs) for q in range(nparams)])
+
+    return MatrixTemplate(
+        size=len(combos),
+        entries=tuple(tuple(cell(a, b) for b in combos) for a in combos),
+        parameters=NAMES[:nparams],
+        domains=tuple(domains),
+        constraints=tuple(map(Constraint.parse, constraints)),
+    )
+
+
+@st.composite
+def planted_templates(draw):
+    """Templates whose later rows are integer combinations of the base rows.
+
+    Most are pairs with a common sum, row + row_c = row_a + row_b, as a curve
+    that splits in the double plane gives; the rest have coefficients in
+    [-2, 2].  The rows come in a random order.
+    """
+    k = draw(st.integers(1, 3))
+    nparams = draw(st.integers(1, 2))
+    coeff = st.integers(-2, 2)
+    base = [[None] * k for _ in range(k)]
+    for s in range(k):
+        for t in range(s, k):
+            base[s][t] = base[t][s] = (draw(st.integers(-3, 3)), [draw(coeff) for _ in range(nparams)])
+    combos = [[int(s == t) for t in range(k)] for s in range(k)]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            a, b, c = (draw(st.integers(0, k - 1)) for _ in range(3))
+            row = [0] * k
+            row[a] += 1
+            row[b] += 1
+            row[c] -= 1
+        else:
+            row = [draw(coeff) for _ in range(k)]
+        combos.append(row)
+    combos = [combos[i] for i in draw(st.permutations(range(len(combos))))]
+    domains = []
+    for _ in range(nparams):
+        lo = draw(st.integers(-3, 1))
+        domains.append((lo, draw(st.integers(lo, 3))))
+    return _planted(base, combos, domains), draw(st.integers(0, len(combos)))
+
+
 def _holds(c, assignment):
     a, b = evaluate(c.lhs, assignment), evaluate(c.rhs, assignment)
     return a <= b if c.op == "<=" else a == b
@@ -332,7 +388,28 @@ BLOCK_PINS = (
 )
 
 
-@given(small_templates())
+# B2 = [[-2, p0], [p0, -2]] and B3 = [[-2, p0, 1], [p0, -2, p1], [1, p1, -2]].
+B2 = (((-2, [0]), (0, [1])), ((0, [1]), (-2, [0])))
+B3 = (((-2, [0, 0]), (0, [1, 0]), (1, [0, 0])),
+      ((0, [1, 0]), (-2, [0, 0]), (0, [0, 1])),
+      ((1, [0, 0]), (0, [0, 1]), (-2, [0, 0])))
+E3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# Each with its target rank and the size of its leaf, the rows the search keeps:
+RELATION_PINS = (
+    # row2 = 2*row0 - row1: a non-unit coefficient; rank 1 needs p0 = +-2.
+    (_planted(B2, ((1, 0), (0, 1), (2, -1)), ((-3, 3),)), 1, 2),
+    # row3 + row2 = row0 + row1, as a split curve gives: 3 rows kept at target
+    # rank 3, so every assignment with p0 <= p1 is a solution.
+    (_planted(B3, E3 + ((1, 1, -1),), ((-2, 2), (0, 2)), "p0<=p1"), 3, 3),
+    # row2 = 2*row0 - row1 in the constants and in p0, not in p1: no row is dropped.
+    (_template((("-2", "p0", "-4-p0"), ("p0", "-2", "2+2*p0"), ("-4-p0", "2+2*p0", "-10-4*p0+p1")),
+               ("p0", "p1"), ((-3, 3), (-1, 1))), 1, 3),
+    # No relation: rank 2 where p0^2 + p0*p1 + p1^2 = 3.
+    (_planted(B3, E3, ((-2, 2), (-2, 2))), 2, 3),
+)
+
+
+@given(st.one_of(small_templates(), planted_templates()))
 @example((PINNED, 1))
 @example((CLIPPING_PINS[0], 1))
 @example((CLIPPING_PINS[1], 1))
@@ -342,12 +419,18 @@ BLOCK_PINS = (
 @example((BLOCK_PINS[0], 3))
 @example((BLOCK_PINS[1], 2))
 @example((BLOCK_PINS[1], 3))
+@example(RELATION_PINS[0][:2])
+@example(RELATION_PINS[1][:2])
+@example(RELATION_PINS[2][:2])
+@example(RELATION_PINS[3][:2])
 @settings(max_examples=300, deadline=None)
 def test_compiled_search_matches_brute_force(case):
     template, target_rank = case
     # At the full size no minor prunes, so only the constraint bounds act.
     for rank in (target_rank, template.size):
-        assert _search_sequential(template, rank) == _brute_force(template, rank)
+        hits = _search_sequential(template, rank)
+        assert hits == _brute_force(template, rank)
+        assert all(r == linalg.rank(matrix) for _, r, matrix in hits)
 
 
 def test_rows_clip_earlier_parameters():
@@ -405,3 +488,74 @@ def test_search_budget_counts_nodes_and_solutions(monkeypatch):
     monkeypatch.setattr(classify, "MAX_SEARCH_HITS", 9)
     with pytest.raises(CostLimitError, match="more than 9 solutions"):
         search_template(l27.template, l27.target_rank)
+
+
+def _search_work(monkeypatch, template, target_rank):
+    """(determinants evaluated, the size of each leaf's rank test, nodes entered) of one search."""
+    dets, leaves, nodes = [], [], []
+    det, rank = linalg.det, linalg.rank
+
+    def counted_det(m):
+        dets.append(len(m))
+        return det(m)
+
+    def counted_rank(m):
+        leaves.append(len(m))
+        return rank(m)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "descend":
+            nodes.append(frame.f_locals["depth"])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "det", counted_det)
+        patch.setattr(linalg, "rank", counted_rank)
+        sys.setprofile(profile)
+        try:
+            _search_sequential(template, target_rank)
+        finally:
+            sys.setprofile(None)
+    return len(dets), leaves, len(nodes)
+
+
+def test_search_drops_related_rows(monkeypatch):
+    # L27's rows 0+1 = 2+3 = 4+5 = 2*(6+7) for every assignment: its leaves
+    # take the rank of the 5 rows kept, and no minor is left to evaluate.  S2
+    # has no relation and searches as before.
+    searches = builtin_searches()
+    l27, s2 = searches["L27"], searches["S2"]
+    dets, leaves, _ = _search_work(monkeypatch, l27.template, l27.target_rank)
+    assert (dets, leaves) == (0, [5] * 810)
+    dets, leaves, nodes = _search_work(monkeypatch, s2.template, s2.target_rank)
+    assert (dets, leaves, nodes) == (1507, [6], 1282)
+    for template, target_rank, kept in RELATION_PINS:
+        leaves = _search_work(monkeypatch, template, target_rank)[1]
+        assert leaves and set(leaves) == {kept}, template.entries
+
+
+def test_relation_pass_at_the_minor_limit(monkeypatch):
+    # 199 rows at target rank 0 list 199 + comb(199, 2) = 19,900 minors, the
+    # most MAX_SCHEDULED_MINORS admits: the relation pass reduces every row,
+    # keeps all of them (the diagonal is -2), and the constant 1x1 minor -2 ends
+    # the search.  At 200 rows the limit refuses before the pass.
+    passes = []
+    independent_rows = classify._independent_rows
+
+    def counted(rows):
+        keep = independent_rows(rows)
+        passes.append((len(rows), keep))
+        return keep
+
+    monkeypatch.setattr(classify, "_independent_rows", counted)
+
+    def sparse(n):
+        cell = {(0, 1): "p0", (1, 0): "p0"}
+        rows = tuple(tuple(cell.get((i, j), "-2" if i == j else "0") for j in range(n)) for i in range(n))
+        return _template(rows, ("p0",), ((0, 1),))
+
+    assert classify.MAX_SCHEDULED_MINORS < 200 + 200 * 199 // 2
+    assert _search_sequential(sparse(199), 0) == []
+    assert passes == [(199, list(range(199)))]
+    with pytest.raises(CostLimitError, match="20100 principal minors"):
+        _search_sequential(sparse(200), 0)
+    assert len(passes) == 1

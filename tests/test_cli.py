@@ -544,6 +544,26 @@ def test_deterministic_bytes_across_runs():
         assert a == b
 
 
+def test_bytes_do_not_depend_on_the_hash_seed():
+    # str hashes, and so the order of a set of str, change with PYTHONHASHSEED;
+    # one process cannot vary it, so each seed gets its own child.
+    for argv in (
+        ("classify", "--template", "L27"),
+        ("classify", "--template", "S2"),
+        ("series", "--preset", "L27", "--max-square", "100"),
+        ("disc", "--preset", "L25"),
+    ):
+        outputs = set()
+        for seed in ("0", "1", "12345"):
+            out = subprocess.run(
+                [sys.executable, "-m", "k3scan.cli", *argv],
+                capture_output=True, env={**CHILD_ENV, "PYTHONHASHSEED": seed}, timeout=60,
+            )
+            assert out.returncode == 0 and out.stderr == b"", (argv, seed, out.stderr)
+            outputs.add(out.stdout)
+        assert len(outputs) == 1, argv
+
+
 # sha256 of the stdout of `disc --preset P --format F` (`main` writes the text
 # of `run` unchanged).  Recorded from the whole-group Fraction scan that read
 # q from the rational lifts, so they pin every byte across the integer form.
