@@ -28,8 +28,8 @@ symmetric matrix these suffice: it has rank <= r exactly when all of them
 vanish (take the Schur complement on a maximal nonsingular principal block),
 so nothing is lost once a block is fully set, and the final rank computation
 decides every leaf.  A minor is scheduled at the depth of the last parameter
-with a nonzero coefficient in its entries and memoized on the values of those
-parameters.
+with a nonzero coefficient in its entries; a constant minor is tested when it
+is listed, and the first nonzero one ends the search.
 
 Row relations: a line or conic totally tangent to the branch sextic pulls
 back to two (-2)-curves C + C' whose sum is the pulled-back class, so the
@@ -264,6 +264,7 @@ def _search_sequential(template: MatrixTemplate, target_rank: int):
     # set by then, and the later ones reach only [below, above] over their
     # domains.  An entry is a row, filled in once its last parameter is set.
     bounds: list[list] = [[] for _ in range(nparams)]
+    reach = list(range(nparams))  # the earliest parameter a test at depth d reads
     for c in template.constraints:
         const, terms = _int_row(((1, c.lhs), (-1, c.rhs)), order)
         if not terms and not (const <= 0 if c.op == "<=" else const == 0):
@@ -272,6 +273,8 @@ def _search_sequential(template: MatrixTemplate, target_rank: int):
         for t in range(len(terms) - 1, -1, -1):
             k, lead = terms[t]
             bounds[k].append((lead, const, terms[:t], below, above if c.op == "==" else None))
+            if t:  # terms ascend, so terms[0] is the earliest
+                reach[k] = min(reach[k], terms[0][0])
             lo, hi = template.domains[k]
             below += min(lead * lo, lead * hi)
             above += max(lead * lo, lead * hi)
@@ -291,39 +294,25 @@ def _search_sequential(template: MatrixTemplate, target_rank: int):
                     rows[i][j, k] = rows[j][i, k] = c
     keep = _independent_rows(rows)  # see "Row relations" in the module docstring
     values = [0] * nparams
-    minor_cache: dict = {}
     hits = []
 
-    def minor_ok(idx, dep) -> bool:
-        key = (idx, tuple(values[k] for k in dep))
-        val = minor_cache.get(key)
-        if val is None:
-            val = linalg.det([[cur[i][j] for j in idx] for i in idx])
-            minor_cache[key] = val
-        return val == 0
-
     # A principal minor of order r+1 or r+2 is tested at the depth of the last
-    # parameter its entries use, memoized on the values of those parameters;
-    # minors of the last parameter are left to the final rank computation.
-    minors: dict[int, list] = {}
+    # parameter its entries use, and a constant one as it is listed; minors of
+    # the last parameter are left to the final rank computation.
+    minors: list[list] = [[] for _ in range(nparams)]
     for size in (target_rank + 1, target_rank + 2):
         for idx in itertools.combinations(keep, size):
             mask = functools.reduce(int.__or__, (masks[i][j] for i in idx for j in idx), 0)
-            if mask.bit_length() < nparams:
-                dep = tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
-                minors.setdefault(mask.bit_length() - 1, []).append((idx, dep))
-    if not all(minor_ok(*m) for m in minors.get(-1, ())):
-        return []
+            d = mask.bit_length() - 1
+            if d < 0:
+                if linalg.det([[cur[i][j] for j in idx] for i in idx]):
+                    return []
+            elif d < nparams - 1:
+                minors[d].append(idx)
+                reach[d] = min(reach[d], (mask & -mask).bit_length() - 1)
 
     # Replay blocks (see the module docstring), taken greedily from the left,
     # each as long as it goes.
-    reach = list(range(nparams))  # the earliest parameter a test at depth d reads
-    for d in range(nparams):
-        for _, _, terms, _, _ in bounds[d]:
-            if terms:  # ascending, so terms[0] is the earliest
-                reach[d] = min(reach[d], terms[0][0])
-        for _, dep in minors.get(d, ()):
-            reach[d] = min(reach[d], dep[0])
     blocks: dict[int, tuple[int, list]] = {}  # s -> (e, the fills of s..e-1)
     s = 1
     while s < nparams:
@@ -391,7 +380,9 @@ def _search_sequential(template: MatrixTemplate, target_rank: int):
             values[depth] = value
             for i, j, const, terms in fills[depth]:
                 cur[i][j] = cur[j][i] = const + sum(c * values[k] for k, c in terms)
-            if all(minor_ok(*m) for m in minors.get(depth, ())):
+            if all(
+                linalg.det([[cur[i][j] for j in idx] for i in idx]) == 0 for idx in minors[depth]
+            ):
                 descend(depth + 1)
         if end is not None:
             passed[depth] = recording.pop(end)[1]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import pickle
 import random
@@ -533,20 +534,51 @@ def test_search_drops_related_rows(monkeypatch):
         assert leaves and set(leaves) == {kept}, template.entries
 
 
+# (determinants, leaves, leaf size, nodes) of each shipped search.
+SEARCH_WORK = {
+    "L24": (0, 2, 4, 5),
+    "L27": (0, 810, 5, 952),
+    "S1": (0, 45, 4, 52),
+    "S2": (1507, 1, 6, 1282),
+    "S3": (0, 2, 3, 3),
+    "S4": (0, 2, 3, 3),
+    "S5": (0, 1, 3, 2),
+    "S6": (0, 160, 4, 169),
+}
+
+
+def test_search_work_of_every_template(monkeypatch):
+    searches = builtin_searches()
+    assert set(searches) == set(SEARCH_WORK)
+    for name, bs in searches.items():
+        dets, leaves, nodes = _search_work(monkeypatch, bs.template, bs.target_rank)
+        assert (dets, len(leaves), *set(leaves), nodes) == SEARCH_WORK[name], name
+
+
 def test_relation_pass_at_the_minor_limit(monkeypatch):
     # 199 rows at target rank 0 list 199 + comb(199, 2) = 19,900 minors, the
     # most MAX_SCHEDULED_MINORS admits: the relation pass reduces every row,
-    # keeps all of them (the diagonal is -2), and the constant 1x1 minor -2 ends
-    # the search.  At 200 rows the limit refuses before the pass.
-    passes = []
-    independent_rows = classify._independent_rows
+    # keeps all of them (the diagonal is -2), and the first minor listed, the
+    # constant 1x1 minor -2, ends the search.  At 200 rows the limit refuses
+    # before the pass.
+    passes, masks, dets = [], [], []
+    independent_rows, det = classify._independent_rows, linalg.det
 
     def counted(rows):
         keep = independent_rows(rows)
         passes.append((len(rows), keep))
         return keep
 
+    def counted_det(m):
+        dets.append(len(m))
+        return det(m)
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is functools.reduce:  # one minor's mask
+            masks.append(frame.f_code.co_name)
+
     monkeypatch.setattr(classify, "_independent_rows", counted)
+    monkeypatch.setattr(linalg, "det", counted_det)
 
     def sparse(n):
         cell = {(0, 1): "p0", (1, 0): "p0"}
@@ -554,8 +586,13 @@ def test_relation_pass_at_the_minor_limit(monkeypatch):
         return _template(rows, ("p0",), ((0, 1),))
 
     assert classify.MAX_SCHEDULED_MINORS < 200 + 200 * 199 // 2
-    assert _search_sequential(sparse(199), 0) == []
+    sys.setprofile(profile)
+    try:
+        assert _search_sequential(sparse(199), 0) == []
+    finally:
+        sys.setprofile(None)
     assert passes == [(199, list(range(199)))]
+    assert (len(masks), dets) == (1, [1])
     with pytest.raises(CostLimitError, match="20100 principal minors"):
         _search_sequential(sparse(200), 0)
     assert len(passes) == 1

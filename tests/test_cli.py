@@ -414,11 +414,20 @@ def _boom(*args, **kwargs):
 
 
 def test_exit_code_cost_limit_chamber(presets, monkeypatch):
-    # 700 copies of one curve on rank 3: C(700, 2) = 244,650 subsets to try.
+    # L27's 8 curves in rank 4 give C(8, 3) = 56 subsets: a limit of 56 admits them.
+    l27 = presets["L27"]
+    with monkeypatch.context() as patch:
+        patch.setattr(k3scan.cone, "MAX_CURVE_SUBSETS", 56)
+        assert len(k3scan.cone.vinberg_sieve(l27.lattice, l27.ample, 10).curves) == 8
+        patch.setattr(k3scan.cone, "MAX_CURVE_SUBSETS", 55)
+        with pytest.raises(CostLimitError, match="give 56 subsets .*, more than 55$"):
+            k3scan.cone.vinberg_sieve(l27.lattice, l27.ample, 10)
+    # 700 copies of one curve on rank 3: C(700, 2) = 244,650 subsets to try,
+    # refused before `_lines` takes its first determinant.
     s1 = presets["S1"]
     curve = (0, 1, 0)
-    monkeypatch.setattr(k3scan.linalg, "rank", _boom)
-    with pytest.raises(CostLimitError, match="244650 subsets"):
+    monkeypatch.setattr(k3scan.linalg, "det", _boom)
+    with pytest.raises(CostLimitError, match="244650 subsets .*, more than 200000$"):
         _chamber(s1.lattice, s1.ample, (curve,) * 700, 10)
     monkeypatch.setattr(
         k3scan.cone, "vinberg_sieve", lambda lat, h, kmax: _chamber(lat, h, (curve,) * 700, kmax)
@@ -474,6 +483,7 @@ def test_exit_code_cost_limit_disc(tmp_path, monkeypatch):
     assert out.returncode == 5 and out.stdout == ""
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
     assert "200000000" in out.stderr and "Traceback" not in out.stderr
+    assert "more than 2000000 elements" in out.stderr
     monkeypatch.setattr(k3scan.lattice.DiscriminantGroup, "elements", _boom)
     monkeypatch.setattr(k3scan.lattice.DiscriminantGroup, "_scaled_norm", _boom)
     assert invoke("disc", "--file", str(path))[0] == 5
@@ -481,7 +491,7 @@ def test_exit_code_cost_limit_disc(tmp_path, monkeypatch):
     gram = [[2, 0], [0, -4000006]]
     path.write_text(json.dumps({"rank": 2, "gram": gram}))
     dg = k3scan.lattice.discriminant_group(k3scan.lattice.GramLattice(2, gram))
-    with pytest.raises(CostLimitError, match="order 8000012"):
+    with pytest.raises(CostLimitError, match="order 8000012, more than 2000000 "):
         k3scan.lattice.isotropic_elements(dg)
     code, text = invoke("disc", "--file", str(path))
     assert code == 5 and text.startswith("error: ") and text.count("\n") == 1, text

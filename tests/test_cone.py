@@ -282,6 +282,23 @@ def test_sieve_stops_at_the_closure_degree(presets, monkeypatch):
         assert len(cs.curves) == EXPECTED_COUNTS[name]
 
 
+def test_sieve_tests_closure_once_it_has_rho_curves(monkeypatch):
+    # <4> + <-2> at seed (3, 1) has one curve below degree 18 and a second
+    # at 18, where the chamber closes: the closure test runs there, once, and
+    # not only at kmax.
+    calls = []
+
+    def counting(lat, h, curves, k):
+        calls.append((k, len(curves)))
+        return _chamber(lat, h, curves, k)
+
+    monkeypatch.setattr("k3scan.cone._chamber", counting)
+    cs = vinberg_sieve(GramLattice(2, ((4, 0), (0, -2))), (3, 1), 30)
+    assert calls == [(18, 2)]
+    assert cs.curves == ((0, -1), (2, 3))
+    assert cs.chamber.ell == Fraction(98, 17)
+
+
 def _outcome(sieve, lat, h, kmax):
     try:
         return "closed", sieve(lat, h, kmax)
