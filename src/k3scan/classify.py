@@ -47,13 +47,13 @@ each leaf takes the rank of M[keep, keep].  The matrix a solution reports is
 still the full M.  L27 keeps 5 of its 8 rows, and its 5x5 leaves leave no
 minor to test; a template without relations, such as S2, keeps every row.
 
-Replay: when the bounds and minors tested at depths s..e-1 (e > s+1) read only
-parameters s..e-1, the value tuples of s..e-1 that reach depth e are the same
-under every prefix of values for 0..s-1, since no test on the way can see the
-prefix.  So such a block is searched once, under the first prefix that reaches
-it, and its surviving tuples are replayed in the same order under every later
-prefix, each with the entries of s..e-1 filled again from that prefix.  In S2
-the second conic pair (a2, b2, c2, d2) is such a block.
+Replay: when the bounds and minors tested at depths s..e-1 (any e > s) read
+only parameters s..e-1, the value tuples of s..e-1 that reach depth e are the
+same under every prefix of values for 0..s-1, since no test on the way can see
+the prefix.  So such a block is searched once, under the first prefix that
+reaches it, and its surviving tuples are replayed in the same order under
+every later prefix, each with the entries of s..e-1 filled again from that
+prefix.  In S2 the second conic pair (a2, b2, c2, d2) is such a block.
 
 Budget: a template whose principal minors of order r+1 and r+2 number more
 than MAX_SCHEDULED_MINORS is refused before any is listed, counted over all
@@ -319,11 +319,9 @@ def _search_sequential(template: MatrixTemplate, target_rank: int):
         e = s
         while e < nparams and reach[e] >= s:
             e += 1
-        if e > s + 1:
+        if e > s:
             blocks[s] = (e, [f for d in range(s, e) for f in fills[d]])
-            s = e
-        else:
-            s += 1
+        s = max(e, s + 1)
     passed: dict[int, list] = {}  # s -> the tuples of s..e-1 that reached e
     recording: dict[int, tuple[int, list]] = {}  # e -> (s, tuples so far)
     nodes = 0

@@ -142,8 +142,6 @@ def _chamber(lat: GramLattice, h, curves, k: int) -> ChamberDescription:
             if deg == 0 or any(pairings):
                 continue
             v, deg = tuple(-x for x in v), -deg
-        if v in vertices:
-            continue
         sq = square(lat, v)
         if sq <= 0:
             raise NonCompactChamberError(

@@ -42,8 +42,8 @@ class NonCompactChamberError(K3ScanError):
 class CostLimitError(K3ScanError):
     """The input would cost more than a fixed work limit.
 
-    It is refused before any work, except a template search, which is
-    stopped when its count of nodes or solutions passes its limit.
+    It is refused before any work, except a template search or a series,
+    stopped once its count of nodes, solutions or classes built passes its limit.
     """
 
     exit_code = 5

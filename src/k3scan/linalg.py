@@ -68,29 +68,44 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def det(m) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
+def _echelon(m) -> tuple[int, int]:
+    """Fraction-free row echelon of m: (rank, signed last pivot).
+
+    Bareiss elimination (Math. Comp. 22, 1968): the first row from r down
+    that is non-zero in column c becomes pivot row r, and each row below it
+    takes a_ij <- (p*a_ij - a_ic*a_rj) / prev for j > c, an exact division;
+    columns <= c are not read again.  The last pivot of a square matrix of
+    full rank, signed by the row swaps, is its determinant.
+    """
     a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
+    rows, cols = len(a), len(a[0]) if a else 0
+    r, sign, prev = 0, 1, 1
+    for c in range(cols):
+        if not a[r][c]:
+            for i in range(r + 1, rows):
+                if a[i][c]:
                     break
             else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                continue
+            a[r], a[i] = a[i], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[c]
+        r += 1
+        if r == rows:
+            return r, sign * p
+        for row in a[r:]:
+            f = row[c]
+            for j in range(c + 1, cols):
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+    return r, sign * prev
+
+
+def det(m) -> int:
+    """Determinant of a square integer matrix, read from `_echelon`."""
+    r, last = _echelon(m)
+    return last if r == len(m) else 0
 
 
 def symmetric_elimination(m) -> tuple[list[int], list[list[int]]]:
@@ -140,31 +155,8 @@ def symmetric_elimination(m) -> tuple[list[int], list[list[int]]]:
 
 
 def rank(m) -> int:
-    """Rank over the rationals by fraction-free Gaussian elimination."""
-    if not m:
-        return 0
-    a = [list(row) for row in m]
-    rows, cols = len(a), len(a[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Rank over the rationals, read from `_echelon`."""
+    return _echelon(m)[0]
 
 
 def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:

@@ -27,7 +27,11 @@ from math import isqrt
 from . import linalg
 from .cone import CurveSystem
 from .enumeration import DegreeCoset, Walls
+from .errors import CostLimitError
 from .linalg import Vector
+
+# L27 theta to square 800 builds 106,302 classes; a series past this many is stopped.
+MAX_SERIES_CLASSES = 200_000
 
 
 def big_nef_classes_by_square(cs: CurveSystem, lo: int, hi: int) -> dict[int, list[Vector]]:
@@ -35,18 +39,24 @@ def big_nef_classes_by_square(cs: CurveSystem, lo: int, hi: int) -> dict[int, li
 
     Only squares that have classes appear; each list is in ascending degree,
     and within a degree in the kernel's order, which is deterministic but
-    unsorted.  Complete by the chamber radius bound.
+    unsorted.  Complete by the chamber radius bound.  Raises CostLimitError
+    after the degree pass that takes the classes built past MAX_SERIES_CLASSES.
     """
     lat = cs.lattice
     coset = DegreeCoset(lat, cs.ample_seed)
     ell = cs.chamber.ell
     walls = Walls(coset, [linalg.mat_vec(lat.gram, c) for c in cs.curves])
     out: dict[int, list[Vector]] = {}
+    built = 0
     for k in itertools.count(1):
         least = -(-k * k * ell.denominator // (ell.numerator * coset.h2))
         if least > hi:
             return out
-        for d, cls in coset.classes(k, max(lo, least), hi, walls):
+        found = coset.classes(k, max(lo, least), hi, walls)
+        built += len(found)
+        if built > MAX_SERIES_CLASSES:
+            raise CostLimitError(f"more than {MAX_SERIES_CLASSES} classes built by degree {k}")
+        for d, cls in found:
             out.setdefault(d, []).append(cls)
 
 

@@ -389,6 +389,13 @@ BLOCK_PINS = (
 )
 
 
+# b's 2x2 minor reads only b, and the bound on c reads a: b alone is a block,
+# searched under a = 0 and replayed under a = 1..4.
+ONE_PARAMETER_BLOCK = _template(
+    (("0", "b-2", "0"), ("b-2", "0", "0"), ("0", "0", "a+c")),
+    ("a", "b", "c"), ((0, 4), (0, 4), (-4, 4)), "a+c<=0",
+)
+
 # B2 = [[-2, p0], [p0, -2]] and B3 = [[-2, p0, 1], [p0, -2, p1], [1, p1, -2]].
 B2 = (((-2, [0]), (0, [1])), ((0, [1]), (-2, [0])))
 B3 = (((-2, [0, 0]), (0, [1, 0]), (1, [0, 0])),
@@ -424,6 +431,7 @@ RELATION_PINS = (
 @example(RELATION_PINS[1][:2])
 @example(RELATION_PINS[2][:2])
 @example(RELATION_PINS[3][:2])
+@example((ONE_PARAMETER_BLOCK, 0))
 @settings(max_examples=300, deadline=None)
 def test_compiled_search_matches_brute_force(case):
     template, target_rank = case
@@ -517,6 +525,15 @@ def _search_work(monkeypatch, template, target_rank):
         finally:
             sys.setprofile(None)
     return len(dets), leaves, len(nodes)
+
+
+def test_search_replays_a_one_parameter_block(monkeypatch):
+    # The two constant 1x1 minors, then b's minor once for each of its 5
+    # values, not again under each of a's 5 values.
+    dets, _, _ = _search_work(monkeypatch, ONE_PARAMETER_BLOCK, 0)
+    assert dets == 7
+    hits = _search_sequential(ONE_PARAMETER_BLOCK, 0)
+    assert [h[0] for h in hits] == [(a, 2, -a) for a in range(5)]
 
 
 def test_search_drops_related_rows(monkeypatch):

@@ -473,6 +473,18 @@ def test_huge_kmax_stops_where_the_chamber_closes():
     assert huge.stdout == default.stdout and huge.stderr == b""
 
 
+def test_exit_code_cost_limit_series():
+    # The passes to square 10^8 would build far more classes than any table
+    # needs (L27 to square 800 builds 106,302); the series stops once the
+    # classes it built pass MAX_SERIES_CLASSES = 200,000, at degree 63.
+    out = subprocess.run(
+        [sys.executable, "-m", "k3scan.cli", "series", "--preset", "L27", "--max-square", "100000000"],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+    )
+    assert out.returncode == 5 and out.stdout == ""
+    assert out.stderr == "error: more than 200000 classes built by degree 63\n", out.stderr
+
+
 def test_exit_code_cost_limit_disc(tmp_path, monkeypatch):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"rank": 1, "gram": [[2 * 10**8]]}))

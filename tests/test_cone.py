@@ -246,6 +246,16 @@ def test_chamber_names_a_curve_that_supports_no_vertex(presets):
     assert str(err.value) == "chamber did not close at degree 7: curves [1] support no vertex"
 
 
+def test_chamber_meets_a_vertex_on_three_walls(curve_systems):
+    # (0, 1, 1) pairs to 0 with S1's vertex (1, 0, 0) and positively with the
+    # other five: three pairs of walls give that vertex, and the chamber is S1's.
+    s1 = curve_systems["S1"]
+    walls = s1.curves + ((0, 1, 1),)
+    pairings = [bilinear(s1.lattice, (0, 1, 1), v.coords) for v in s1.chamber.vertices]
+    assert s1.chamber.vertices[0].coords == (1, 0, 0) and pairings == [0, 6, 6, 18, 18, 24]
+    assert _chamber(s1.lattice, s1.ample_seed, walls, 4) == s1.chamber
+
+
 def test_noncompact_chamber_detected(presets):
     lat = presets["S114"].lattice
     with pytest.raises(NonCompactChamberError):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import smith_diagonal
@@ -34,10 +34,64 @@ def naive_rank(m):
     return r
 
 
-@given(small_matrix)
-@settings(max_examples=150, deadline=None)
+def naive_det(m):
+    """Signed determinant of a square matrix by Gaussian elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    d = Fraction(1)
+    for c in range(len(rows)):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            d = -d
+        d *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return d
+
+
+@st.composite
+def flawed_matrix(draw, rows, cols):
+    """A rows x cols matrix, often singular: first column zero, or a row a combination of two others."""
+    m = [draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)) for _ in range(rows)]
+    flaw = draw(st.sampled_from(("none", "zero column", "combination")))
+    if flaw == "zero column" and cols:
+        for row in m:
+            row[0] = 0
+    elif flaw == "combination" and rows > 1:
+        k = draw(st.integers(0, rows - 1))
+        others = st.sampled_from([i for i in range(rows) if i != k])
+        i, j, a, b = draw(others), draw(others), draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+square_matrix = st.integers(0, 5).flatmap(lambda n: flawed_matrix(n, n))
+# rows != cols; rows = cols - 1 is the shape of the rho-1 wall rows in `cone._lines`.
+wide_or_tall_matrix = st.integers(1, 6).flatmap(
+    lambda cols: st.integers(0, 6).filter(lambda rows: rows != cols).flatmap(
+        lambda rows: flawed_matrix(rows, cols)
+    )
+)
+
+
+@given(st.one_of(small_matrix, wide_or_tall_matrix))
+@example([[0, 2, 1, -1], [0, 1, 3, 2], [0, 3, 4, 1]])
+@example([[1, 2], [2, 4], [0, 0]])
+@settings(max_examples=300, deadline=None)
 def test_rank_matches_rational_gauss(m):
     assert linalg.rank(m) == naive_rank(m)
+
+
+@given(square_matrix)
+@example([])
+@example([[0, 1], [1, 0]])
+@example([[0, 2, 1], [0, 1, 3], [0, 5, -2]])
+@settings(max_examples=300, deadline=None)
+def test_signed_determinant_matches_rational_gauss(m):
+    assert linalg.det(m) == naive_det(m)
 
 
 @given(small_matrix)

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from helpers import convolution, is_ample, primitive_counts, sieve_presets, unimodular_change
 from oracle import box_scan_big_nef_count
 
+import k3scan.series
 from k3scan import linalg
 from k3scan.cli import run
 from k3scan.cone import vinberg_sieve
 from k3scan.enumeration import DegreeCoset
+from k3scan.errors import CostLimitError
 from k3scan.lattice import GramLattice, bilinear, square
 from k3scan.series import big_nef_classes_by_square, theta_series, xi_series
 
@@ -42,6 +44,16 @@ def test_series_degree_range(curve_systems, monkeypatch):
         asked.clear()
         xi_series(cs, max_square)
         assert asked == list(range(1, top + 1)), name
+
+
+def test_series_stops_past_its_class_limit(curve_systems, monkeypatch):
+    # L27 builds 1,951 classes of square <= 100, the last of them at degree 30.
+    l27 = curve_systems["L27"]
+    monkeypatch.setattr(k3scan.series, "MAX_SERIES_CLASSES", 1951)
+    assert sum(xi_series(l27, 100).values()) == 1951
+    monkeypatch.setattr(k3scan.series, "MAX_SERIES_CLASSES", 1950)
+    with pytest.raises(CostLimitError, match="^more than 1950 classes built by degree 30$"):
+        xi_series(l27, 100)
 
 
 def test_big_nef_examples(curve_systems):
