@@ -205,11 +205,10 @@ def span_gram(m) -> Matrix:
     The generators may be dependent; the radical is quotiented out via the
     Smith normal form, which also supplies an integral basis of the span.
     """
-    d, _, v = linalg.smith_normal_form(m)
-    n = len(m)
-    r = sum(1 for i in range(min(n, len(d[0]))) if d[i][i] != 0)
-    full = linalg.mat_mul(linalg.transpose(v), linalg.mat_mul(m, v))
-    return tuple(tuple(full[i][j] for j in range(r)) for i in range(r))
+    factors, v = linalg.smith_normal_form(m)
+    basis = linalg.transpose(v)[: sum(map(bool, factors))]
+    images = [linalg.mat_vec(m, b) for b in basis]
+    return tuple(tuple(linalg.dot(a, mb) for mb in images) for a in basis)
 
 
 def _int_row(pairs, order) -> tuple[int, tuple[tuple[int, int], ...]]:

@@ -30,10 +30,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _frac(f) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
 def _read_json(path, error):
     """The JSON document at path; a file that cannot be read or parsed raises error."""
     try:
@@ -106,7 +102,7 @@ def _minimal_polarization(cs):
     from .linalg import canonical_key
     from .series import big_nef_classes_by_square
 
-    classes = big_nef_classes_by_square(cs, 2, 12)
+    classes = big_nef_classes_by_square(cs, 12)
     if not classes:
         return None
     d = min(classes)
@@ -167,7 +163,7 @@ def cmd_chamber(args) -> dict:
             {"coords": list(v.coords), "square": v.square, "degree": v.degree}
             for v in ch.vertices
         ],
-        "ell": _frac(ch.ell),
+        "ell": str(ch.ell),
         "dmax": acosh(sqrt(ch.ell)),
     }
 
@@ -219,7 +215,7 @@ def cmd_disc(args) -> dict:
         isotropic.append(
             {
                 "coeffs": list(coeffs),
-                "lift": [_frac(x) for x in dg.lift(coeffs)],
+                "lift": [str(x) for x in dg.lift(coeffs)],
                 "order": dg.element_order(coeffs),
                 "overlattice_gram": [list(r) for r in over.gram],
                 "overlattice_identified": identify_type(over),
@@ -233,8 +229,8 @@ def cmd_disc(args) -> dict:
         "invariant_factors": list(dg.invariant_factors),
         "generators": [
             {
-                "lift": [_frac(x) for x in dg.lift(unit)],
-                "q_value": _frac(dg.q_value(unit)),
+                "lift": [str(x) for x in dg.lift(unit)],
+                "q_value": str(dg.q_value(unit)),
                 "order": dg.invariant_factors[i],
             }
             for i, unit in enumerate(linalg.identity(len(dg.invariant_factors)))

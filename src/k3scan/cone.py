@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 from . import linalg
 from .enumeration import DegreeCoset
-from .errors import CostLimitError, IncompleteSieveError, NonCompactChamberError, WallError
+from .errors import CostLimitError, IncompleteSieveError, NonCompactChamberError
+from .errors import UsageError, WallError
 from .lattice import GramLattice, bilinear, square
 from .linalg import Matrix, Vector, canonical_key
 
@@ -83,8 +84,10 @@ def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
 
     Raises WallError when the seed is orthogonal to some (-2)-class and
     IncompleteSieveError, NonCompactChamberError or CostLimitError when the
-    chamber has not closed by degree kmax.
+    chamber has not closed by degree kmax, and UsageError when h is None.
     """
+    if h is None:
+        raise UsageError("the sieve needs an ample seed, and none was given")
     coset = DegreeCoset(lat, h)  # refuses a seed of non-positive square
     walls = [r for _, r in coset.classes(0, -2, -2)]
     if walls:

@@ -49,27 +49,24 @@ _MAX_WALL_PAIRS = 1024
 
 
 class EnumerationStats:
-    """Work counters of the kernel, filled in only when one is passed in.
+    """Work counter of the kernel, filled in only when one is passed in.
 
     `nodes` counts branch-and-bound nodes visited: one per range of a
     coordinate scanned, at every level, including ranges the walls leave
-    empty.  `lifts_tried` counts the classes built from kernel solutions;
-    the walls are applied before a class is built, so only classes that
-    pass them are counted.  The kernel is centred on the coset {H.D = k}, so
-    every class built is integral and none is discarded.  A degree that the
-    projected walls rule out as a whole adds nothing to either.
+    empty.  A degree that the projected walls rule out as a whole adds
+    nothing.  The classes a call builds are the list it returns: the kernel
+    is centred on the coset {H.D = k}, so none is discarded.
     """
 
-    __slots__ = ("lifts_tried", "nodes")
+    __slots__ = ("nodes",)
 
-    def __init__(self, lifts_tried: int = 0, nodes: int = 0):
-        self.lifts_tried = lifts_tried
+    def __init__(self, nodes: int = 0):
         self.nodes = nodes
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.lifts_tried, self.nodes) == (other.lifts_tried, other.nodes)
+        return self.nodes == other.nodes
 
 
 def _lll(basis, gram):
@@ -286,10 +283,9 @@ class DegreeCoset:
         self.h2 = linalg.dot(h, w)
         if self.h2 <= 0:
             raise ValueError("degree class must have positive square")
-        d, u, v = linalg.smith_normal_form((w,))
+        (self.g,), v = linalg.smith_normal_form((w,))
         unit, *basis = linalg.transpose(v)  # the basis: lattice vectors orthogonal to h
-        self.g = d[0][0]
-        self.unit = unit = tuple(u[0][0] * x for x in unit)  # u*w*v = d, with u = (+-1)
+        self.unit = unit = unit if linalg.dot(w, unit) > 0 else tuple(-x for x in unit)
         basis = [list(b) for b in basis]
         self.form = form = _scaled_form(*_lll(basis, [[-x for x in row] for row in gram]))
         self.basis = basis = [tuple(b) for b in basis]
@@ -345,6 +341,4 @@ class DegreeCoset:
             if pairings and min(pairings) < 0:
                 raise K3ScanError(f"kernel class {cls} meets a wall row negatively: {pairings}")
             out.append((sq, cls))
-        if stats is not None:
-            stats.lifts_tried += len(out)
         return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import CostLimitError, InvalidLatticeError
@@ -126,10 +126,7 @@ class DiscriminantGroup(NamedTuple):
     denominator: int
 
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
     def elements(self):
         """All coefficient tuples, the zero element first."""
@@ -167,17 +164,13 @@ class DiscriminantGroup(NamedTuple):
 
 def discriminant_group(lat: GramLattice) -> DiscriminantGroup:
     """NS*/NS with generator lifts taken from the Smith normal form of the Gram."""
-    d, _, v = linalg.smith_normal_form(lat.gram)
-    rho = lat.rank
-    diag = tuple(d[i][i] for i in range(rho))
-    vt = linalg.transpose(v)
+    snf, v = linalg.smith_normal_form(lat.gram)
     lifts = []
     factors = []
-    for i in range(rho):
-        if diag[i] > 1:
-            factors.append(diag[i])
-            col = vt[i]
-            lift = tuple(Fraction(x, diag[i]) for x in col)
+    for f, col in zip(snf, linalg.transpose(v)):
+        if f > 1:
+            factors.append(f)
+            lift = tuple(Fraction(x, f) for x in col)
             lifts.append(tuple(x - x.__floor__() for x in lift))
     pairings = [[linalg.dot(g, linalg.mat_vec(lat.gram, h)) for h in lifts] for g in lifts]
     n = lcm(1, *(b.denominator for row in pairings for b in row))

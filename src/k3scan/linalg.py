@@ -104,6 +104,8 @@ def _echelon(m) -> tuple[int, int]:
 
 def det(m) -> int:
     """Determinant of a square integer matrix, read from `_echelon`."""
+    if m and len(m[0]) != len(m):
+        raise ValueError("matrix must be square")
     r, last = _echelon(m)
     return last if r == len(m) else 0
 
@@ -159,21 +161,20 @@ def rank(m) -> int:
     return _echelon(m)[0]
 
 
-def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form of an integer matrix.
+def smith_normal_form(m) -> tuple[tuple[int, ...], Matrix]:
+    """Smith normal form of an integer matrix: (factors, v).
 
-    Returns (d, u, v) with u*m*v = d, u and v unimodular, d diagonal with
-    non-negative entries d1 | d2 | ... .
+    factors are the min(rows, cols) invariant factors d1 | d2 | ... >= 0, zeros
+    last; v is unimodular with m*v = w*diag(factors) for a unimodular w that is
+    not built (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
     """
     a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = identity(rows)
     v = identity(cols)
 
     def row_op(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in range(rows):
@@ -183,7 +184,6 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in range(rows):
@@ -235,11 +235,7 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
             continue
         t += 1
 
-    for i in range(min(rows, cols)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-    return freeze_matrix(a), freeze_matrix(u), freeze_matrix(v)
+    return tuple(abs(a[i][i]) for i in range(min(rows, cols))), freeze_matrix(v)
 
 
 def echelon_row_basis(rows) -> tuple[Vector, ...]:

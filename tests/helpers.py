@@ -42,7 +42,7 @@ def primitive_counts(cs, max_square):
     The library derives theta from xi; this count is the independent check
     that ties the two series to the kernel's classes.
     """
-    classes = big_nef_classes_by_square(cs, 2, max_square)
+    classes = big_nef_classes_by_square(cs, max_square)
     return {d: sum(map(is_primitive, classes.get(d, ()))) for d in range(2, max_square + 1, 2)}
 
 
@@ -76,12 +76,6 @@ def unimodular_change(draw, n):
             row[i] += f * row[j]
         uinv[j] = [x - f * y for x, y in zip(uinv[j], uinv[i])]
     return u, uinv
-
-
-def smith_diagonal(m):
-    """The diagonal of the Smith normal form of m: its invariant factors, 1s included."""
-    d, _, _ = linalg.smith_normal_form(m)
-    return tuple(d[i][i] for i in range(len(d)))
 
 
 def gram_permutation_equivalent(a, b):

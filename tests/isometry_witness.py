@@ -26,8 +26,6 @@ from __future__ import annotations
 import itertools
 from math import isqrt
 
-from helpers import smith_diagonal
-
 from k3scan import linalg
 from k3scan.enumeration import DegreeCoset
 from k3scan.errors import InvalidLatticeError, K3ScanError
@@ -120,7 +118,7 @@ def isometry_small(l1: GramLattice, l2: GramLattice) -> Matrix | None:
         return linalg.freeze_matrix(linalg.identity(l1.rank))
     if l1.rank != l2.rank or l1.det() != l2.det():
         return None
-    if smith_diagonal(l1.gram) != smith_diagonal(l2.gram):
+    if linalg.smith_normal_form(l1.gram)[0] != linalg.smith_normal_form(l2.gram)[0]:
         return None
     if l1.rank > 5:
         raise K3ScanError(f"isometry search supports rank at most 5, not {l1.rank}")

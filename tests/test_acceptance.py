@@ -93,12 +93,12 @@ def test_criterion_02_linear_relations(curve_systems):
 def test_criterion_03_minimal_polarizations(curve_systems):
     ok = True
     for name in ("S1", "S4", "S5", "S6", "L27"):
-        if len(big_nef_classes_by_square(curve_systems[name], 2, 2).get(2, [])) != 1:
+        if len(big_nef_classes_by_square(curve_systems[name], 2).get(2, [])) != 1:
             ok = False
     for name in ("S2", "S3"):
-        if big_nef_classes_by_square(curve_systems[name], 2, 2).get(2, []) != []:
+        if big_nef_classes_by_square(curve_systems[name], 2).get(2, []) != []:
             ok = False
-        if len(big_nef_classes_by_square(curve_systems[name], 4, 4).get(4, [])) != 1:
+        if len(big_nef_classes_by_square(curve_systems[name], 4).get(4, [])) != 1:
             ok = False
     check(3, "unique minimal polarizations at the published squares", ok)
 

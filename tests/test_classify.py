@@ -182,6 +182,37 @@ def test_span_gram_uses_all_generators():
     assert abs(linalg.det(gram)) == 24
 
 
+def span_gram_by_slicing(m):
+    """The top-left r x r block of V^T m V, r the count of non-zero Smith factors."""
+    factors, v = linalg.smith_normal_form(m)
+    r = sum(map(bool, factors))
+    full = linalg.mat_mul(linalg.transpose(v), linalg.mat_mul(m, v))
+    return tuple(tuple(full[i][j] for j in range(r)) for i in range(r))
+
+
+def test_span_gram_matches_the_sliced_congruence():
+    rng = random.Random(29)
+    for n in range(1, 7):
+        for r in range(n + 1):
+            for _ in range(8):
+                # m = A^T diag(d) A has rank r for a generic r x n integer A.
+                while True:
+                    a = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(r)]
+                    d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r)]
+                    m = [
+                        [sum(d[k] * a[k][i] * a[k][j] for k in range(r)) for j in range(n)]
+                        for i in range(n)
+                    ]
+                    if linalg.rank(m) == r:
+                        break
+                gram = span_gram(m)
+                assert len(gram) == r and gram == span_gram_by_slicing(m), m
+    for bs in builtin_searches().values():
+        for values in bs.expected:
+            m = instantiate(bs.template, values)
+            assert span_gram(m) == span_gram_by_slicing(m), values
+
+
 def test_identify_type_negative():
     assert identify_type(((10, 0, 0), (0, -100, 0), (0, 0, -2))) is None
     assert identify_type(((2, 1), (1, -2))) is None  # rank 2: not in the catalog

@@ -21,7 +21,7 @@ from helpers import (
 from k3scan.cone import _chamber, vinberg_sieve
 from k3scan.enumeration import DegreeCoset
 from k3scan.errors import (
-    IncompleteSieveError, K3ScanError, NonCompactChamberError, WallError,
+    IncompleteSieveError, K3ScanError, NonCompactChamberError, UsageError, WallError,
 )
 from k3scan.lattice import GramLattice, bilinear, square
 
@@ -271,6 +271,9 @@ def test_nonpositive_seed_rejected(presets, curve_systems):
         vinberg_sieve(s1.lattice, s1.ample[:2], 4)
     with pytest.raises(TypeError):
         vinberg_sieve(s1.lattice, tuple(map(float, s1.ample)), 4)
+    for name in ("L25", "S113", "S114"):  # presets that carry no ample seed
+        with pytest.raises(UsageError, match="ample seed"):
+            vinberg_sieve(presets[name].lattice, presets[name].ample, 4)
     assert vinberg_sieve(s1.lattice, list(s1.ample), 10) == curve_systems["S1"]
 
 

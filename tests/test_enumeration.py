@@ -101,7 +101,6 @@ def test_kernel_counters(presets):
     p = presets["S2"]
     stats = EnumerationStats()
     classes(p.lattice, p.ample, -2, 4, stats=stats)
-    assert stats.lifts_tried > 0
     assert stats.nodes > 0
 
 
@@ -217,11 +216,9 @@ def test_walls_clip_exactly_the_classes_they_exclude(case, data):
             # degree 0 meets with equality; -G.H, which cuts every class of
             # degree k > 0 and so drops the whole level.
             for rows in (random_rows, a0_zero, [w], [minus_w]):
-                stats = EnumerationStats()
-                got = coset.classes(k, lo, hi, rows, stats)
+                got = coset.classes(k, lo, hi, rows, EnumerationStats())
                 want = [(sq, c) for sq, c in full if all(linalg.dot(c, r) >= 0 for r in rows)]
                 assert got == want, (k, lo, hi, rows)
-                assert stats.lifts_tried == len(got)
             assert coset.classes(k, lo, hi, [minus_w]) == ([] if k else full)
 
 
@@ -241,7 +238,7 @@ def assert_lll_reduced_basis(lat, h):
     """The coset's h^perp basis: the Smith basis up to a unimodular change, LLL-reduced."""
     coset = DegreeCoset(lat, h)
     w = linalg.mat_vec(lat.gram, coset.h)
-    _, _, v = linalg.smith_normal_form((w,))
+    _, v = linalg.smith_normal_form((w,))
     basis = coset.basis
     assert len(basis) == lat.rank - 1
     assert all(linalg.dot(w, b) == 0 for b in basis)
@@ -368,7 +365,9 @@ def test_capped_wall_projection_stays_sound(curve_systems, monkeypatch):
 # Kernel nodes of one theta pass to square 100, as reached by the LLL-reduced
 # basis and the walls projected onto every level; the plain kernel, with the
 # walls at level 0 only, took 990 / 3,237 / 9,489.
-THETA_100_NODES = {"S2": 228, "L24": 1167, "L27": 2863}
+THETA_100_NODES = {
+    "S1": 120, "S2": 228, "S3": 120, "S4": 94, "S5": 95, "S6": 242, "L24": 1167, "L27": 2863,
+}
 
 
 @pytest.mark.parametrize("name", sorted(THETA_100_NODES))

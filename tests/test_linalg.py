@@ -1,11 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-
-from helpers import smith_diagonal
 
 from k3scan import linalg
 
@@ -94,30 +94,65 @@ def test_signed_determinant_matches_rational_gauss(m):
     assert linalg.det(m) == naive_det(m)
 
 
-@given(small_matrix)
-@settings(max_examples=150, deadline=None)
+def minors_gcd(m, k):
+    """The gcd of all k x k minors of m."""
+    rows, cols = range(len(m)), range(len(m[0]))
+    return gcd(
+        *(
+            linalg.det([[m[i][j] for j in cs] for i in rs])
+            for rs in itertools.combinations(rows, k)
+            for cs in itertools.combinations(cols, k)
+        )
+    )
+
+
+# 1-4 rows x 1-5 columns; one row is the shape `DegreeCoset` reduces.
+smith_matrix = st.integers(1, 4).flatmap(
+    lambda rows: st.integers(1, 5).flatmap(lambda cols: flawed_matrix(rows, cols))
+)
+
+
+@given(smith_matrix)
+@example([[4, 6, -10]])
+@example([[0, 0, 0]])
+@example([[2, 4, 6], [1, 1, 1], [3, 5, 7]])
+@settings(max_examples=300, deadline=None)
 def test_smith_normal_form_properties(m):
-    d, u, v = linalg.smith_normal_form(m)
-    n = len(m)
-    assert linalg.mat_mul(u, linalg.mat_mul(tuple(map(tuple, m)), v)) == d
-    assert abs(linalg.det(u)) == 1
-    assert abs(linalg.det(v)) == 1
-    diag = [d[i][i] for i in range(n)]
-    assert all(d[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-    assert all(x >= 0 for x in diag)
-    for a, b in zip(diag, diag[1:]):
+    """(factors, v) checked against the gcds of minors, not against the algorithm.
+
+    The product of the first k invariant factors is the gcd of the k x k
+    minors (the determinantal divisors), and m*v = w*diag(factors) with w
+    unimodular: column i of m*v is factors[i] times column i of w, and the
+    first r columns of w, r the rank, have r x r minors of gcd 1.
+    """
+    factors, v = linalg.smith_normal_form(m)
+    n = min(len(m), len(m[0]))
+    assert len(factors) == n and all(f >= 0 for f in factors)
+    for a, b in zip(factors, factors[1:]):
         if b != 0:
             assert a != 0 and b % a == 0
+    for k in range(1, n + 1):
+        assert prod(factors[:k]) == minors_gcd(m, k), k
+    assert abs(linalg.det(v)) == 1
+    mv = linalg.transpose(linalg.mat_mul(m, v))
+    r = sum(map(bool, factors))
+    assert all(not any(col) for col in mv[r:])
+    w = [tuple(x // f for x in col) for col, f in zip(mv, factors[:r])]
+    assert all(tuple(x * f for x in c) == col for c, col, f in zip(w, mv, factors))
+    if r:
+        assert minors_gcd(linalg.transpose(w), r) == 1
 
 
 def test_smith_normal_form_examples():
-    d, _, _ = linalg.smith_normal_form([[2, 0], [0, 2]])
-    assert (d[0][0], d[1][1]) == (2, 2)
+    assert linalg.smith_normal_form([[2, 0], [0, 2]])[0] == (2, 2)
     # frozen from row/column reduction by hand; |det| = 108 is preserved
-    assert smith_diagonal([[36, 0, 0], [0, -2, 1], [0, 1, -2]]) == (1, 3, 36)
-    assert smith_diagonal(
+    assert linalg.smith_normal_form([[36, 0, 0], [0, -2, 1], [0, 1, -2]])[0] == (1, 3, 36)
+    assert linalg.smith_normal_form(
         [[-2, 3, 0, 0], [3, -2, 1, 1], [0, 1, -2, 1], [0, 1, 1, -2]]
-    ) == (1, 1, 3, 9)
+    )[0] == (1, 1, 3, 9)
+    assert linalg.smith_normal_form([[2, 4], [1, 2], [3, 6]])[0] == (1, 0)
+    factors, v = linalg.smith_normal_form([[-4, 6, 10]])
+    assert factors == (2,) and linalg.dot((-4, 6, 10), linalg.transpose(v)[0]) in (2, -2)
 
 
 def test_determinant_matches_snf():
@@ -125,10 +160,13 @@ def test_determinant_matches_snf():
     for _ in range(50):
         n = rng.randint(1, 4)
         m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        product = 1
-        for f in smith_diagonal(m):
-            product *= f
-        assert abs(linalg.det(m)) == product
+        assert abs(linalg.det(m)) == prod(linalg.smith_normal_form(m)[0])
+
+
+def test_det_refuses_non_square():
+    for bad in ([[1, 2, 3]], [[2, 0], [0, 3], [1, 1]]):
+        with pytest.raises(ValueError, match="square"):
+            linalg.det(bad)
 
 
 def test_echelon_row_basis():

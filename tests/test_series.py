@@ -20,7 +20,7 @@ from k3scan.series import big_nef_classes_by_square, theta_series, xi_series
 
 
 def big_nef_of_square(cs, d):
-    return big_nef_classes_by_square(cs, d, d).get(d, [])
+    return big_nef_classes_by_square(cs, d).get(d, [])
 
 
 def test_series_degree_range(curve_systems, monkeypatch):
