@@ -207,8 +207,7 @@ def span_gram(m) -> Matrix:
     """
     factors, v = linalg.smith_normal_form(m)
     basis = linalg.transpose(v)[: sum(map(bool, factors))]
-    images = [linalg.mat_vec(m, b) for b in basis]
-    return tuple(tuple(linalg.dot(a, mb) for mb in images) for a in basis)
+    return linalg.gram_of(basis, m)
 
 
 def _int_row(pairs, order) -> tuple[int, tuple[tuple[int, int], ...]]:

@@ -117,15 +117,15 @@ def _pair_relations(cs):
     if minimal is None or len(minimal["classes"]) != 1:
         return minimal, []
     base = minimal["classes"][0]
+    k = next(k for k, b in enumerate(base) if b)  # a class of positive square is non-zero
     relations = []
     n = len(cs.curves)
     for i in range(n):
         for j in range(i, n):
             total = [a + b for a, b in zip(cs.curves[i], cs.curves[j])]
-            for m in range(1, 7):
-                if all(t == m * b for t, b in zip(total, base)):
-                    relations.append({"i": i, "j": j, "multiple": m})
-                    break
+            m, r = divmod(total[k], base[k])
+            if not r and m >= 1 and total == [m * b for b in base]:
+                relations.append({"i": i, "j": j, "multiple": m})
     return minimal, relations
 
 

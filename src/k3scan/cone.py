@@ -106,7 +106,7 @@ def vinberg_sieve(lat: GramLattice, h, kmax: int) -> CurveSystem:
             if k == kmax:
                 raise
             continue
-        gram = tuple(tuple(bilinear(lat, a, b) for b in curves) for a in curves)
+        gram = linalg.gram_of(curves, lat.gram)
         return CurveSystem(
             lattice=lat, ample_seed=coset.h, curves=curves, gram_of_curves=gram, chamber=chamber
         )

@@ -82,8 +82,7 @@ def _lll(basis, gram):
     """
 
     def eliminate():
-        images = [linalg.mat_vec(gram, b) for b in basis]
-        return linalg.symmetric_elimination([[linalg.dot(a, g) for g in images] for a in basis])
+        return linalg.symmetric_elimination(linalg.gram_of(basis, gram))
 
     d, rows = eliminate()
     i = 1

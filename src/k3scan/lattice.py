@@ -170,9 +170,8 @@ def discriminant_group(lat: GramLattice) -> DiscriminantGroup:
     for f, col in zip(snf, linalg.transpose(v)):
         if f > 1:
             factors.append(f)
-            lift = tuple(Fraction(x, f) for x in col)
-            lifts.append(tuple(x - x.__floor__() for x in lift))
-    pairings = [[linalg.dot(g, linalg.mat_vec(lat.gram, h)) for h in lifts] for g in lifts]
+            lifts.append(tuple(Fraction(x % f, f) for x in col))
+    pairings = linalg.gram_of(lifts, lat.gram)
     n = lcm(1, *(b.denominator for row in pairings for b in row))
     return DiscriminantGroup(
         lattice=lat,
@@ -243,6 +242,47 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    # Returns (g, x, y) with x*a + y*b == g.
+    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    return g, x, y
+
+
+def _saturation(den: int, y) -> list[list[int]]:
+    """den times an echelon basis of Z^n + Z y/den, for integers 0 <= y_i < den.
+
+    One pass of integer row reduction on the rows den*e_1..den*e_n, then y:
+    for each column j in order where den does not divide the remainder
+    rest_j of y, row j becomes b*rest with g = gcd(den, rest_j) = a*den +
+    b*rest_j on the diagonal (`_xgcd`), and rest is scaled by den/g; then
+    rest_j is 0.  Since y >= 0, every g is positive and no pivot changes
+    sign.  Last, the entries above each pivot are reduced by floor division
+    from the last pivot up, so a later step can move one out of [0, pivot):
+    not quite the Hermite normal form.
+    """
+    n = len(y)
+    rows = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    rest = list(y)
+    for j in range(n):
+        if rest[j] % den:
+            g, _, b = _xgcd(den, rest[j])
+            rows[j] = [b * x for x in rest]
+            rows[j][j] = g
+            rest = [den // g * x for x in rest]
+        rest[j] = 0
+    for k in reversed(range(n)):
+        for i in range(k):
+            q = rows[i][k] // rows[k][k]
+            if q:
+                rows[i] = [x - q * z for x, z in zip(rows[i], rows[k])]
+    return rows
+
+
 def overlattice_from_isotropic(dg: DiscriminantGroup, element) -> GramLattice:
     """The even overlattice obtained by adjoining an isotropic coset.
 
@@ -255,23 +295,11 @@ def overlattice_from_isotropic(dg: DiscriminantGroup, element) -> GramLattice:
     if dg.q_value(element) != 0:
         raise ValueError("element is not isotropic")
     lat = dg.lattice
-    rho = lat.rank
     g = dg.lift(element)
     den = lcm(*(x.denominator for x in g))
-    rows = [[den if i == j else 0 for j in range(rho)] for i in range(rho)]
-    rows.append([int(x * den) for x in g])
-    basis = linalg.echelon_row_basis(rows)
-    if len(basis) != rho:
-        raise ValueError("saturation is not of full rank")
+    basis = _saturation(den, [int(x * den) for x in g])
     # Basis of the overlattice is basis/den; its Gram must be integral and even.
-    raw = linalg.mat_mul(basis, linalg.mat_mul(lat.gram, linalg.transpose(basis)))
-    gram = []
-    for i in range(rho):
-        row = []
-        for j in range(rho):
-            num = raw[i][j]
-            if num % (den * den) != 0:
-                raise ValueError("overlattice pairing is not integral")
-            row.append(num // (den * den))
-        gram.append(row)
-    return GramLattice(rank=rho, gram=freeze_matrix(gram))
+    raw = linalg.gram_of(basis, lat.gram)
+    if any(num % (den * den) for row in raw for num in row):
+        raise ValueError("overlattice pairing is not integral")
+    return GramLattice(lat.rank, [[num // (den * den) for num in row] for row in raw])

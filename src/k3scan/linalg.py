@@ -39,15 +39,14 @@ def mat_vec(m, v):
     return tuple(sum(map(mul, row, v)) for row in m)
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def dot(u, v) -> int:
     return sum(map(mul, u, v))
+
+
+def gram_of(vectors, m) -> Matrix:
+    """The pairings a.m.b of a sequence of vectors: B m B^T, B the vectors as rows."""
+    images = [mat_vec(m, b) for b in vectors]
+    return tuple(tuple(dot(a, mb) for mb in images) for a in vectors)
 
 
 def is_symmetric(m) -> bool:
@@ -55,17 +54,6 @@ def is_symmetric(m) -> bool:
     return all(len(row) == n for row in m) and all(
         m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n)
     )
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # Returns (g, x, y) with x*a + y*b == g.
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    return g, x, y
 
 
 def _echelon(m) -> tuple[int, int]:
@@ -236,50 +224,6 @@ def smith_normal_form(m) -> tuple[tuple[int, ...], Matrix]:
         t += 1
 
     return tuple(abs(a[i][i]) for i in range(min(rows, cols))), freeze_matrix(v)
-
-
-def echelon_row_basis(rows) -> tuple[Vector, ...]:
-    """An echelon basis (over Z) of the row span of the given integer rows.
-
-    Not the Hermite normal form: the entries above each positive pivot are
-    reduced from the last pivot up, and a later step can move one out of [0, pivot).
-    """
-    basis: list[list[int]] = []  # kept in echelon order by pivot column
-    pivot_col: list[int] = []
-    for row in rows:
-        vec = list(row)
-        while True:
-            lead = next((j for j, x in enumerate(vec) if x != 0), None)
-            if lead is None:
-                break
-            pos = next((k for k, p in enumerate(pivot_col) if p == lead), None)
-            if pos is None:
-                ins = next((k for k, p in enumerate(pivot_col) if p > lead), len(basis))
-                basis.insert(ins, vec)
-                pivot_col.insert(ins, lead)
-                break
-            piv = basis[pos]
-            g, x, y = _xgcd(piv[lead], vec[lead])
-            if g != piv[lead]:
-                # Replace the pivot row by the gcd combination.
-                pa, pb = piv[lead] // g, vec[lead] // g
-                new_piv = [x * p + y * w for p, w in zip(piv, vec)]
-                vec = [pa * w - pb * p for p, w in zip(piv, vec)]
-                basis[pos] = new_piv
-            else:
-                q = vec[lead] // piv[lead]
-                vec = [w - q * p for p, w in zip(piv, vec)]
-    # Normalize: positive pivots, reduce entries above each pivot.
-    for k in range(len(basis)):
-        if basis[k][pivot_col[k]] < 0:
-            basis[k] = [-x for x in basis[k]]
-    for k in range(len(basis) - 1, -1, -1):
-        p = pivot_col[k]
-        for i in range(k):
-            q = basis[i][p] // basis[k][p]
-            if q:
-                basis[i] = [x - q * y for x, y in zip(basis[i], basis[k])]
-    return freeze_matrix(basis)
 
 
 def canonical_key(v: Sequence[int]):

@@ -59,6 +59,85 @@ def hyperbolic_ell(lat, d, d2):
         raise ValueError("both classes must have positive square")
     return Fraction(bilinear(lat, d, d2) ** 2, a * b)
 
+# Lattices with many overlattices: 40, 58 and 37 isotropic elements of orders
+# 2-45, where the presets carry six.
+MANY_ISOTROPIC_GRAMS = (
+    ((42, 1, -2), (1, -12, -1), (-2, -1, -8)),
+    ((30, -3, 2, -2), (-3, -4, 1, 3), (2, 1, -4, -2), (-2, 3, -2, -12)),
+    (
+        (42, -3, 3, -3, -1),
+        (-3, -2, -2, -2, -2),
+        (3, -2, -6, 2, -2),
+        (-3, -2, 2, -6, -2),
+        (-1, -2, -2, -2, -10),
+    ),
+)
+
+
+def mat_mul(a, b):
+    """The matrix product a*b, as tuples."""
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def bezout(a: int, b: int) -> tuple[int, int, int]:
+    # Returns (g, x, y) with x*a + y*b == g.
+    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    return g, x, y
+
+
+def echelon_row_basis(rows):
+    """An echelon basis (over Z) of the row span of the given integer rows.
+
+    Not the Hermite normal form: the entries above each positive pivot are
+    reduced from the last pivot up, and a later step can move one out of
+    [0, pivot).  The general routine that saturated the overlattice before
+    the one-pass `lattice._saturation`, kept as its reference.
+    """
+    basis: list[list[int]] = []  # kept in echelon order by pivot column
+    pivot_col: list[int] = []
+    for row in rows:
+        vec = list(row)
+        while True:
+            lead = next((j for j, x in enumerate(vec) if x != 0), None)
+            if lead is None:
+                break
+            pos = next((k for k, p in enumerate(pivot_col) if p == lead), None)
+            if pos is None:
+                ins = next((k for k, p in enumerate(pivot_col) if p > lead), len(basis))
+                basis.insert(ins, vec)
+                pivot_col.insert(ins, lead)
+                break
+            piv = basis[pos]
+            g, x, y = bezout(piv[lead], vec[lead])
+            if g != piv[lead]:
+                # Replace the pivot row by the gcd combination.
+                pa, pb = piv[lead] // g, vec[lead] // g
+                new_piv = [x * p + y * w for p, w in zip(piv, vec)]
+                vec = [pa * w - pb * p for p, w in zip(piv, vec)]
+                basis[pos] = new_piv
+            else:
+                q = vec[lead] // piv[lead]
+                vec = [w - q * p for p, w in zip(piv, vec)]
+    # Normalize: positive pivots, reduce entries above each pivot.
+    for k in range(len(basis)):
+        if basis[k][pivot_col[k]] < 0:
+            basis[k] = [-x for x in basis[k]]
+    for k in range(len(basis) - 1, -1, -1):
+        p = pivot_col[k]
+        for i in range(k):
+            q = basis[i][p] // basis[k][p]
+            if q:
+                basis[i] = [x - q * y for x, y in zip(basis[i], basis[k])]
+    return linalg.freeze_matrix(basis)
+
 
 @st.composite
 def unimodular_change(draw, n):

@@ -26,6 +26,8 @@ from __future__ import annotations
 import itertools
 from math import isqrt
 
+from helpers import mat_mul
+
 from k3scan import linalg
 from k3scan.enumeration import DegreeCoset
 from k3scan.errors import InvalidLatticeError, K3ScanError
@@ -130,9 +132,9 @@ def isometry_small(l1: GramLattice, l2: GramLattice) -> Matrix | None:
         found = _search(g1r, l2r, coset, cap)
         if found is not None:
             # Map the solution back through both reductions.
-            w = linalg.mat_mul(linalg.transpose(t2), found)
-            u = linalg.mat_mul(w, linalg.transpose(t1inv))
-            check = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(l2.gram, u))
+            w = mat_mul(linalg.transpose(t2), found)
+            u = mat_mul(w, linalg.transpose(t1inv))
+            check = mat_mul(linalg.transpose(u), mat_mul(l2.gram, u))
             if check != l1.gram:
                 raise K3ScanError("isometry mapped back through the reductions gives U^T G2 U != G1")
             return u
@@ -184,7 +186,7 @@ def _search(g1, l2: GramLattice, coset: DegreeCoset, cap: int) -> Matrix | None:
         return None
     u = tuple(tuple(images[j][i] for j in range(rho)) for i in range(rho))
     # The map is automatically unimodular: equal determinants force det(U)^2 = 1.
-    check = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(l2.gram, u))
+    check = mat_mul(linalg.transpose(u), mat_mul(l2.gram, u))
     if check != g1:
         raise K3ScanError("basis map found by the search gives U^T G2 U != G1")
     return u

@@ -14,6 +14,7 @@ from helpers import (
     evaluate,
     gram_permutation_equivalent,
     instantiate,
+    mat_mul,
     orbit,
 )
 from isometry_witness import isometry_small
@@ -186,7 +187,7 @@ def span_gram_by_slicing(m):
     """The top-left r x r block of V^T m V, r the count of non-zero Smith factors."""
     factors, v = linalg.smith_normal_form(m)
     r = sum(map(bool, factors))
-    full = linalg.mat_mul(linalg.transpose(v), linalg.mat_mul(m, v))
+    full = mat_mul(linalg.transpose(v), mat_mul(m, v))
     return tuple(tuple(full[i][j] for j in range(r)) for i in range(r))
 
 

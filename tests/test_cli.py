@@ -6,14 +6,16 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
 
 from conftest import load_package_json
-from helpers import sieve_presets
+from helpers import MANY_ISOTROPIC_GRAMS, sieve_presets
 
 import k3scan
+import k3scan.cli
 import k3scan.cone
 import k3scan.lattice
 import k3scan.linalg
@@ -67,6 +69,14 @@ def test_curves_s2_cyclic_offdiagonals():
         assert off == [1, 1, 7, 7, 10]
     assert doc["minimal_polarization"] == {"square": 4, "classes": [[1, -4, -4]]}
     assert len(doc["relations"]) == 3 and all(r["multiple"] == 2 for r in doc["relations"])
+
+
+def test_pair_relations_read_any_multiple(monkeypatch):
+    # The multiple is read off the sum, so it is not capped: (3,1,0)+(4,-1,0) = 7*(1,0,0).
+    minimal = {"square": 2, "classes": [[1, 0, 0]]}
+    monkeypatch.setattr(k3scan.cli, "_minimal_polarization", lambda cs: minimal)
+    cs = SimpleNamespace(curves=((3, 1, 0), (4, -1, 0)))
+    assert k3scan.cli._pair_relations(cs) == (minimal, [{"i": 0, "j": 1, "multiple": 7}])
 
 
 def test_chamber_reports(presets):
@@ -615,12 +625,39 @@ DISC_DIGESTS = {
 }
 
 
-def test_disc_bytes_pinned(presets):
+# sha256 of the json and text reports of `disc --file latN.json` for the
+# lattices of MANY_ISOTROPIC_GRAMS, recorded while the overlattice was
+# saturated by a general integer echelon routine.
+FILE_DISC_DIGESTS = (
+    (
+        "5d39f4f1f43756f4bc631cd03184de3c79d5766742aadd1fd96979e8fc6d0da6",
+        "6bd3dfd247b3c51322302301f5bcfbcb000f18f80dc7159a5586dfddc4284e50",
+    ),
+    (
+        "f3da5351dc861e763f627b623ef264c9cfef260db81053702ba26b2f66d109e1",
+        "6b0d0bdbcf04a885a38a5429d4eb890e95459624f6f85095d1ae26ef16eb8a04",
+    ),
+    (
+        "1c83783366001b9cc6054ac0191832a73567be02eae49c4cfc3a25c45333de40",
+        "abe5d1f1e6b3bddf935e7c24665d44c5d67348ec4cc4b367c4984a29fc604bef",
+    ),
+)
+
+
+def test_disc_bytes_pinned(presets, tmp_path, monkeypatch):
     assert {name for name, _ in DISC_DIGESTS} == set(presets)
     for (name, fmt), digest in DISC_DIGESTS.items():
         code, text = invoke("disc", "--preset", name, "--format", fmt)
         assert code == 0, text
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, fmt)
+    monkeypatch.chdir(tmp_path)  # the report names its input file
+    for k, (gram, digests) in enumerate(zip(MANY_ISOTROPIC_GRAMS, FILE_DISC_DIGESTS)):
+        name = f"lat{k}.json"
+        Path(name).write_text(json.dumps({"rank": len(gram), "gram": gram}))
+        for fmt, digest in zip(("json", "text"), digests):
+            code, text = invoke("disc", "--file", name, "--format", fmt)
+            assert code == 0, text
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, fmt)
 
 
 # The argv of each pinned command, before `--preset P` (classify: `--template P`)

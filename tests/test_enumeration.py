@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import sieve_presets, unimodular_change
+from helpers import mat_mul, sieve_presets, unimodular_change
 from oracle import box_scan_classes, box_scan_classes_between, box_scan_vectors_of_norm
 
 from k3scan import enumeration, linalg
@@ -157,7 +157,7 @@ def hyperbolic_lattice_and_class(draw):
     h0sq = linalg.dot(h0, linalg.mat_vec(gram, h0))
     assume(0 < h0sq <= 40)
     u, uinv = draw(unimodular_change(n))
-    new_gram = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u))
+    new_gram = mat_mul(linalg.transpose(u), mat_mul(gram, u))
     h = linalg.mat_vec(uinv, h0)
     return GramLattice(rank=n, gram=new_gram), h
 
@@ -281,7 +281,7 @@ def hyperbolic_lattice_rank_3_or_4(draw):
     h0 = [draw(st.integers(1, 2))] + [draw(st.integers(-1, 1)) for _ in block]
     assume(0 < linalg.dot(h0, linalg.mat_vec(gram, h0)) <= 24)
     u, uinv = draw(unimodular_change(n))
-    new_gram = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u))
+    new_gram = mat_mul(linalg.transpose(u), mat_mul(gram, u))
     return GramLattice(rank=n, gram=new_gram), linalg.mat_vec(uinv, h0)
 
 

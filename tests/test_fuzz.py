@@ -12,6 +12,8 @@ reproduces.
 import json
 import random
 
+from helpers import mat_mul
+
 from k3scan import linalg
 from k3scan.cli import run
 from k3scan.presets import catalog
@@ -61,7 +63,7 @@ def _rebased_preset(rng):
         for row in u:
             row[i] += f * row[j]
         uinv[j] = [x - f * y for x, y in zip(uinv[j], uinv[i])]
-    gram = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(preset.lattice.gram, u))
+    gram = mat_mul(linalg.transpose(u), mat_mul(preset.lattice.gram, u))
     return {"rank": n, "gram": gram, "ample": linalg.mat_vec(uinv, preset.ample)}
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import unimodular_change
+from helpers import mat_mul, unimodular_change
 from isometry_witness import _greedy_reduce, isometry_small, witness_type
 
 import k3scan.presets
@@ -34,8 +34,8 @@ def test_s2_overlattice_is_s5(presets):
     over = overlattice_from_isotropic(dg, isotropic_elements(dg)[0])
     u = isometry_small(over, presets["S5"].lattice)
     assert u is not None
-    check = linalg.mat_mul(
-        linalg.transpose(u), linalg.mat_mul(presets["S5"].lattice.gram, u)
+    check = mat_mul(
+        linalg.transpose(u), mat_mul(presets["S5"].lattice.gram, u)
     )
     assert check == over.gram
 
@@ -48,7 +48,7 @@ def test_distinct_presets_not_isometric(presets):
 
 def _rebased(gram, u):
     """The Gram U^T G U of the same lattice in the basis given by the columns of U."""
-    return linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u))
+    return mat_mul(linalg.transpose(u), mat_mul(gram, u))
 
 
 def _assert_witnessed(gram, name, presets):
@@ -104,8 +104,8 @@ def test_greedy_reduce_tracks_inverse(presets, data):
             grams.append(_rebased(gram, t))
     for gram in grams:
         reduced, t, tinv = _greedy_reduce(gram)
-        assert linalg.mat_mul(t, tinv) == linalg.freeze_matrix(linalg.identity(len(gram)))
-        assert linalg.mat_mul(t, linalg.mat_mul(gram, linalg.transpose(t))) == reduced
+        assert mat_mul(t, tinv) == linalg.freeze_matrix(linalg.identity(len(gram)))
+        assert mat_mul(t, mat_mul(gram, linalg.transpose(t))) == reduced
 
 
 def test_catalog_genera_are_distinct_and_have_one_class(presets):

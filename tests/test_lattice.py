@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 import pytest
@@ -9,8 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    MANY_ISOTROPIC_GRAMS,
+    echelon_row_basis,
     is_primitive,
     isotropic_elements_whole_group,
+    mat_mul,
     unimodular_change,
 )
 from oracle import scan_isotropic_dual_classes
@@ -19,6 +22,7 @@ from k3scan import linalg
 from k3scan.errors import InvalidLatticeError
 from k3scan.lattice import (
     GramLattice,
+    _saturation,
     bilinear,
     discriminant_group,
     isotropic_elements,
@@ -109,7 +113,7 @@ def test_signature_invariant_under_unimodular_change(presets, data):
     for preset in presets.values():  # one conjugate of each catalog lattice
         gram, n = preset.lattice.gram, preset.lattice.rank
         u, _ = data.draw(unimodular_change(n).filter(lambda c: c[0] != linalg.identity(n)))
-        conj = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u))
+        conj = mat_mul(linalg.transpose(u), mat_mul(gram, u))
         assert signature(conj) == signature(gram)
 
 
@@ -274,7 +278,7 @@ def small_hyperbolic_lattice(draw):
     r, lo, hi = draw(st.sampled_from(rows))
     gram = bordered(r, 2 * draw(st.integers(lo, hi)))
     u, _ = draw(unimodular_change(n))
-    return GramLattice(n, linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u)))
+    return GramLattice(n, mat_mul(linalg.transpose(u), mat_mul(gram, u)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -296,6 +300,42 @@ def test_isotropic_elements_match_oracle_random_lattices(lat):
         lifts += {dg.lift(c), dg.lift(inverse)}
     assert iso == sorted(iso)
     assert sorted(lifts) == scan_isotropic_dual_classes(lat.gram)
+
+
+def saturation_matches_echelon_basis(den, y):
+    """_saturation(den, y) is the echelon basis of den*I and y, of index den / gcd(den, y)."""
+    n = len(y)
+    rows = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    basis = linalg.freeze_matrix(_saturation(den, y))
+    assert basis == echelon_row_basis([*rows, y])
+    assert linalg.det(basis) * den // gcd(den, *y) == den**n
+
+
+@st.composite
+def saturation_input(draw):
+    den = draw(st.integers(2, 200))
+    return den, draw(st.lists(st.integers(0, den - 1), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(saturation_input())
+@example((2, [1, 1]))  # the rows (2, 0), (0, 2), (1, 1): index 2 in Z^2
+def test_saturation_matches_echelon_basis(case):
+    saturation_matches_echelon_basis(*case)
+
+
+def test_saturation_matches_echelon_basis_on_isotropic_elements(presets):
+    lattices = [p.lattice for p in presets.values()]
+    lattices += [GramLattice(len(g), g) for g in MANY_ISOTROPIC_GRAMS]
+    count = 0
+    for lat in lattices:
+        dg = discriminant_group(lat)
+        for element in isotropic_elements(dg):
+            g = dg.lift(element)
+            den = lcm(*(x.denominator for x in g))
+            saturation_matches_echelon_basis(den, [int(x * den) for x in g])
+            count += 1
+    assert count == 6 + 135
 
 
 def test_overlattice_s2_properties(presets):
@@ -354,7 +394,7 @@ SPLIT_GRAMS = _split_grams()
 def split_hyperbolic_lattice(draw):
     gram = draw(st.sampled_from(SPLIT_GRAMS))
     u, _ = draw(unimodular_change(3))
-    return GramLattice(3, linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u)))
+    return GramLattice(3, mat_mul(linalg.transpose(u), mat_mul(gram, u)))
 
 
 @settings(max_examples=60, deadline=None)

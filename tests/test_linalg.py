@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import mat_mul
+
 from k3scan import linalg
 
 small_matrix = st.integers(1, 4).flatmap(
@@ -134,7 +136,7 @@ def test_smith_normal_form_properties(m):
     for k in range(1, n + 1):
         assert prod(factors[:k]) == minors_gcd(m, k), k
     assert abs(linalg.det(v)) == 1
-    mv = linalg.transpose(linalg.mat_mul(m, v))
+    mv = linalg.transpose(mat_mul(m, v))
     r = sum(map(bool, factors))
     assert all(not any(col) for col in mv[r:])
     w = [tuple(x // f for x in col) for col, f in zip(mv, factors[:r])]
@@ -169,11 +171,30 @@ def test_det_refuses_non_square():
             linalg.det(bad)
 
 
-def test_echelon_row_basis():
-    rows = [[2, 0], [0, 2], [1, 1]]
-    basis = linalg.echelon_row_basis(rows)
-    assert len(basis) == 2
-    assert abs(linalg.det(basis)) == 2  # index 2 in Z^2
+def triple_product(b, m):
+    """B M B^T by its defining sum, for k rows of B (k = 0 allowed)."""
+    n = len(m)
+    return tuple(
+        tuple(sum(x[p] * m[p][q] * y[q] for p in range(n) for q in range(n)) for y in b)
+        for x in b
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gram_of_matches_triple_product(data):
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(0, 6))
+    entry = st.integers(-9, 9)
+    m = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    b = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    assert linalg.gram_of(b, m) == triple_product(b, m)
+    sym = [[x + y for x, y in zip(row, col)] for row, col in zip(m, zip(*m))]
+    gram = linalg.gram_of(b, sym)
+    assert gram == triple_product(b, sym) and gram == tuple(zip(*gram))
+    fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    q = data.draw(st.lists(st.lists(fracs, min_size=n, max_size=n), min_size=k, max_size=k))
+    assert linalg.gram_of(q, m) == triple_product(q, m)
 
 
 def test_freeze_matrix_refuses_non_ints():

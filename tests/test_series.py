@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import convolution, is_ample, primitive_counts, sieve_presets, unimodular_change
+from helpers import (
+    convolution,
+    is_ample,
+    mat_mul,
+    primitive_counts,
+    sieve_presets,
+    unimodular_change,
+)
 from oracle import box_scan_big_nef_count
 
 import k3scan.series
@@ -152,7 +159,7 @@ def test_convolution_identity_in_random_bases(presets, curve_systems, name, data
     # the new basis, and the chamber only moves by the isometry.
     p = presets[name]
     u, uinv = data.draw(unimodular_change(p.lattice.rank))
-    gram = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(p.lattice.gram, u))
+    gram = mat_mul(linalg.transpose(u), mat_mul(p.lattice.gram, u))
     lat = GramLattice(rank=p.lattice.rank, gram=gram)
     cs = vinberg_sieve(lat, linalg.mat_vec(uinv, p.ample), 10)
     counted = primitive_counts(cs, 40)
