@@ -55,11 +55,12 @@ reaches it, and its surviving tuples are replayed in the same order under
 every later prefix, each with the entries of s..e-1 filled again from that
 prefix.  In S2 the second conic pair (a2, b2, c2, d2) is such a block.
 
-Budget: a template whose principal minors of order r+1 and r+2 number more
-than MAX_SCHEDULED_MINORS is refused before any is listed, counted over all
-its rows before the row relations are looked for.  A search that
-enters more than MAX_SEARCH_NODES nodes (every call of the descent, replayed
-or searched) or finds more than MAX_SEARCH_HITS solutions raises
+Budget: a template with more than MAX_TEMPLATE_PARAMETERS parameters is
+refused before it is compiled, and so is one whose principal minors of order
+r+1 and r+2 number more than MAX_SCHEDULED_MINORS, before any is listed,
+counted over all its rows before the row relations are looked for.  A search
+that enters more than MAX_SEARCH_NODES nodes (every call of the descent,
+replayed or searched) or finds more than MAX_SEARCH_HITS solutions raises
 CostLimitError.  The search cannot be refused up front: S2's raw domain
 product is 5.8 * 10^14, while its search enters 1,282 nodes.
 """
@@ -87,6 +88,10 @@ _TEMPLATE_DIR = os.path.join(os.path.dirname(__file__), "templates")
 # enter at most 1,282 nodes (S2) and find at most 10 solutions (L27).
 # Scheduling costs about 5 us a minor.
 MAX_SCHEDULED_MINORS = 20_000
+# The descent recurses once a parameter, and Python stops at 1,000 frames:
+# 980 parameters ran, 1,000 ended in a RecursionError.  The shipped
+# templates have at most 12 parameters (S2).
+MAX_TEMPLATE_PARAMETERS = 500
 MAX_SEARCH_NODES = 100_000
 MAX_SEARCH_HITS = 1_000
 
@@ -249,6 +254,10 @@ def _independent_rows(rows: list[dict]) -> list[int]:
 
 def _search_sequential(template: MatrixTemplate, target_rank: int):
     nparams = len(template.parameters)
+    if nparams > MAX_TEMPLATE_PARAMETERS:
+        raise CostLimitError(
+            f"the template has {nparams} parameters, more than {MAX_TEMPLATE_PARAMETERS}"
+        )
     n = template.size
     scheduled = math.comb(n, target_rank + 1) + math.comb(n, target_rank + 2)
     if scheduled > MAX_SCHEDULED_MINORS:
@@ -391,7 +400,8 @@ def search_template(template: MatrixTemplate, target_rank: int) -> tuple[Templat
     """Exhaustive search for assignments of rank <= target_rank: their solutions.
 
     Solutions come in lexicographic order of their parameter values.  A
-    template with more than MAX_SCHEDULED_MINORS principal minors to test, or a
+    template with more than MAX_TEMPLATE_PARAMETERS parameters or
+    MAX_SCHEDULED_MINORS principal minors to test, or a
     search that enters more than MAX_SEARCH_NODES nodes or finds more than
     MAX_SEARCH_HITS solutions, raises CostLimitError.
     """

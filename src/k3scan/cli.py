@@ -9,7 +9,7 @@ effect: the search runs in this process.
 Exit codes: 0 success, 1 usage, 2 invalid lattice, 3 incomplete sieve,
 4 non-compact chamber, 5 cost limit (an input whose work would explode is
 refused before any of it is done, or stopped once a count passes a fixed
-limit: a classify search's nodes or solutions, a series' classes built).
+limit: a classify search's nodes or solutions, the classes a series counts).
 """
 
 from __future__ import annotations

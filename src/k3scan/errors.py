@@ -43,7 +43,7 @@ class CostLimitError(K3ScanError):
     """The input would cost more than a fixed work limit.
 
     It is refused before any work, except a template search or a series,
-    stopped once its count of nodes, solutions or classes built passes its limit.
+    stopped once its count of nodes, solutions or classes counted passes its limit.
     """
 
     exit_code = 5

@@ -645,3 +645,21 @@ def test_relation_pass_at_the_minor_limit(monkeypatch):
     with pytest.raises(CostLimitError, match="20100 principal minors"):
         _search_sequential(sparse(200), 0)
     assert len(passes) == 1
+
+
+def test_parameter_limit(monkeypatch):
+    # The descent recurses once a parameter: 1,000 parameters ended in a
+    # RecursionError.  Each parameter here is unused, with the one value 0.
+    def unused(n):
+        names = tuple(f"p{i}" for i in range(n))
+        return _template((("-2",),), names, ((0, 0),) * n)
+
+    limit = classify.MAX_TEMPLATE_PARAMETERS
+    assert [s.values for s in search_template(unused(limit), 1)] == [(0,) * limit]
+    def compiled(*args):
+        raise AssertionError("the refused template was compiled")
+
+    monkeypatch.setattr(classify, "_int_row", compiled)
+    for n in (limit + 1, 1000):
+        with pytest.raises(CostLimitError, match=f"^the template has {n} parameters, more than {limit}$"):
+            search_template(unused(n), 1)

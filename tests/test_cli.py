@@ -546,6 +546,19 @@ def test_exit_code_cost_limit_classify(tmp_path, monkeypatch):
     )
 
 
+def test_exit_code_cost_limit_template_parameters(tmp_path):
+    # 1,000 parameters used to end in a RecursionError traceback with exit 1.
+    path = tmp_path / "many.json"
+    domains = {f"p{i}": [0, 0] for i in range(1000)}
+    path.write_text(json.dumps({"size": 1, "entries": [["-2"]], "domains": domains, "target_rank": 1}))
+    out = subprocess.run(
+        [sys.executable, "-m", "k3scan.cli", "classify", "--custom", str(path)],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+    )
+    assert (out.returncode, out.stdout) == (5, "")
+    assert out.stderr == "error: the template has 1000 parameters, more than 500\n", out.stderr
+
+
 # sha256 of `disc --file big.json --format F` for <2> + <-999998>, whose group
 # 2^2 * 31 * 127^2 of order 1,999,996 has 63 isotropic elements up to sign.
 # Recorded from the whole-group scan, just under its cost limit.

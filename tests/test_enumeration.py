@@ -362,11 +362,13 @@ def test_capped_wall_projection_stays_sound(curve_systems, monkeypatch):
         monkeypatch.undo()
 
 
-# Kernel nodes of one theta pass to square 100, as reached by the LLL-reduced
-# basis and the walls projected onto every level; the plain kernel, with the
-# walls at level 0 only, took 990 / 3,237 / 9,489.
+# Kernel nodes of one theta pass to square 100, counted by symmetry orbit over
+# one fundamental domain of the curve isometries.  Every class, with the
+# LLL-reduced basis and the walls projected onto every level, took S1 120,
+# S2 228, S3 120, S4 94, S5 95, S6 242, L24 1,167 and L27 2,863; the plain
+# kernel, with the walls at level 0 only, took 990 / 3,237 / 9,489.
 THETA_100_NODES = {
-    "S1": 120, "S2": 228, "S3": 120, "S4": 94, "S5": 95, "S6": 242, "L24": 1167, "L27": 2863,
+    "S1": 72, "S2": 129, "S3": 72, "S4": 65, "S5": 62, "S6": 149, "L24": 334, "L27": 536,
 }
 
 

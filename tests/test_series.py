@@ -20,10 +20,18 @@ import k3scan.series
 from k3scan import linalg
 from k3scan.cli import run
 from k3scan.cone import vinberg_sieve
-from k3scan.enumeration import DegreeCoset
+from k3scan.enumeration import DegreeCoset, Walls
 from k3scan.errors import CostLimitError
 from k3scan.lattice import GramLattice, bilinear, square
-from k3scan.series import big_nef_classes_by_square, theta_series, xi_series
+from k3scan.series import (
+    _facet_rows,
+    _generic_point,
+    _orbit_counts,
+    big_nef_classes_by_square,
+    symmetry_group,
+    theta_series,
+    xi_series,
+)
 
 
 def big_nef_of_square(cs, d):
@@ -223,3 +231,150 @@ def test_factored_display():
     shown = json.loads(text)
     assert shown["factored"] == "T^2 + 6(T^4 + T^6)"
     assert shown["polynomial"] == "T^2 + 6T^4 + 6T^6"
+
+
+# |G| for the isometries that permute the sieve's curves and fix the preset seed.
+GROUP_ORDERS = {"S1": 12, "S2": 12, "S3": 8, "S4": 4, "S5": 4, "S6": 4, "L24": 12, "L27": 24}
+
+
+def test_symmetry_group_orders(curve_systems):
+    assert {name: len(symmetry_group(cs)) for name, cs in curve_systems.items()} == GROUP_ORDERS
+
+
+def test_symmetry_group_is_a_group_of_curve_isometries(curve_systems):
+    for name, cs in curve_systems.items():
+        lat, h = cs.lattice, cs.ample_seed
+        group = symmetry_group(cs)
+        elements = set(group)
+        assert len(elements) == len(group), name
+        assert linalg.freeze_matrix(linalg.identity(lat.rank)) in elements, name
+        for g in group:
+            assert all(type(x) is int for row in g for x in row), name
+            assert mat_mul(linalg.transpose(g), mat_mul(lat.gram, g)) == lat.gram, name
+            assert linalg.mat_vec(g, h) == h, name
+            assert {linalg.mat_vec(g, c) for c in cs.curves} == set(cs.curves), name
+        assert all(mat_mul(a, b) in elements for a in group for b in group), name
+
+
+def test_group_search_past_its_budget_is_trivial(curve_systems, monkeypatch):
+    expected = {name: xi_series(cs, 100) for name, cs in curve_systems.items()}
+    # L24's search enters 43 nodes, the most of any preset: at 42 it gives up.
+    l24 = curve_systems["L24"]
+    monkeypatch.setattr(k3scan.series, "MAX_GROUP_NODES", 43)
+    assert len(symmetry_group(l24)) == 12
+    monkeypatch.setattr(k3scan.series, "MAX_GROUP_NODES", 42)
+    assert symmetry_group(l24) == (linalg.freeze_matrix(linalg.identity(4)),)
+    monkeypatch.setattr(k3scan.series, "MAX_GROUP_NODES", 0)
+    for name, cs in curve_systems.items():
+        assert len(symmetry_group(cs)) == 1, name
+        assert xi_series(cs, 100) == expected[name], name
+
+
+def _plain_counts(cs, hi):
+    return {d: len(c) for d, c in big_nef_classes_by_square(cs, hi).items()}
+
+
+def _fixers(group, p):
+    return sum(linalg.mat_vec(g, p) == p for g in group)
+
+
+# The stabiliser of the curve with the largest one: S5's curves have none.
+CURVE_STABILISERS = {"S1": 2, "S2": 2, "S3": 2, "S4": 2, "S5": 1, "S6": 2, "L24": 2, "L27": 12}
+
+
+def test_orbit_counts_match_the_plain_counts(curve_systems):
+    # The weights count every class exactly whatever p is: the generic point
+    # (a fundamental domain), H (fixed by G, so every class weighs 1) and a
+    # curve (a stabiliser between the two).
+    stabilisers = {}
+    for name, cs in curve_systems.items():
+        group = symmetry_group(cs)
+        plain = _plain_counts(cs, 200)
+        generic = _generic_point(group, cs.lattice.rank)
+        curve = max(cs.curves, key=lambda c: _fixers(group, c))
+        stabilisers[name] = _fixers(group, curve)
+        assert (_fixers(group, generic), _fixers(group, cs.ample_seed)) == (1, len(group)), name
+        for p in (generic, cs.ample_seed, curve):
+            assert _orbit_counts(cs, 200, group, p) == plain, (name, p)
+    assert stabilisers == CURVE_STABILISERS
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(sieve_presets())), st.data())
+def test_orbit_counts_from_any_point(curve_systems, name, data):
+    cs = curve_systems[name]
+    p = data.draw(st.tuples(*[st.integers(-6, 6)] * cs.lattice.rank))
+    group = symmetry_group(cs)
+    assert _orbit_counts(cs, 60, group, p) == _plain_counts(cs, 60)
+
+
+def test_the_kernel_takes_the_facet_rows(curve_systems, monkeypatch):
+    # The generic point's Dirichlet domain has 2 facets on every rank-3 preset
+    # and 3 on L24 and L27; the kernel takes them after the curve rows.
+    taken = []
+    init = Walls.__init__
+
+    def recording(self, coset, rows):
+        taken.append(len(rows))
+        init(self, coset, rows)
+
+    monkeypatch.setattr(Walls, "__init__", recording)
+    for name, cs in curve_systems.items():
+        taken.clear()
+        xi_series(cs, 4)
+        assert taken == [len(cs.curves) + (3 if cs.lattice.rank == 4 else 2)], name
+
+
+def test_facet_rows_cut_out_the_cone_of_every_row(curve_systems):
+    # Every point of h^perp in a box that meets the facet rows meets every row.
+    for name, cs in curve_systems.items():
+        coset = DegreeCoset(cs.lattice, cs.ample_seed)
+        group = symmetry_group(cs)
+        p = _generic_point(group, cs.lattice.rank)
+        seen = linalg.mat_vec(cs.lattice.gram, p)
+        rows = [
+            tuple(a - b for a, b in zip(seen, linalg.mat_vec(cs.lattice.gram, linalg.mat_vec(g, p))))
+            for g in group if linalg.mat_vec(g, p) != p
+        ]
+        facets = _facet_rows(coset, rows)
+        assert set(facets) <= set(rows) and len(facets) < len(rows), name
+        for x in itertools.product(range(-4, 5), repeat=len(coset.basis)):
+            y = [sum(xi * b[i] for xi, b in zip(x, coset.basis)) for i in range(cs.lattice.rank)]
+            if all(linalg.dot(y, r) >= 0 for r in facets):
+                assert all(linalg.dot(y, r) >= 0 for r in rows), (name, x)
+
+
+def test_series_invariant_under_a_seed_with_a_smaller_stabiliser(curve_systems):
+    # Another interior seed of the same chamber fixes fewer of the curve
+    # isometries: 2 of S1's 12 and 12 of L27's 24.  The curves and xi stay.
+    for name, seed, order in (("S1", (3, -3, -2), 2), ("L27", (1, -3, 3, 3), 12)):
+        cs = curve_systems[name]
+        assert is_ample(cs, seed), name
+        kmax = 2 * max(bilinear(cs.lattice, seed, c) for c in cs.curves)
+        moved = vinberg_sieve(cs.lattice, seed, kmax)
+        assert set(moved.curves) == set(cs.curves), name
+        assert len(symmetry_group(moved)) == order, name
+        assert xi_series(moved, 100) == xi_series(cs, 100), name
+
+
+def test_symmetry_group_keeps_only_the_maps_of_its_curves(curve_systems):
+    # With L27's last curve left out, the isometries that permute the other
+    # seven are those that fix it: 4 of the 24.
+    l27 = curve_systems["L27"]
+    last = l27.curves[-1]
+    fewer = l27._replace(
+        curves=l27.curves[:-1], gram_of_curves=tuple(row[:-1] for row in l27.gram_of_curves[:-1])
+    )
+    fixing = {g for g in symmetry_group(l27) if linalg.mat_vec(g, last) == last}
+    assert set(symmetry_group(fewer)) == fixing and len(fixing) == 4
+
+
+@pytest.mark.parametrize("kept", [0, 1])
+def test_orbit_counts_do_not_rest_on_the_facet_rows(curve_systems, monkeypatch, kept):
+    # With fewer symmetry walls the kernel returns classes outside the domain,
+    # and the weight test alone must drop them.
+    monkeypatch.setattr(k3scan.series, "_facet_rows", lambda coset, rows: list(rows)[:kept])
+    for name, cs in curve_systems.items():
+        group = symmetry_group(cs)
+        p = _generic_point(group, cs.lattice.rank)
+        assert _orbit_counts(cs, 100, group, p) == _plain_counts(cs, 100), name
