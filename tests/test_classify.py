@@ -1,8 +1,11 @@
 import functools
 import itertools
+import json
 import pickle
 import random
+import signal
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -514,15 +517,16 @@ def test_s2_searches_its_second_pair_once():
 
 
 def test_search_budget_counts_nodes_and_solutions(monkeypatch):
-    # S2 enters 1,282 nodes, the replayed ones included; L27 finds 10 solutions.
+    # S2 enters 242 nodes (1,282 when every d was scanned), the replayed ones
+    # included; L27 finds 10 solutions.
     searches = builtin_searches()
     s2, l27 = searches["S2"], searches["L27"]
-    monkeypatch.setattr(classify, "MAX_SEARCH_NODES", 1282)
+    monkeypatch.setattr(classify, "MAX_SEARCH_NODES", 242)
     assert tuple(s.values for s in search_template(s2.template, s2.target_rank)) == s2.expected
-    monkeypatch.setattr(classify, "MAX_SEARCH_NODES", 1281)
-    with pytest.raises(CostLimitError, match="more than 1281 nodes"):
+    monkeypatch.setattr(classify, "MAX_SEARCH_NODES", 241)
+    with pytest.raises(CostLimitError, match="more than 241 nodes"):
         search_template(s2.template, s2.target_rank)
-    monkeypatch.setattr(classify, "MAX_SEARCH_NODES", 1282)
+    monkeypatch.setattr(classify, "MAX_SEARCH_NODES", 332)  # L27's nodes
     monkeypatch.setattr(classify, "MAX_SEARCH_HITS", 10)
     found = [s.values for s in search_template(l27.template, l27.target_rank)]
     assert set(found) == set(l27.expected) and len(found) == 10
@@ -560,39 +564,48 @@ def _search_work(monkeypatch, template, target_rank):
 
 
 def test_search_replays_a_one_parameter_block(monkeypatch):
-    # The two constant 1x1 minors, then b's minor once for each of its 5
-    # values, not again under each of a's 5 values.
+    # The two constant 1x1 minors; b's minor -(b-2)^2 4 times, under a = 0
+    # only (at b = 0, at the interpolation points b = 1 and 2, and at its
+    # root b = 2), not again under each of a's 5 values (4 + 16 more); and
+    # c's minors, the last depth's, 22 times over a = 0..4: a + c, solved
+    # for c = -a (a <= 2) or scanned (a >= 3), then the two 2x2 minors
+    # beside it.  2 + 4 + 22 = 28; before the solve, 2 + 5 (b scanned) and
+    # c left to the leaves' ranks.
     dets, _, _ = _search_work(monkeypatch, ONE_PARAMETER_BLOCK, 0)
-    assert dets == 7
+    assert dets == 28
     hits = _search_sequential(ONE_PARAMETER_BLOCK, 0)
     assert [h[0] for h in hits] == [(a, 2, -a) for a in range(5)]
 
 
 def test_search_drops_related_rows(monkeypatch):
     # L27's rows 0+1 = 2+3 = 4+5 = 2*(6+7) for every assignment: its leaves
-    # take the rank of the 5 rows kept, and no minor is left to evaluate.  S2
-    # has no relation and searches as before.
+    # take the rank of the 5 rows kept, now on the candidates only (its 10
+    # solutions; 810 leaves before the Schur step), and its one minor, of
+    # order 5, is tested as the 2x2 determinant of T at each of the 3 values
+    # of w under 270 prefixes.  S2 has no relation and keeps all 6 rows.
     searches = builtin_searches()
     l27, s2 = searches["L27"], searches["S2"]
     dets, leaves, _ = _search_work(monkeypatch, l27.template, l27.target_rank)
-    assert (dets, leaves) == (0, [5] * 810)
+    assert (dets, leaves) == (810, [5] * 10)
     dets, leaves, nodes = _search_work(monkeypatch, s2.template, s2.target_rank)
-    assert (dets, leaves, nodes) == (1507, [6], 1282)
+    assert (dets, leaves, nodes) == (660, [6], 242)
     for template, target_rank, kept in RELATION_PINS:
         leaves = _search_work(monkeypatch, template, target_rank)[1]
         assert leaves and set(leaves) == {kept}, template.entries
 
 
-# (determinants, leaves, leaf size, nodes) of each shipped search.
+# (determinants, leaves, leaf size, nodes) of each shipped search; before the
+# parameters were solved, L27 (0, 810, 5, 952), S1 (0, 45, 4, 52), S2 (1507,
+# 1, 6, 1282) and S6 (0, 160, 4, 169).
 SEARCH_WORK = {
     "L24": (0, 2, 4, 5),
-    "L27": (0, 810, 5, 952),
-    "S1": (0, 45, 4, 52),
-    "S2": (1507, 1, 6, 1282),
+    "L27": (810, 10, 5, 332),
+    "S1": (28, 1, 4, 14),
+    "S2": (660, 1, 6, 242),
     "S3": (0, 2, 3, 3),
     "S4": (0, 2, 3, 3),
     "S5": (0, 1, 3, 2),
-    "S6": (0, 160, 4, 169),
+    "S6": (49, 1, 4, 22),
 }
 
 
@@ -663,3 +676,153 @@ def test_parameter_limit(monkeypatch):
     for n in (limit + 1, 1000):
         with pytest.raises(CostLimitError, match=f"^the template has {n} parameters, more than {limit}$"):
             search_template(unused(n), 1)
+
+
+def _poly(lead, *roots):
+    """The coefficients, lowest first, of lead * prod (x - root)."""
+    p = [lead]
+    for r in roots:
+        p = [a - r * b for a, b in zip([0, *p], [*p, 0])]
+    return p
+
+
+INTEGER_ROOT_CASES = (
+    ([5], -10, 10, []),  # degree 0
+    (_poly(3, 2), 0, 5, [2]),
+    ([-3, 2], -10, 10, []),  # 2x - 3: a rational root only
+    (_poly(1, 4, 4), -10, 10, [4]),  # a double root
+    ([1, 0, 1], -10, 10, []),  # x^2 + 1: no real root
+    ([-2, 0, 1], -10, 10, []),  # x^2 - 2: irrational roots
+    ([-6, 1, 1], -3, 2, [-3, 2]),  # (x + 3)(x - 2), roots at both ends
+    ([-6, 1, 1], -2, 1, []),  # the same, the interval inside them
+    ([-5, 2, 2], -10, 10, []),  # integer floors (2s = -1 +- sqrt 11), no integer root
+    (_poly(2, -7, 1) + [0], -7, 1, [-7, 1]),  # a zero leading coefficient is dropped
+    ([5, -6, -9, 2], -7, 1, [-1]),  # (x + 1)(2x^2 - 11x + 5): one integer root of three
+    (_poly(1, 2, 2, -1), -5, 5, [-1, 2]),  # degree 3, a double root
+    ([-9, 0, -8, 0, 1], -10, 10, [-3, 3]),  # (x^2 + 1)(x^2 - 9)
+    (_poly(1, 1, 1, 2, 2), 1, 2, [1, 2]),  # two double roots at both ends
+    ([1, 0, 0, 0, 1], -100, 100, []),  # x^4 + 1
+    (_poly(1, 0, 1, 2, 3), 1, 3, [1, 2, 3]),  # 0 just outside the interval
+    # 60-bit coefficients: roots near +-10^9.
+    (_poly(1, -987654321, 5, 123456789), -2 * 10**9, 2 * 10**9, [-987654321, 5, 123456789]),
+    (_poly(2**60 + 1, 3, -2), -10, 10, [-2, 3]),
+)
+
+
+def test_integer_roots():
+    for p, lo, hi, roots in INTEGER_ROOT_CASES:
+        assert classify._integer_roots(p, lo, hi) == roots, (p, lo, hi)
+        if hi - lo <= 200:
+            assert roots == [x for x in range(lo, hi + 1) if sum(c * x**k for k, c in enumerate(p)) == 0]
+    for zero in ([], [0], [0, 0, 0]):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            classify._integer_roots(zero, -5, 5)
+
+
+def test_interpolation_recovers_integer_polynomials():
+    for p in ([7], [-3, 2], _poly(2, -7, 1), _poly(-1, 3, 3, 0, -5), [2**60, -1, 0, 3]):
+        ys = [sum(c * y**k for k, c in enumerate(p)) for y in range(len(p))]
+        assert classify._interpolate(ys) == p
+
+
+def _last_parameter_template(rows, domains, *constraints):
+    return _template(rows, NAMES[: len(domains)], domains, *constraints)
+
+
+# The Schur step on one free row: det = 2(x + 2)(x - 1), a quadratic in T.
+# Over [-3, 1] its roots are x0 + 1 and hi, the ends of the root interval.
+SCHUR_PIN = (("-2", "1", "1"), ("1", "-2", "p0"), ("1", "p0", "-2"))
+# Row 0 untouched but A = (0) singular: the fallback to F = {}; det = 2 - 2x.
+SINGULAR_PIN = (("0", "1", "1"), ("1", "p0", "1"), ("1", "1", "p0"))
+# At p0 = 0 the minor on rows 0, 1 is p0 * p1 - p0^2 = 0 for every p1.
+ZERO_MINOR_PIN = (("p0", "p0", "0"), ("p0", "p1", "0"), ("0", "0", "-2"))
+S5_ROWS = (("-2", "3", "p0", "1-p0"), ("3", "-2", "1-p0", "p0"),
+           ("p0", "1-p0", "-2", "3"), ("1-p0", "p0", "3", "-2"))
+# p2 = 3 - p1 and p1 = 2 - p0 are forced, a chain: the entries read p0 alone.
+FORCED_PIN = (("-2", "p1", "p2"), ("p1", "-2", "1"), ("p2", "1", "p0"))
+
+
+@st.composite
+def last_parameter_templates(draw):
+    """Templates whose last parameter touches 1-3 kept rows over a domain up to 40 wide.
+
+    The rows before them never read it; their block is all zero when
+    singular is drawn, so the Schur step falls back.  Coefficients run +-1
+    to +-3, and an == constraint with lead +-1 may force a parameter.
+    """
+    size = draw(st.integers(2, 5))
+    nparams = draw(st.integers(1, 3))
+    touched = draw(st.integers(1, min(3, size)))
+    free, singular = size - touched, draw(st.booleans())
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    cells = {}
+    for i in range(size):
+        for j in range(i, size):
+            zero = singular and j < free
+            coeffs = [0] * nparams
+            for k in range(nparams - 1):
+                if not zero and draw(st.booleans()):
+                    coeffs[k] = draw(coeff)
+            if i >= free and draw(st.booleans()):
+                coeffs[-1] = draw(coeff)
+            cells[i, j] = cells[j, i] = _expr(0 if zero else draw(st.integers(-3, 3)), coeffs)
+    domains = [(lo, lo + draw(st.integers(0, 2))) for lo in (draw(st.integers(-2, 1)) for _ in range(nparams - 1))]
+    lo = draw(st.integers(-20, 0))
+    domains.append((lo, draw(st.integers(lo, lo + 40))))
+    constraints = []
+    if nparams > 1 and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(1, nparams - 1))
+        diff = [draw(coeff) if j < k else 0 for j in range(nparams)]
+        diff[k] = draw(st.sampled_from((-1, 1)))
+        constraints.append(Constraint(_expr(draw(st.integers(-4, 4)), diff), "==", _expr(0, [0] * nparams)))
+    template = MatrixTemplate(
+        size=size,
+        entries=tuple(tuple(cells[i, j] for j in range(size)) for i in range(size)),
+        parameters=NAMES[:nparams],
+        domains=tuple(domains),
+        constraints=tuple(constraints),
+    )
+    return template, draw(st.integers(0, size))
+
+
+@given(last_parameter_templates())
+@example((_last_parameter_template(SCHUR_PIN, ((-20, 20),)), 2))
+@example((_last_parameter_template(SCHUR_PIN, ((-3, 1),)), 2))
+@example((_last_parameter_template(SCHUR_PIN, ((-20, 20),)), 3))  # vacuous
+@example((_last_parameter_template(SINGULAR_PIN, ((-20, 20),)), 2))
+@example((_last_parameter_template(ZERO_MINOR_PIN, ((-1, 1), (-20, 20))), 1))
+@example((_last_parameter_template(S5_ROWS, ((-20, 20),)), 2))
+@example((_last_parameter_template(FORCED_PIN, ((-3, 3), (-5, 5), (-20, 20)), "p0+p1==2", "p1+p2==3"), 2))
+@settings(max_examples=150, deadline=None)
+def test_solved_search_matches_brute_force(case):
+    template, target_rank = case
+    hits = _search_sequential(template, target_rank)
+    assert hits == _brute_force(template, target_rank)
+
+
+def _alarm(seconds):
+    def expired(signum, frame):
+        raise TimeoutError(f"the search ran past {seconds} s")
+
+    signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+
+
+def test_wide_s5_is_solved_not_scanned(monkeypatch):
+    # S5's entries over s in [-10^6, 10^6] at target rank 2, no normalize:
+    # the kept 3x3 determinant is 12 + 2s - 2s^2.  The scan stops at
+    # s = -10^6, interpolates it from 4 values and tests its two roots; it
+    # used to send every value to a leaf and stop at 100,000 nodes.
+    doc = json.loads(Path(classify.builtin_template("S5")).read_text())
+    template, target_rank = template_from_dict(
+        {"size": 4, "entries": doc["entries"], "domains": {"s": [-10**6, 10**6]}, "target_rank": 2}
+    )
+    _alarm(10)
+    try:
+        dets, leaves, nodes = _search_work(monkeypatch, template, target_rank)
+        solutions = search_template(template, target_rank)
+    finally:
+        signal.alarm(0)
+    assert [s.values for s in solutions] == [(-2,), (3,)]
+    assert all(s.rank == 2 for s in solutions)
+    assert (dets, leaves, nodes) == (6, [3, 3], 3)

@@ -484,9 +484,10 @@ def test_huge_kmax_stops_where_the_chamber_closes():
 
 
 def test_exit_code_cost_limit_series():
-    # The passes to square 10^8 would build far more classes than any table
-    # needs (L27 to square 800 builds 106,302); the series stops once the
-    # classes it built pass MAX_SERIES_CLASSES = 200,000, at degree 63.
+    # The passes to square 10^8 would count far more classes than any table
+    # needs (L27 to square 800 counts 106,302); the series stops once the
+    # classes it counts, every class of each orbit, pass MAX_SERIES_CLASSES =
+    # 200,000, at degree 63, though the kernel builds about 1/|G| of them.
     out = subprocess.run(
         [sys.executable, "-m", "k3scan.cli", "series", "--preset", "L27", "--max-square", "100000000"],
         capture_output=True, text=True, env=CHILD_ENV, timeout=60,
@@ -544,6 +545,23 @@ def test_exit_code_cost_limit_classify(tmp_path, monkeypatch):
         5, "error: the template has 7898654920 principal minors of order 11 and 12 "
         "to test, more than 20000\n"
     )
+
+
+def test_wide_s5_search_is_answered(tmp_path):
+    # S5's entries over s in [-10^6, 10^6] at target rank 2 used to stop at
+    # the 100,000-node limit with exit 5; the search solves for s instead.
+    s5 = json.loads(Path(builtin_template("S5")).read_text())
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"size": 4, "entries": s5["entries"], "domains": {"s": [-10**6, 10**6]}, "target_rank": 2}
+    ))
+    out = subprocess.run(
+        [sys.executable, "-m", "k3scan.cli", "classify", "--custom", str(path)],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+    )
+    assert (out.returncode, out.stderr) == (0, ""), out.stderr
+    solutions = json.loads(out.stdout)["solutions"]
+    assert [(s["values"], s["rank"]) for s in solutions] == [([-2], 2), ([3], 2)]
 
 
 def test_exit_code_cost_limit_template_parameters(tmp_path):
