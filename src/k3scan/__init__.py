@@ -21,17 +21,17 @@ _EXPORTS = {
     "cone": (
         "ChamberDescription", "ChamberVertex", "CurveSystem", "vinberg_sieve",
     ),
+    "discriminant": (
+        "DiscriminantGroup", "discriminant_group", "identify_type",
+        "isotropic_elements", "overlattice_from_isotropic",
+    ),
     "enumeration": ("EnumerationStats",),
     "errors": (
         "CostLimitError", "IncompleteSieveError", "InvalidLatticeError",
         "K3ScanError", "NonCompactChamberError", "UsageError", "WallError",
     ),
-    "lattice": (
-        "DiscriminantGroup", "GramLattice", "bilinear", "discriminant_group",
-        "isotropic_elements", "overlattice_from_isotropic",
-        "signature", "square",
-    ),
-    "presets": ("Preset", "catalog", "identify_type"),
+    "lattice": ("GramLattice", "bilinear", "signature", "square"),
+    "presets": ("Preset", "catalog"),
     "series": ("theta_series", "xi_series"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -5,7 +5,8 @@ named integer parameters, together with finite domains and normalization
 constraints ("a<=2", "a1+b1+c1+d1==16").  search_template enumerates every
 assignment satisfying the constraints and returns, as a tuple of
 TemplateSolution, those whose instantiated matrix has rank at most the
-target, each identified against the catalog by genus (presets.identify_type).
+target, each identified against the catalog by genus
+(discriminant.identify_type).
 
 Templates are JSON documents, built by template_from_dict; the CLI reads a
 user's file.  The shipped searches are such documents, templates/<NAME>.json,
@@ -110,7 +111,7 @@ from typing import NamedTuple
 from . import linalg
 from .errors import CostLimitError, UsageError
 from .linalg import Matrix
-from .presets import identify_type
+from .discriminant import identify_type
 
 _TEMPLATE_DIR = os.path.join(os.path.dirname(__file__), "templates")
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import isqrt
-from operator import mul
+from operator import itemgetter, mul
 
 from . import linalg
 from .cone import CurveSystem
@@ -108,11 +108,16 @@ def symmetry_group(cs: CurveSystem) -> tuple[Matrix, ...]:
     are curves of the same degree (H.gc = H.c when gH = H) and the same
     pairings with each other.  Each consistent choice E of images, found by
     backtracking, gives g = E adj(B) / det(B), B the b_i as columns.  That g
-    keeps the Gram Q, since E^T Q E = B^T Q B, and g is kept when it is
-    integral, fixes H and maps every curve to a curve (so onto the curves).
+    keeps the Gram Q, since E^T Q E = B^T Q B, and g is kept when it maps
+    every curve to a curve (so onto the curves), is integral and fixes H.
     The curves of a compact chamber span NS over Q, so every element of G is
     found.  A search that enters more than MAX_GROUP_NODES nodes returns
     G = {1}: the counts do not depend on the group.
+
+    The curve test comes first and needs no g: the images e_l = g b_l span
+    Q^rho, so gc is the one vector with gc.e_l = c.b_l for every l.  Hence
+    g maps the curves onto the curves exactly when the rows (e.e_l)_l over
+    the curves e are the rows (c.b_l)_l over the curves c.
     """
     lat, h, curves = cs.lattice, cs.ample_seed, cs.curves
     rho, pairs, degrees = lat.rank, cs.gram_of_curves, cs.degrees()
@@ -132,7 +137,7 @@ def symmetry_group(cs: CurveSystem) -> tuple[Matrix, ...]:
         for j in range(rho)
     ]
     candidates = [[e for e in range(len(curves)) if degrees[e] == degrees[b]] for b in basis]
-    curve_set = set(curves)
+    want = set(map(itemgetter(*basis), pairs))
     group: list[Matrix] = []
     images: list[int] = []
     nodes = 0
@@ -144,13 +149,15 @@ def symmetry_group(cs: CurveSystem) -> tuple[Matrix, ...]:
         if nodes > MAX_GROUP_NODES:
             return False
         if j == rho:
+            if set(map(itemgetter(*images), pairs)) != want:
+                return True
             g = []
             for row in linalg.transpose([curves[e] for e in images]):  # E
                 entries = [divmod(linalg.dot(row, col), det) for col in adj]
                 if any(r for _, r in entries):
                     return True
                 g.append(tuple(q for q, _ in entries))
-            if linalg.mat_vec(g, h) == h and all(linalg.mat_vec(g, c) in curve_set for c in curves):
+            if linalg.mat_vec(g, h) == h:
                 group.append(tuple(g))
             return True
         b = basis[j]

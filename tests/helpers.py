@@ -99,7 +99,7 @@ def echelon_row_basis(rows):
     Not the Hermite normal form: the entries above each positive pivot are
     reduced from the last pivot up, and a later step can move one out of
     [0, pivot).  The general routine that saturated the overlattice before
-    the one-pass `lattice._saturation`, kept as its reference.
+    the one-pass `discriminant._saturation`, kept as its reference.
     """
     basis: list[list[int]] = []  # kept in echelon order by pivot column
     pivot_col: list[int] = []

@@ -1,6 +1,6 @@
 """An isometry search for small hyperbolic lattices, kept as a test-side witness.
 
-The library identifies lattices by genus (`k3scan.presets.identify_type`).
+The library identifies lattices by genus (`k3scan.discriminant.identify_type`).
 This module is the independent check on it: a search that returns an
 explicit basis map, so a name from `identify_type` can be backed by a map
 U with U^T G2 U == G1 found without any discriminant form.

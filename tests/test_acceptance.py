@@ -28,14 +28,9 @@ from oracle import box_scan_big_nef_count, box_scan_classes, scan_isotropic_dual
 
 from k3scan.classify import builtin_searches, search_template
 from k3scan.cli import run as cli_run
+from k3scan.discriminant import discriminant_group, isotropic_elements, overlattice_from_isotropic
 from k3scan.enumeration import DegreeCoset
-from k3scan.lattice import (
-    GramLattice,
-    discriminant_group,
-    isotropic_elements,
-    overlattice_from_isotropic,
-    square,
-)
+from k3scan.lattice import GramLattice, square
 from k3scan.series import big_nef_classes_by_square, theta_series, xi_series
 
 SIEVE_NAMES = ("S1", "S2", "S3", "S4", "S5", "S6", "L24", "L27")

@@ -16,7 +16,9 @@ from helpers import MANY_ISOTROPIC_GRAMS, sieve_presets
 
 import k3scan
 import k3scan.cli
+import k3scan.cmd_curves
 import k3scan.cone
+import k3scan.discriminant
 import k3scan.lattice
 import k3scan.linalg
 from k3scan.classify import builtin_searches, builtin_template
@@ -74,9 +76,9 @@ def test_curves_s2_cyclic_offdiagonals():
 def test_pair_relations_read_any_multiple(monkeypatch):
     # The multiple is read off the sum, so it is not capped: (3,1,0)+(4,-1,0) = 7*(1,0,0).
     minimal = {"square": 2, "classes": [[1, 0, 0]]}
-    monkeypatch.setattr(k3scan.cli, "_minimal_polarization", lambda cs: minimal)
+    monkeypatch.setattr(k3scan.cmd_curves, "_minimal_polarization", lambda cs: minimal)
     cs = SimpleNamespace(curves=((3, 1, 0), (4, -1, 0)))
-    assert k3scan.cli._pair_relations(cs) == (minimal, [{"i": 0, "j": 1, "multiple": 7}])
+    assert k3scan.cmd_curves._pair_relations(cs) == (minimal, [{"i": 0, "j": 1, "multiple": 7}])
 
 
 def test_chamber_reports(presets):
@@ -507,15 +509,15 @@ def test_exit_code_cost_limit_disc(tmp_path, monkeypatch):
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
     assert "200000000" in out.stderr and "Traceback" not in out.stderr
     assert "more than 2000000 elements" in out.stderr
-    monkeypatch.setattr(k3scan.lattice.DiscriminantGroup, "elements", _boom)
-    monkeypatch.setattr(k3scan.lattice.DiscriminantGroup, "_scaled_norm", _boom)
+    monkeypatch.setattr(k3scan.discriminant.DiscriminantGroup, "elements", _boom)
+    monkeypatch.setattr(k3scan.discriminant.DiscriminantGroup, "_scaled_norm", _boom)
     assert invoke("disc", "--file", str(path))[0] == 5
     # |A| = 2 * 4000006 = 8,000,012 is refused before a single form evaluation.
     gram = [[2, 0], [0, -4000006]]
     path.write_text(json.dumps({"rank": 2, "gram": gram}))
-    dg = k3scan.lattice.discriminant_group(k3scan.lattice.GramLattice(2, gram))
+    dg = k3scan.discriminant.discriminant_group(k3scan.lattice.GramLattice(2, gram))
     with pytest.raises(CostLimitError, match="order 8000012, more than 2000000 "):
-        k3scan.lattice.isotropic_elements(dg)
+        k3scan.discriminant.isotropic_elements(dg)
     code, text = invoke("disc", "--file", str(path))
     assert code == 5 and text.startswith("error: ") and text.count("\n") == 1, text
 
@@ -909,17 +911,23 @@ print(json.dumps({
 }))
 """
 CLI_MODULES = {"k3scan", "k3scan.cli", "k3scan.errors"}
-CORE_MODULES = CLI_MODULES | {"k3scan.linalg", "k3scan.lattice", "k3scan.presets"}
+INPUT_MODULES = CLI_MODULES | {"k3scan.inputs", "k3scan.linalg", "k3scan.lattice", "k3scan.presets"}
+SIEVE_MODULES = INPUT_MODULES | {"k3scan.enumeration", "k3scan.cone"}
 COMMAND_MODULES = {
-    ("disc", "--preset", "S2"): CORE_MODULES,
-    ("series", "--preset", "S1", "--max-square", "12"): CORE_MODULES
-    | {"k3scan.enumeration", "k3scan.cone", "k3scan.series"},
-    ("classify", "--template", "S5"): CORE_MODULES | {"k3scan.classify"},
-    ("classify", "--template", "S2", "--jobs", "2"): CORE_MODULES | {"k3scan.classify"},
+    ("curves", "--preset", "S1"): SIEVE_MODULES | {"k3scan.cmd_curves", "k3scan.series"},
+    ("chamber", "--preset", "S1"): SIEVE_MODULES | {"k3scan.cmd_chamber"},
+    ("series", "--preset", "S1", "--max-square", "12"): SIEVE_MODULES
+    | {"k3scan.cmd_series", "k3scan.series"},
+    ("disc", "--preset", "S2"): INPUT_MODULES | {"k3scan.cmd_disc", "k3scan.discriminant"},
+    ("classify", "--template", "S5"): INPUT_MODULES
+    | {"k3scan.cmd_classify", "k3scan.classify", "k3scan.discriminant"},
+    ("classify", "--template", "S2", "--jobs", "2"): INPUT_MODULES
+    | {"k3scan.cmd_classify", "k3scan.classify", "k3scan.discriminant"},
 }
 
 
 def test_each_command_loads_only_its_modules():
+    assert {argv[0] for argv in COMMAND_MODULES} == {"curves", "chamber", "series", "disc", "classify"}
     for argv, expected in COMMAND_MODULES.items():
         out = subprocess.run(
             [sys.executable, "-c", MODULES_SCRIPT, *argv], capture_output=True, text=True, env=CHILD_ENV
@@ -932,8 +940,68 @@ def test_each_command_loads_only_its_modules():
         assert got["command"] == sorted(expected), (argv, got["command"])
         assert not got["pool"], argv
         assert got["slow"] == [], (argv, got["slow"])
+        # Each command compiles its own module and no other command's.
+        assert [m for m in got["command"] if m.startswith("k3scan.cmd_")] == [f"k3scan.cmd_{argv[0]}"]
         if argv[0] == "disc":  # the template search stays out of disc
             assert "k3scan.classify" not in got["command"]
+        if argv[0] in ("curves", "chamber", "series"):  # and the discriminant forms out of the sieve's
+            assert not {"k3scan.classify", "k3scan.discriminant"} & set(got["command"]), argv
+
+
+# Runs the command line as `python -m k3scan.cli` does, with the CLI module as
+# __main__, and reports whether anything imported it under its own name.
+RUN_AS_MAIN_SCRIPT = """
+import contextlib, io, json, runpy, sys
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        runpy.run_module("k3scan.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "stdout": out.getvalue(), "cli": "k3scan.cli" in sys.modules}))
+"""
+
+
+def test_no_module_imports_the_cli():
+    # Under `python -m` the CLI is __main__; a module that imported k3scan.cli
+    # would compile and run a second copy of it.
+    for argv in (("series", "--preset", "S1", "--max-square", "12"), ("disc", "--preset", "L25")):
+        out = subprocess.run(
+            [sys.executable, "-c", RUN_AS_MAIN_SCRIPT, *argv], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert out.returncode == 0, out.stderr
+        got = json.loads(out.stdout)
+        assert (got["code"], got["stdout"]) == (0, invoke(*argv)[1]), argv
+        assert got["cli"] is False, argv
+
+
+# sha256 of `k3scan --help` and of each `k3scan <command> --help` at 80 columns.
+HELP_DIGESTS = {
+    (): "03b0e74d80ab6d82aa7db442b6fce815e1054d36c92298f4b52002616eaea0df",
+    ("curves",): "ceeecc1bdac3158838d2ff36fdcfd1c0579ba42bc11ad44f669bd6d0e832f9c7",
+    ("chamber",): "35f62565d58dad7da05460b34b0adc2e55d89cc77830c159460e382a72304d0a",
+    ("series",): "2f8158680a546337b39519a256f7774110f17f98b18e381bb9191e7b62432a5f",
+    ("disc",): "3eedc39e40a9c86c1b84b8cf498a189688494be2b2a71b3297f00f00fd4d2ad5",
+    ("classify",): "58faee407c17ad0c6ae4c4100e6167feecb9939f5d0234dba51d47a55e5e13d7",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse lays out help differently by version")
+def test_help_and_usage_bytes_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, digest in HELP_DIGESTS.items():
+        with pytest.raises(SystemExit) as exit_info:
+            k3scan.cli.main([*argv, "--help"])
+        assert exit_info.value.code == 0, argv
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (argv, text)
+    assert invoke() == (1, "error: the following arguments are required: subcommand\n")
+    assert invoke("series", "--bogus") == (1, "error: unrecognized arguments: --bogus\n")
+    assert invoke("frob") == (
+        1,
+        "error: argument subcommand: invalid choice: 'frob' "
+        "(choose from 'curves', 'chamber', 'series', 'disc', 'classify')\n",
+    )
 
 
 def test_text_format_all_commands():

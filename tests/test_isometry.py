@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 from helpers import mat_mul, unimodular_change
 from isometry_witness import _greedy_reduce, isometry_small, witness_type
 
-import k3scan.presets
+import k3scan.discriminant
 from k3scan import linalg
 from k3scan.classify import builtin_searches, search_template
-from k3scan.errors import K3ScanError
-from k3scan.lattice import (
-    GramLattice,
+from k3scan.discriminant import (
+    _forms_isomorphic,
+    _one_class_in_genus,
     discriminant_group,
+    identify_type,
     isotropic_elements,
     overlattice_from_isotropic,
 )
-from k3scan.presets import _forms_isomorphic, _one_class_in_genus, identify_type
+from k3scan.errors import K3ScanError
+from k3scan.lattice import GramLattice
 
 
 def test_identity_on_equal_grams(presets):
@@ -131,7 +133,7 @@ def test_class_number_one_hypothesis():
 
 
 def test_identify_type_refuses_a_catalog_genus_without_the_hypothesis(presets, monkeypatch):
-    monkeypatch.setattr(k3scan.presets, "_one_class_in_genus", lambda lat: False)
+    monkeypatch.setattr(k3scan.discriminant, "_one_class_in_genus", lambda lat: False)
     with pytest.raises(K3ScanError, match="genus of S5 is not known to have one class"):
         identify_type(presets["S5"].lattice)
     assert identify_type(((10, 0, 0), (0, -100, 0), (0, 0, -2))) is None

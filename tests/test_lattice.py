@@ -20,16 +20,13 @@ from oracle import scan_isotropic_dual_classes
 
 from k3scan import linalg
 from k3scan.errors import InvalidLatticeError
-from k3scan.lattice import (
-    GramLattice,
+from k3scan.discriminant import (
     _saturation,
-    bilinear,
     discriminant_group,
     isotropic_elements,
     overlattice_from_isotropic,
-    signature,
-    square,
 )
+from k3scan.lattice import GramLattice, bilinear, signature, square
 
 
 def test_construction_rejects_bad_input(presets):

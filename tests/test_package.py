@@ -9,12 +9,13 @@ import pytest
 
 import k3scan
 import k3scan.classify
-import k3scan.presets
+import k3scan.discriminant
 from k3scan.classify import builtin_searches, search_template
 from k3scan.cone import vinberg_sieve
 from k3scan.enumeration import EnumerationStats
 from k3scan.errors import InvalidLatticeError, UsageError
-from k3scan.lattice import GramLattice, discriminant_group
+from k3scan.discriminant import discriminant_group
+from k3scan.lattice import GramLattice
 from k3scan.presets import Preset
 
 
@@ -113,10 +114,10 @@ def test_unknown_attribute_raises():
     assert not hasattr(k3scan, "theta")
 
 
-def test_identify_type_lives_in_presets():
-    assert k3scan.classify.identify_type is k3scan.presets.identify_type
-    assert k3scan.identify_type is k3scan.presets.identify_type
-    assert k3scan.identify_type.__module__ == "k3scan.presets"
+def test_identify_type_lives_in_discriminant():
+    assert k3scan.classify.identify_type is k3scan.discriminant.identify_type
+    assert k3scan.identify_type is k3scan.discriminant.identify_type
+    assert k3scan.identify_type.__module__ == "k3scan.discriminant"
 
 
 def _records():
