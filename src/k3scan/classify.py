@@ -75,10 +75,13 @@ A = M[F, F] are set.  When 0 < |F| <= r and A is non-singular, |F|
 fraction-free elimination steps, run once per loop, give +-det A and, by
 Sylvester's identity, the bordered minors T = det(A) C - B^T adj(A) B, C =
 M[L, L], with T(x) = T(0) + x det(A) C_x.  As rank M = |F| + rank T(x), the
-rule above runs on T's principal minors of order r - |F| + 1 and + 2 (one
-quadratic on L27).  A singular A falls back to F = {}, where the kept block's
-own minors that read x are the tests.  A candidate still reaches the leaf,
-whose full rank is the check and the reported rank.  A parameter that ends
+tests are T's principal minors of order r - |F| + 1 and + 2 (one quadratic
+on L27).  When each has order 1 or 2, its polynomial is read straight from
+T(0) and det(A) C_x, and the candidates are the common integer roots of the
+non-zero ones, with no determinant taken; larger orders go through the rule
+above.  A singular A falls back to F = {}, where the kept block's own minors
+that read x are the tests.  A candidate still reaches the leaf, whose full
+rank is the check and the reported rank.  A parameter that ends
 an == constraint with coefficient +-1 is forced: wherever the search sets
 it, it equals an affine function of the parameters before it, so the entries
 read that function, and the minors of a forced x_k are solved for x_{k-1}
@@ -117,9 +120,8 @@ _TEMPLATE_DIR = os.path.join(os.path.dirname(__file__), "templates")
 
 # Work limits of one search, counted, not timed.  The shipped templates
 # count at most 84 minors against the limit (L27, all 8 rows), list at most 21
-# over the rows they keep (S2) and evaluate at most 810 determinants (L27;
-# S2 660), enter at most 332 nodes (L27; S2 242) and find at most 10
-# solutions (L27).
+# over the rows they keep (S2) and evaluate at most 660 determinants (S2),
+# enter at most 332 nodes (L27; S2 242) and find at most 10 solutions (L27).
 # Scheduling costs about 5 us a minor.
 MAX_SCHEDULED_MINORS = 20_000
 # The descent recurses once a parameter, and Python stops at 1,000 frames:
@@ -419,6 +421,32 @@ def _candidates(lo: int, hi: int, at, tests):
         x += 1
 
 
+def _solved_candidates(t0, s, tests, lo: int, hi: int):
+    """The x in [lo, hi], ascending, at which every test's minor of T(x) = T(0) + x S vanishes.
+
+    Each test has order 1 or 2, so its minor is, lowest coefficient first,
+    [t_ii, s_ii] or [det T(0)_ij, t_ii s_jj + s_ii t_jj - t_ij s_ji - s_ij
+    t_ji, det S_ij]: the candidates are the common integer roots of the
+    non-zero ones, and every value when all are zero.
+    """
+    polys = []
+    for (i, *rest), _, _ in tests:
+        if not rest:
+            p = [t0[i][i], s[i][i]]
+        else:
+            (j,) = rest
+            p = [
+                t0[i][i] * t0[j][j] - t0[i][j] * t0[j][i],
+                t0[i][i] * s[j][j] + s[i][i] * t0[j][j] - t0[i][j] * s[j][i] - s[i][j] * t0[j][i],
+                s[i][i] * s[j][j] - s[i][j] * s[j][i],
+            ]
+        if any(p):
+            polys.append(p)
+    if not polys:
+        return range(lo, hi + 1)
+    return [x for x in _integer_roots(polys[0], lo, hi) if not any(_horner(p, x) for p in polys[1:])]
+
+
 def _eliminate(a, f: int) -> int:
     """Eliminate the first f columns of the square matrix a in place: the last pivot, or 0.
 
@@ -541,6 +569,7 @@ def _search_sequential(template: MatrixTemplate, target_rank: int):
         for idx in itertools.combinations(range(len(touched)), minor_size)
     ] if 0 < len(free) <= target_rank else []
     schur_order = operator.itemgetter(*free, *touched) if schur_tests else None
+    schur_solved = all(len(idx) <= 2 for idx, _, _ in schur_tests)
 
     # Replay blocks (see the module docstring), taken greedily from the left,
     # each as long as it goes, and ending before the last depth.
@@ -616,20 +645,23 @@ def _search_sequential(template: MatrixTemplate, target_rank: int):
                 cur[i][j] = cur[j][i] = _evaluate(const, terms, values)
             return cur
 
-        at, tests = fill, minors[depth]
+        at, tests, solved = fill, minors[depth], None
         if depth == last and schur_tests:
             a = [list(schur_order(row)) for row in schur_order(fill(0))]
             pivot = _eliminate(a, len(free))
             if pivot:  # T(x) = T(0) + x * pivot * C_x
                 t0 = [row[len(free):] for row in a[len(free):]]
                 step = [[pivot * c for c in row] for row in c_x]
+                if schur_solved:
+                    solved = _solved_candidates(t0, step, schur_tests, lo, hi)
+                else:
 
-                def at(x):
-                    return [[t + x * u for t, u in zip(*rows)] for rows in zip(t0, step)]
+                    def at(x):
+                        return [[t + x * u for t, u in zip(*rows)] for rows in zip(t0, step)]
 
-                tests = schur_tests
-        for x in _candidates(lo, hi, at, tests):
-            if at is not fill:
+                    tests = schur_tests
+        for x in _candidates(lo, hi, at, tests) if solved is None else solved:
+            if at is not fill or solved is not None:
                 fill(x)
             descend(depth + 1)
         if end is not None:

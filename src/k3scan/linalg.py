@@ -7,7 +7,7 @@ numbers.  Functions return tuples so results can be hashed and cached.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -64,8 +64,19 @@ def _echelon(m) -> tuple[int, int]:
     takes a_ij <- (p*a_ij - a_ic*a_rj) / prev for j > c, an exact division;
     columns <= c are not read again.  The last pivot of a square matrix of
     full rank, signed by the row swaps, is its determinant.
+
+    The division is exact in integers only, so a matrix with a non-integer
+    entry is first scaled row by row to integers, each row times the lcm of
+    its denominators: the rank stays, and the last pivot is divided by the
+    product of those lcms.
     """
     a = [list(row) for row in m]
+    scale = 1
+    if any(type(x) is not int for row in a for x in row):
+        for row in a:
+            d = lcm(*(x.denominator for x in row))
+            row[:] = [int(x * d) for x in row]
+            scale *= d
     rows, cols = len(a), len(a[0]) if a else 0
     r, sign, prev = 0, 1, 1
     for c in range(cols):
@@ -81,21 +92,49 @@ def _echelon(m) -> tuple[int, int]:
         p = top[c]
         r += 1
         if r == rows:
-            return r, sign * p
+            prev = p
+            break
         for row in a[r:]:
             f = row[c]
             for j in range(c + 1, cols):
                 row[j] = (row[j] * p - f * top[j]) // prev
         prev = p
-    return r, sign * prev
+    if scale == 1:
+        return r, sign * prev
+    from fractions import Fraction  # loaded already: the entries are Fractions
+
+    return r, Fraction(sign * prev, scale)
 
 
 def det(m) -> int:
-    """Determinant of a square integer matrix, read from `_echelon`."""
-    if m and len(m[0]) != len(m):
+    """Determinant of a square matrix.
+
+    Orders 2-4, the size of every minor the search, the sieve and the group
+    take, are closed forms: ad - bc, a cofactor expansion, and for 4x4 the
+    Laplace expansion pairing the 2x2 minors of rows 0-1 with the
+    complementary ones of rows 2-3.  Other orders are read from `_echelon`.
+    """
+    n = len(m)
+    if m and len(m[0]) != n:
         raise ValueError("matrix must be square")
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+        return (
+            (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+        )
     r, last = _echelon(m)
-    return last if r == len(m) else 0
+    return last if r == n else 0
 
 
 def symmetric_elimination(m) -> tuple[list[int], list[list[int]]]:

@@ -581,12 +581,14 @@ def test_search_drops_related_rows(monkeypatch):
     # L27's rows 0+1 = 2+3 = 4+5 = 2*(6+7) for every assignment: its leaves
     # take the rank of the 5 rows kept, now on the candidates only (its 10
     # solutions; 810 leaves before the Schur step), and its one minor, of
-    # order 5, is tested as the 2x2 determinant of T at each of the 3 values
-    # of w under 270 prefixes.  S2 has no relation and keeps all 6 rows.
+    # order 5, is the 2x2 determinant of T, a quadratic in w read from T(0)
+    # and C_x and solved, with no determinant taken (810 before, one at each
+    # of the 3 values of w under 270 prefixes).  S2 has no relation and
+    # keeps all 6 rows.
     searches = builtin_searches()
     l27, s2 = searches["L27"], searches["S2"]
     dets, leaves, _ = _search_work(monkeypatch, l27.template, l27.target_rank)
-    assert (dets, leaves) == (810, [5] * 10)
+    assert (dets, leaves) == (0, [5] * 10)
     dets, leaves, nodes = _search_work(monkeypatch, s2.template, s2.target_rank)
     assert (dets, leaves, nodes) == (660, [6], 242)
     for template, target_rank, kept in RELATION_PINS:
@@ -596,16 +598,18 @@ def test_search_drops_related_rows(monkeypatch):
 
 # (determinants, leaves, leaf size, nodes) of each shipped search; before the
 # parameters were solved, L27 (0, 810, 5, 952), S1 (0, 45, 4, 52), S2 (1507,
-# 1, 6, 1282) and S6 (0, 160, 4, 169).
+# 1, 6, 1282) and S6 (0, 160, 4, 169); before the last depth's minors of T
+# were read from T(0) and C_x, L27 (810, 10, 5, 332), S1 (28, 1, 4, 14) and
+# S6 (49, 1, 4, 22).
 SEARCH_WORK = {
     "L24": (0, 2, 4, 5),
-    "L27": (810, 10, 5, 332),
-    "S1": (28, 1, 4, 14),
+    "L27": (0, 10, 5, 332),
+    "S1": (0, 1, 4, 14),
     "S2": (660, 1, 6, 242),
     "S3": (0, 2, 3, 3),
     "S4": (0, 2, 3, 3),
     "S5": (0, 1, 3, 2),
-    "S6": (49, 1, 4, 22),
+    "S6": (0, 1, 4, 22),
 }
 
 

@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_package_json
 from helpers import MANY_ISOTROPIC_GRAMS, sieve_presets
@@ -894,22 +896,36 @@ def test_invariant_checks_survive_optimize_flag():
 MODULES_SCRIPT = """
 import contextlib, io, json, sys
 pool_before = "multiprocessing" in sys.modules
-# dataclasses imports inspect, which imports ast, dis and tokenize: ~10 ms cold.
-slow_before = {m for m in ("dataclasses", "inspect") if m in sys.modules}
+# dataclasses imports inspect, which imports ast, dis and tokenize: ~10 ms
+# cold; argparse, with gettext and locale, and building its parser, ~5 ms.
+SLOW = ("dataclasses", "inspect", "argparse", "gettext", "locale")
+slow_before = {m for m in SLOW if m in sys.modules}
 def loaded():
     return sorted(m for m in sys.modules if m == "k3scan" or m.startswith("k3scan."))
 import k3scan
 package = loaded()
 import k3scan.cli
 cli = loaded()
+cli_slow = sorted(m for m in SLOW if m in sys.modules and m not in slow_before)
 with contextlib.redirect_stdout(io.StringIO()):
-    code = k3scan.cli.main(sys.argv[1:])
+    try:
+        code = k3scan.cli.main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        code = exc.code
 print(json.dumps({
     "package": package, "cli": cli, "command": loaded(), "code": code,
-    "pool": "multiprocessing" in sys.modules and not pool_before,
-    "slow": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules and m not in slow_before),
+    "pool": "multiprocessing" in sys.modules and not pool_before, "cli_slow": cli_slow,
+    "slow": sorted(m for m in SLOW if m in sys.modules and m not in slow_before),
 }))
 """
+
+
+def loaded_modules(argv):
+    out = subprocess.run(
+        [sys.executable, "-c", MODULES_SCRIPT, *argv], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
 CLI_MODULES = {"k3scan", "k3scan.cli", "k3scan.errors"}
 INPUT_MODULES = CLI_MODULES | {"k3scan.inputs", "k3scan.linalg", "k3scan.lattice", "k3scan.presets"}
 SIEVE_MODULES = INPUT_MODULES | {"k3scan.enumeration", "k3scan.cone"}
@@ -929,23 +945,32 @@ COMMAND_MODULES = {
 def test_each_command_loads_only_its_modules():
     assert {argv[0] for argv in COMMAND_MODULES} == {"curves", "chamber", "series", "disc", "classify"}
     for argv, expected in COMMAND_MODULES.items():
-        out = subprocess.run(
-            [sys.executable, "-c", MODULES_SCRIPT, *argv], capture_output=True, text=True, env=CHILD_ENV
-        )
-        assert out.returncode == 0, out.stderr
-        got = json.loads(out.stdout)
+        got = loaded_modules(argv)
         assert got["code"] == 0, argv
         assert got["package"] == ["k3scan"], got["package"]
         assert got["cli"] == sorted(CLI_MODULES), got["cli"]
         assert got["command"] == sorted(expected), (argv, got["command"])
         assert not got["pool"], argv
-        assert got["slow"] == [], (argv, got["slow"])
+        assert got["cli_slow"] == [] and got["slow"] == [], (argv, got["slow"])
         # Each command compiles its own module and no other command's.
         assert [m for m in got["command"] if m.startswith("k3scan.cmd_")] == [f"k3scan.cmd_{argv[0]}"]
         if argv[0] == "disc":  # the template search stays out of disc
             assert "k3scan.classify" not in got["command"]
         if argv[0] in ("curves", "chamber", "series"):  # and the discriminant forms out of the sieve's
             assert not {"k3scan.classify", "k3scan.discriminant"} & set(got["command"]), argv
+
+
+def test_help_and_other_spellings_load_argparse():
+    # argparse reads every line parse_plain leaves: --help, usage errors and
+    # the other spellings of a canonical line.
+    for argv, code in (
+        (("series", "--help"), 0),
+        (("series", "--preset", "S1", "--max", "12"), 0),
+        (("curves", "--preset", "S1", "--kmax", "0x10"), 1),
+    ):
+        got = loaded_modules(argv)
+        assert got["code"] == code, argv
+        assert "argparse" in got["slow"] and got["cli_slow"] == [], (argv, got["slow"])
 
 
 # Runs the command line as `python -m k3scan.cli` does, with the CLI module as
@@ -1013,3 +1038,96 @@ def test_text_format_all_commands():
     ):
         code, text = invoke(*argv)
         assert code == 0 and text.endswith("\n")
+
+
+# Every flag of every subcommand, and the prefixes argparse reads as its abbreviations.
+FLAGS = sorted({option[0] for _, options in k3scan.cli.COMMANDS.values() for option in options})
+ODD_TOKENS = sorted({flag[:k] for flag in FLAGS for k in range(3, len(flag))} | {"-h", "--help", "--"})
+VALUES = st.one_of(
+    st.integers(-3, 120).map(str),
+    st.sampled_from([
+        "-3", " 12", "0x10", "1_000", "", "json", "text", "xml", "theta", "xi", "XI",
+        "S1", "L27", "x.json", "-h", "--format",
+    ]),
+)
+
+
+def option_values(type, choices):
+    """VALUES, or half the time a value the option takes."""
+    return st.one_of(VALUES, (
+        st.sampled_from(choices) if choices
+        else st.integers(1, 120).map(str) if type is int
+        else st.sampled_from(["S1", "L27", "x.json"])
+    ))
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand, or a bad one, then flags, their prefixes and --flag=value, and values."""
+    sub = draw(st.sampled_from([*k3scan.cli.COMMANDS, "frob", "-h", "Series"]))
+    own = [
+        st.tuples(st.just(flag), option_values(type, choices))
+        for flag, _, type, choices, _, _ in k3scan.cli.COMMANDS.get(sub, ("", ()))[1]
+    ]
+    flag = st.one_of(st.sampled_from(FLAGS), st.sampled_from(ODD_TOKENS))
+    joined = st.builds("{}={}".format, st.sampled_from(FLAGS), VALUES)
+    token = st.one_of(*own, st.tuples(flag, VALUES), st.tuples(st.one_of(flag, joined, VALUES)))
+    return [sub, *itertools.chain.from_iterable(draw(st.lists(token, max_size=5)))]
+
+
+@st.composite
+def canonical_lines(draw):
+    """A subcommand and some of its own flags, each once, in any order, with VALUES or values they take."""
+    sub = draw(st.sampled_from(list(k3scan.cli.COMMANDS)))
+    options = draw(st.permutations(k3scan.cli.COMMANDS[sub][1]))
+    argv = [sub]
+    for flag, _, type, choices, _, _ in options[:draw(st.integers(0, len(options)))]:
+        argv += [flag, draw(option_values(type, choices))]
+    return argv
+
+
+@given(st.one_of(command_lines(), canonical_lines()))
+@settings(max_examples=400, deadline=None)
+def test_plain_parse_agrees_with_argparse(argv):
+    plain = k3scan.cli.parse_plain(argv)
+    if plain is not None:
+        assert vars(plain) == vars(k3scan.cli.build_parser().parse_args(argv)), argv
+
+
+def test_plain_parse_reads_every_canonical_line():
+    lines = [
+        *COMMAND_MODULES,
+        ("series", "--preset", "L27", "--kind", "theta", "--max-square", "100"),
+        ("series", "--preset", "S2", "--kind", "xi", "--max-square", "100"),
+        ("classify", "--template", "S2", "--jobs", "2"),
+        ("classify", "--template", "L27", "--jobs", "1"),
+        ("disc", "--file", "x.json"),
+        ("disc", "--preset", "L25", "--format", "text"),
+        ("chamber", "--file", "x.json", "--kmax", "4", "--format", "text"),
+        ("classify", "--custom", "t.json", "--format", "json"),
+        ("curves",),
+    ]
+    for argv in lines:
+        plain = k3scan.cli.parse_plain(list(argv))
+        assert plain is not None, argv
+        assert vars(plain) == vars(k3scan.cli.build_parser().parse_args(list(argv))), argv
+
+
+def test_other_spellings_print_the_same_bytes():
+    canonical = invoke("series", "--preset", "L27", "--max-square", "100")
+    short = invoke("series", "--preset", "S1", "--max-square", "12")
+    for argv, want in (
+        (("series", "--preset", "L27", "--max", "100"), canonical),
+        (("series", "--preset", "L27", "--max-square=100"), canonical),
+        (("series", "--preset", "S1", "--max-square", "40", "--max-square", "12"), short),
+        (("series", "--pre", "S1", "--max-square", "12", "--format=json"), short),
+        (("curves", "--preset", "S1", "--kmax", "0x10"),
+         (1, "error: argument --kmax: invalid int value: '0x10'\n")),
+        (("series", "--preset", "S1", "--kind", "XI"),
+         (1, "error: argument --kind: invalid choice: 'XI' (choose from 'theta', 'xi')\n")),
+        (("series", "--preset"), (1, "error: argument --preset: expected one argument\n")),
+    ):
+        assert k3scan.cli.parse_plain(list(argv)) is None, argv
+        assert invoke(*argv) == want, argv
+    code, text = invoke("curves", "--preset", "S1", "--kmax", "-3")
+    assert code == 1 and text.startswith("error: ") and "--kmax" in text, text

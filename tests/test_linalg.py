@@ -82,6 +82,8 @@ wide_or_tall_matrix = st.integers(1, 6).flatmap(
 @given(st.one_of(small_matrix, wide_or_tall_matrix))
 @example([[0, 2, 1, -1], [0, 1, 3, 2], [0, 3, 4, 1]])
 @example([[1, 2], [2, 4], [0, 0]])
+# Bareiss's floor division once floored Fractions: this read as rank 2.
+@example([[Fraction(1, 2), 1, 0, 0, 0], [1, Fraction(1, 3), 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
 @settings(max_examples=300, deadline=None)
 def test_rank_matches_rational_gauss(m):
     assert linalg.rank(m) == naive_rank(m)
@@ -94,6 +96,39 @@ def test_rank_matches_rational_gauss(m):
 @settings(max_examples=300, deadline=None)
 def test_signed_determinant_matches_rational_gauss(m):
     assert linalg.det(m) == naive_det(m)
+
+
+@st.composite
+def closed_form_matrix(draw):
+    """An n x n matrix, n = 1-4, of ints up to 10^30 or of Fractions, often with a row a combination of others."""
+    n = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from((
+        st.integers(-10**30, 10**30),
+        st.integers(-3, 3),
+        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+    )))
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        others = [i for i in range(n) if i != k]
+        m[k] = [0] * n
+        for i in draw(st.lists(st.sampled_from(others), max_size=2)):
+            c = draw(entry)
+            m[k] = [x + c * y for x, y in zip(m[k], m[i])]
+    return m
+
+
+@given(closed_form_matrix())
+@example([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])
+@example([[10**30, 10**30 - 1], [10**30 + 1, 10**30]])
+@example([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [5, 0, 5, 0]])
+@settings(max_examples=300, deadline=None)
+def test_closed_form_determinant_matches_echelon(m):
+    # Orders 2-4 are closed forms; `_echelon` stays the reference, and reads
+    # Fractions by clearing each row's denominators first.
+    r, last = linalg._echelon(m)
+    assert linalg.det(m) == (last if r == len(m) else 0) == naive_det(m)
+    assert r == naive_rank(m)
 
 
 def minors_gcd(m, k):
